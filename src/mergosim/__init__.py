@@ -18,7 +18,7 @@ from .grid import (Basis, Configuration, GridSpec, ParticleSet,
 from .hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,
                           TrapSpec, build_coulomb, build_kinetic,
                           build_point_charges, build_trap,
-                          coulomb_mimicking_f, evaluate)
+                          coulomb_mimicking_f)
 from .lzcost import (AlphaFactors, CostParams, LZParams, LZResult,
                      alpha_factors, lcu_query_model, p_landau_zener)
 from .symmetry import (Permutation, SymmetryDeclaration, antisymmetrize,

@@ -14,10 +14,12 @@ node exhausted its retries.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -36,49 +38,133 @@ from .units import unit_convert
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {"schema_version", "seed", "grid", "particles", "symmetry",
-             "hamiltonian", "schedule", "evolve", "criteria", "measure",
-             "tree", "lz", "cost", "validate"}
+# A spec is int, float, str or bool; [item] for a list of items; a dict
+# key -> (spec, default) for an object; Map(item) for an object with free
+# keys; OneOf(options) for the first of several specs that fits; or
+# AtLeast(kind, low) for a number no smaller than low. An absent key (or
+# a null one, unless REQUIRED) takes its default, a raw config value
+# checked like one; None stays None and OMIT leaves the key out.
+REQUIRED, OMIT = object(), object()
+Map = namedtuple("Map", "item")
+OneOf = namedtuple("OneOf", "options")
+AtLeast = namedtuple("AtLeast", "kind low")
 
-_SECTION_KEYS = {
-    "grid": {"points_per_axis", "dims", "box_length"},
-    "particles": {"n_el", "nuclear_masses", "nuclear_charges",
-                  "electron_spin", "nuclear_spin", "cap"},
-    "symmetry": {"bosonic_sets", "fermionic_sets"},
-    "hamiltonian": {"subsystem_a", "subsystem_b", "softening",
-                    "include_kinetic", "include_coulomb", "trap"},
-    "schedule": {"s0", "s1", "f_shape", "g_shape"},
-    "evolve": {"s_from", "s_to", "n_steps", "initial", "autocorrelation"},
-    "measure": {"criterion", "delta", "initial", "repeat"},
-    "tree": {"leaves", "leaf_ids", "arity", "children", "root", "leaf_dim",
-             "leaf_state", "nodes", "overrides"},
-    "lz": {"mu", "omega", "omega_a", "v"},
-    "cost": {"n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
-             "omega_max", "m_max", "bits", "doublings"},
-    "validate": {"criterion", "symmetrize"},
+_INITIAL = {"kind": (str, "basis_state"), "index": (int, 0), "s": (float, None)}
+_NODE = {"success_weight": (float, 1.0), "delta": (float, math.pi / 2.0),
+         "max_iters": (AtLeast(int, 1), 64), "delta_ramp": (float, 1.0),
+         "renaturalize": (bool, False)}
+_UNIT_VALUE = OneOf((float, {"value": (float, REQUIRED),
+                             "unit": (str, REQUIRED)}))
+
+_TRAP_CENTERS = ([[float]], REQUIRED)
+
+# section -> key -> (spec, default); every section itself is optional
+_SECTIONS = {
+    "grid": {"points_per_axis": (int, REQUIRED), "dims": (int, REQUIRED),
+             "box_length": (float, REQUIRED)},
+    "particles": {"n_el": (int, REQUIRED), "nuclear_masses": ([float], []),
+                  "nuclear_charges": ([float], []),
+                  "electron_spin": (bool, False), "nuclear_spin": (bool, False),
+                  "cap": (AtLeast(int, 1), 4096)},
+    "symmetry": {"bosonic_sets": ([[int]], []),
+                 "fermionic_sets": ([[int]], [])},
+    "hamiltonian": {
+        "subsystem_a": ([int], None), "subsystem_b": ([int], []),
+        "softening": (float, None), "include_kinetic": (bool, True),
+        "include_coulomb": (bool, True),
+        "trap": (OneOf(({"centers": _TRAP_CENTERS, "omega": (float, REQUIRED)},
+                        {"centers": _TRAP_CENTERS,
+                         "frequencies": ([[float]], REQUIRED),
+                         "isotropic": (bool, False)})), None)},
+    "schedule": {"s0": (float, REQUIRED), "s1": (float, REQUIRED),
+                 "f_shape": (str, "linear"), "g_shape": (str, "linear")},
+    "evolve": {"s_from": (float, 0.0), "s_to": (float, None),
+               "n_steps": (AtLeast(int, 0), 0), "initial": (_INITIAL, {}),
+               "autocorrelation": ({"t_max": (float, REQUIRED),
+                                    "n_samples": (int, REQUIRED),
+                                    "window": (str, "hann"),
+                                    "fixed_s": (float, None)}, None)},
+    "criteria": [{"id": (str, REQUIRED), "mode": (str, REQUIRED),
+                  "unit": (str, "bohr"), "pairs": ([[float]], REQUIRED)}],
+    "measure": {"criterion": (str, REQUIRED), "delta": (float, REQUIRED),
+                "initial": (_INITIAL, {}),
+                "repeat": ({"max_iters": (AtLeast(int, 1), 64),
+                            "delta_ramp": (float, 1.0)}, None)},
+    "tree": {"leaves": (AtLeast(int, 1), None), "leaf_ids": ([str], None),
+             "arity": (int, 2), "children": (Map([str]), None),
+             "root": (str, None), "leaf_dim": (AtLeast(int, 1), 2),
+             "leaf_state": (_INITIAL, {}), "nodes": (_NODE, {}),
+             "overrides": (Map({k: (spec, OMIT)
+                                for k, (spec, _) in _NODE.items()}), {})},
+    "lz": {"mu": (_UNIT_VALUE, REQUIRED), "omega": (_UNIT_VALUE, REQUIRED),
+           "omega_a": (_UNIT_VALUE, REQUIRED),
+           "v": (OneOf(({"values": ([float], REQUIRED)},
+                        {"min": (float, REQUIRED), "max": (float, REQUIRED),
+                         "points": (AtLeast(int, 1), REQUIRED),
+                         "scale": (str, "log")})), REQUIRED)},
+    "cost": {"n_el": (int, REQUIRED), "n_nuc": (int, REQUIRED),
+             "grid_points": (int, REQUIRED), "box_volume": (float, REQUIRED),
+             "trap_volume": (float, REQUIRED), "omega_max": (float, REQUIRED),
+             "m_max": (float, 1.0), "bits": (AtLeast(int, 1), 32),
+             "doublings": ([str], [])},
+    "validate": {"criterion": (str, REQUIRED), "symmetrize": (bool, False)},
 }
-
-_NODE_KEYS = {"success_weight", "delta", "max_iters", "delta_ramp",
-              "renaturalize"}
-
-
-def _check_keys(section: str, data, allowed) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in {section!r}: {sorted(unknown)}")
-    return data
+_CONFIG = {"schema_version": (int, REQUIRED), "seed": (int, 0),
+           **{name: (spec, None) for name, spec in _SECTIONS.items()}}
 
 
-def _require(section: dict, name: str, key: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {name}.{key}")
-    return section[key]
+def _typed(value, spec, where: str):
+    """``value`` checked against ``spec``, with defaults filled in."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        unknown = set(value) - set(spec)
+        if unknown:
+            raise ConfigError(f"unknown keys in {where!r}: {sorted(unknown)}")
+        out = {}
+        for key, (item, default) in spec.items():
+            if default is REQUIRED and key not in value:
+                raise ConfigError(f"missing required key {where}.{key}")
+            raw = value.get(key)
+            if raw is None and default is not REQUIRED:
+                raw = default
+            if raw is not OMIT:
+                out[key] = (None if raw is None and default is None
+                            else _typed(raw, item, f"{where}.{key}"))
+        return out
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_typed(v, spec[0], f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    if isinstance(spec, Map):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        return {k: _typed(v, spec.item, f"{where}.{k}")
+                for k, v in value.items()}
+    if isinstance(spec, OneOf):
+        errors = []
+        for option in spec.options:
+            try:
+                return _typed(value, option, where)
+            except ConfigError as exc:
+                errors.append(str(exc))
+        raise ConfigError(" or ".join(errors))
+    if isinstance(spec, AtLeast):
+        number = _typed(value, spec.kind, where)
+        if number < spec.low:
+            raise ConfigError(f"{where} must be at least {spec.low}")
+        return number
+    if isinstance(value, bool) == (spec is bool):
+        if isinstance(value, spec):
+            return value
+        if spec is float and isinstance(value, int):
+            return float(value)
+    raise ConfigError(f"{where} must be {spec.__name__}, got {value!r}")
 
 
 def load_config(path: str) -> dict:
+    """Read and schema-check a run config; returns it as written."""
     try:
         with open(path) as handle:
             cfg = json.load(handle)
@@ -86,13 +172,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys("<top level>", cfg, _TOP_KEYS)
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}")
-    for name, keys in _SECTION_KEYS.items():
-        if name in cfg:
-            _check_keys(name, cfg[name], keys)
+    if _typed(cfg, _CONFIG, "config")["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     return cfg
 
 
@@ -101,87 +182,74 @@ def emit_config(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, indent=2) + "\n"
 
 
-def _section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
+@contextlib.contextmanager
+def _config_values():
+    """Report a ValueError raised while config values become objects as
+    the config error it is."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _section(cfg: dict, name: str):
+    if cfg[name] is None:
         raise ConfigError(f"missing required section {name!r}")
     return cfg[name]
 
 
-def _build_grid(cfg: dict) -> GridSpec:
-    sec = _section(cfg, "grid")
-    return GridSpec(points_per_axis=int(_require(sec, "grid", "points_per_axis")),
-                    dims=int(_require(sec, "grid", "dims")),
-                    box_length=float(_require(sec, "grid", "box_length")))
+def _resolve(table: dict, cid: str, where: str):
+    if cid not in table:
+        raise ConfigError(f"{where} {cid!r} does not resolve")
+    return table[cid]
 
 
-def _build_particles(cfg: dict) -> tuple[ParticleSet, int]:
-    sec = _section(cfg, "particles")
-    particles = ParticleSet(
-        n_el=int(_require(sec, "particles", "n_el")),
-        nuclear_masses=tuple(sec.get("nuclear_masses", ())),
-        nuclear_charges=tuple(sec.get("nuclear_charges", ())),
-        electron_spin=bool(sec.get("electron_spin", False)),
-        nuclear_spin=bool(sec.get("nuclear_spin", False)))
-    return particles, int(sec.get("cap", 4096))
-
-
+@_config_values()
 def _build_basis(cfg: dict):
-    grid = _build_grid(cfg)
-    particles, cap = _build_particles(cfg)
-    return enumerate_basis(grid, particles, cap=cap)
+    particles = dict(_section(cfg, "particles"))
+    cap = particles.pop("cap")
+    return enumerate_basis(GridSpec(**_section(cfg, "grid")),
+                           ParticleSet(**particles), cap=cap)
 
 
-def _build_declaration(cfg: dict) -> symmetry.SymmetryDeclaration:
-    sec = _section(cfg, "symmetry")
-    return symmetry.SymmetryDeclaration(
-        bosonic_sets=tuple(tuple(s) for s in sec.get("bosonic_sets", ())),
-        fermionic_sets=tuple(tuple(s) for s in sec.get("fermionic_sets", ())))
+@_config_values()
+def _build_declaration(cfg: dict, particles) -> symmetry.SymmetryDeclaration:
+    declaration = symmetry.SymmetryDeclaration(**_section(cfg, "symmetry"))
+    declaration.check_against(particles)
+    return declaration
 
 
+@_config_values()
 def _build_criteria(cfg: dict) -> dict[str, crit.GeometricCriterion]:
     table: dict[str, crit.GeometricCriterion] = {}
     for row in _section(cfg, "criteria"):
-        _check_keys("criteria[]", row, {"id", "mode", "unit", "pairs"})
-        cid = str(_require(row, "criteria[]", "id"))
-        if cid in table:
-            raise ConfigError(f"duplicate criterion id {cid!r}")
-        table[cid] = crit.GeometricCriterion(
-            mode=str(_require(row, "criteria[]", "mode")),
-            constraints=tuple(tuple(p) for p in
-                              _require(row, "criteria[]", "pairs")),
-            unit=str(row.get("unit", "bohr")))
+        if row["id"] in table:
+            raise ConfigError(f"duplicate criterion id {row['id']!r}")
+        table[row["id"]] = crit.GeometricCriterion(row["mode"], row["pairs"],
+                                                   row["unit"])
     return table
 
 
-def _build_schedule(cfg: dict) -> Schedule:
-    sec = _section(cfg, "schedule")
-    return Schedule(s0=float(_require(sec, "schedule", "s0")),
-                    s1=float(_require(sec, "schedule", "s1")),
-                    f_shape=str(sec.get("f_shape", "linear")),
-                    g_shape=str(sec.get("g_shape", "linear")))
-
-
+@_config_values()
 def _build_scheduled_hamiltonian(cfg: dict, basis) -> ScheduledHamiltonian:
     sec = _section(cfg, "hamiltonian")
-    particles = basis.particles
-    regs = set(range(particles.n_particles))
-    sub_a = [int(i) for i in sec.get("subsystem_a", sorted(regs))]
-    sub_b = [int(i) for i in sec.get("subsystem_b", [])]
+    regs = set(range(basis.particles.n_particles))
+    sub_a = sec["subsystem_a"] if sec["subsystem_a"] is not None \
+        else sorted(regs)
+    sub_b = sec["subsystem_b"]
     if set(sub_a) | set(sub_b) != regs or set(sub_a) & set(sub_b):
         raise ConfigError("subsystem_a and subsystem_b must partition "
                           "the particle registers")
-    softening = float(sec.get("softening", basis.grid.spacing))
+    softening = sec["softening"] if sec["softening"] is not None \
+        else basis.grid.spacing
     dim = basis.size
-
-    include_kinetic = bool(sec.get("include_kinetic", True))
-    include_coulomb = bool(sec.get("include_coulomb", True))
 
     def fragment_block(registers):
         block = zero_block(dim)
-        if include_kinetic and registers:
+        if sec["include_kinetic"] and registers:
             block = block + build_kinetic(basis, registers)
         pairs = [(i, j) for i in registers for j in registers if i < j]
-        if include_coulomb and pairs:
+        if sec["include_coulomb"] and pairs:
             block = block + build_coulomb(basis, softening, pairs)
         return block
 
@@ -189,33 +257,28 @@ def _build_scheduled_hamiltonian(cfg: dict, basis) -> ScheduledHamiltonian:
     h_b = fragment_block(sub_b)
     cross = [(i, j) for i in sub_a for j in sub_b]
     h_ab = (build_coulomb(basis, softening, cross)
-            if include_coulomb and cross else zero_block(dim))
+            if sec["include_coulomb"] and cross else zero_block(dim))
 
-    if sec.get("trap"):
-        trap_sec = _check_keys("hamiltonian.trap", sec["trap"],
-                               {"centers", "omega", "frequencies",
-                                "isotropic"})
-        if "omega" in trap_sec:
-            trap = TrapSpec.isotropic_spec(trap_sec["centers"],
-                                           float(trap_sec["omega"]))
-        else:
-            trap = TrapSpec(tuple(tuple(c) for c in trap_sec["centers"]),
-                            tuple(tuple(f) for f in trap_sec["frequencies"]),
-                            bool(trap_sec.get("isotropic", False)))
-        v_trap = build_trap(basis, trap)
-    else:
+    trap = sec["trap"]
+    if trap is None:
         v_trap = zero_block(dim)
+    elif "omega" in trap:
+        v_trap = build_trap(basis, TrapSpec.isotropic_spec(**trap))
+    else:
+        v_trap = build_trap(basis, TrapSpec(**trap))
 
     return ScheduledHamiltonian(h_a=h_a, h_b=h_b, h_ab=h_ab, v_trap=v_trap,
-                                schedule=_build_schedule(cfg))
+                                schedule=Schedule(**_section(cfg, "schedule")))
 
 
 def _initial_vector(spec: dict, dim: int, hamiltonian=None) -> np.ndarray:
-    _check_keys("initial", spec, {"kind", "index", "s"})
-    kind = spec.get("kind", "basis_state")
+    kind, index = spec["kind"], spec["index"]
+    if kind in ("basis_state", "eigenstate") and not 0 <= index < dim:
+        raise ConfigError(f"initial state index {index} outside the "
+                          f"basis of size {dim}")
     if kind == "basis_state":
         v = np.zeros(dim, dtype=complex)
-        v[int(spec.get("index", 0))] = 1.0
+        v[index] = 1.0
         return v
     if kind == "uniform":
         return np.ones(dim, dtype=complex) / math.sqrt(dim)
@@ -223,7 +286,7 @@ def _initial_vector(spec: dict, dim: int, hamiltonian=None) -> np.ndarray:
         if hamiltonian is None:
             raise ConfigError("eigenstate initial state needs a Hamiltonian")
         _, vecs = np.linalg.eigh(hamiltonian)
-        return vecs[:, int(spec.get("index", 0))].astype(complex)
+        return vecs[:, index].astype(complex)
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
@@ -231,35 +294,30 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     basis = _build_basis(cfg)
     sh = _build_scheduled_hamiltonian(cfg, basis)
     sec = _section(cfg, "evolve")
-    s_from = float(sec.get("s_from", 0.0))
-    s_to = float(sec.get("s_to", sh.schedule.s1))
-    n_steps = int(sec.get("n_steps", 0)) or default_step_count(sh, s_from, s_to)
+    s_from = sec["s_from"]
+    s_to = sec["s_to"] if sec["s_to"] is not None else sh.schedule.s1
+    n_steps = sec["n_steps"] or default_step_count(sh, s_from, s_to)
     h0 = sh.evaluate(s_from).matrix
-    psi0 = _initial_vector(sec.get("initial", {}), basis.size, h0)
+    psi0 = _initial_vector(sec["initial"], basis.size, h0)
     report = propagate(DensityMatrix.from_pure(psi0), sh, s_from, s_to, n_steps)
 
-    artifacts = []
     payload = {"status": "ok", "dim": basis.size, "steps": report.steps,
                "norm_drift": report.norm_drift,
                "purity": report.final_state.purity(),
                "trace": report.final_state.trace()}
     path = os.path.join(out_dir, "evolve_report.json")
     out_io.write_json(path, payload)
-    artifacts.append(path)
+    artifacts = [path]
 
-    auto = sec.get("autocorrelation")
+    auto = sec["autocorrelation"]
     if auto:
-        _check_keys("evolve.autocorrelation", auto,
-                    {"t_max", "n_samples", "window", "fixed_s"})
-        fixed_s = auto.get("fixed_s")
-        target = sh.evaluate(float(fixed_s)) if fixed_s is not None else sh
-        times, values = autocorrelation(
-            psi0, target, float(_require(auto, "autocorrelation", "t_max")),
-            int(_require(auto, "autocorrelation", "n_samples")))
+        fixed_s = auto["fixed_s"]
+        target = sh.evaluate(fixed_s) if fixed_s is not None else sh
+        times, values = autocorrelation(psi0, target, auto["t_max"],
+                                        auto["n_samples"])
         corr_path = os.path.join(out_dir, "correlation.csv")
         out_io.write_correlation_csv(corr_path, times, values)
-        freqs, intensity = spectrum(times, values,
-                                    window=auto.get("window", "hann"))
+        freqs, intensity = spectrum(times, values, window=auto["window"])
         spec_path = os.path.join(out_dir, "spectrum.csv")
         out_io.write_spectrum_csv(spec_path, freqs, intensity)
         artifacts.extend([corr_path, spec_path])
@@ -271,27 +329,22 @@ def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     basis = _build_basis(cfg)
     criteria_table = _build_criteria(cfg)
     sec = _section(cfg, "measure")
-    cid = str(_require(sec, "measure", "criterion"))
-    if cid not in criteria_table:
-        raise ConfigError(f"measure.criterion {cid!r} does not resolve")
-    bip = crit.bipartition(criteria_table[cid], basis)
-    psi0 = _initial_vector(sec.get("initial", {}), basis.size)
-    state = DensityMatrix.from_pure(psi0)
-    spec = weakmeas.WeakMeasurementSpec(
-        bip, float(_require(sec, "measure", "delta")), rng_seed=seed)
+    cid = sec["criterion"]
+    bip = crit.bipartition(
+        _resolve(criteria_table, cid, "measure.criterion"), basis)
+    state = DensityMatrix.from_pure(_initial_vector(sec["initial"], basis.size))
+    with _config_values():
+        spec = weakmeas.WeakMeasurementSpec(bip, sec["delta"], rng_seed=seed)
     rng = np.random.default_rng(seed)
     trace = weakmeas.TraceLog()
 
     payload: dict = {"status": "ok", "criterion": cid,
                      "p_suc": weakmeas.p_success_weight(state, bip)}
-    repeat = sec.get("repeat")
+    repeat = sec["repeat"]
     if repeat:
-        _check_keys("measure.repeat", repeat, {"max_iters", "delta_ramp"})
         post, iters = weakmeas.repeat_until_success(
-            state, spec, lambda s, k: s,
-            int(repeat.get("max_iters", 64)), rng=rng,
-            delta_ramp=float(repeat.get("delta_ramp", 1.0)),
-            trace=trace, node_id="measure")
+            state, spec, lambda s, k: s, repeat["max_iters"], rng=rng,
+            delta_ramp=repeat["delta_ramp"], trace=trace, node_id="measure")
         payload.update({"iterations": iters,
                         "post_purity": post.purity()})
     else:
@@ -312,9 +365,8 @@ def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
 
 
 def _tree_from_config(sec: dict) -> tree.ScatterTree:
-    if "children" in sec:
-        children = sec["children"]
-        root = str(_require(sec, "tree", "root"))
+    children = sec["children"]
+    if children is not None:
         ids = set(children) | {c for kids in children.values() for c in kids}
         nodes = []
         leaf_counter = 0
@@ -326,68 +378,49 @@ def _tree_from_config(sec: dict) -> tree.ScatterTree:
                 nodes.append(tree.ScatterNode(
                     node_id=node_id, subsystem=frozenset({leaf_counter})))
                 leaf_counter += 1
-        built = tree.ScatterTree(nodes, root)
-        # fill internal subsystems bottom-up
-        for node_id in built.postorder():
-            node = built.node(node_id)
-            if not node.is_leaf:
-                union = frozenset().union(
-                    *(built.node(c).subsystem for c in node.children))
-                built = built.configure(node_id, subsystem=union)
-        return built
-    if "leaf_ids" in sec:
-        return tree.plan_tree([str(x) for x in sec["leaf_ids"]],
-                              arity=int(sec.get("arity", 2)))
-    return tree.plan_tree(int(_require(sec, "tree", "leaves")),
-                          arity=int(sec.get("arity", 2)))
+        return tree.ScatterTree(nodes, sec["root"])
+    leaves = sec["leaf_ids"] if sec["leaf_ids"] is not None else sec["leaves"]
+    if leaves is None:
+        raise ConfigError("tree needs one of leaves, leaf_ids or children")
+    return tree.plan_tree(leaves, arity=sec["arity"])
 
 
-def cmd_tree(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
-    sec = _section(cfg, "tree")
+@_config_values()
+def _build_tree(sec: dict) -> tuple[tree.ScatterTree, dict]:
+    """The configured tree and its leaf states."""
     shape = _tree_from_config(sec)
-    leaf_dim = int(sec.get("leaf_dim", 2))
-    defaults = _check_keys("tree.nodes", sec.get("nodes", {}), _NODE_KEYS)
-    overrides = sec.get("overrides", {})
-    for node_id, row in overrides.items():
+    leaf_dim = sec["leaf_dim"]
+    overrides = sec["overrides"]
+    for node_id in overrides:
         if node_id not in shape.nodes:
             raise ConfigError(f"override for unknown node {node_id!r}")
-        _check_keys(f"tree.overrides.{node_id}", row, _NODE_KEYS)
-
-    dims: dict[str, int] = {}
-    for node_id in shape.postorder():
-        node = shape.node(node_id)
-        if node.is_leaf:
-            dims[node_id] = leaf_dim
-        else:
-            d = 1
-            for child in node.children:
-                d *= dims[child]
-            dims[node_id] = d
 
     configured = shape
     for node_id in shape.internal_ids():
-        row = {**defaults, **overrides.get(node_id, {})}
-        dim = dims[node_id]
-        mask = np.arange(dim) < max(1, dim // 2)
-        bip = crit.Bipartition(mask)
-        channel = tree.PumpChannel(bip, float(row.get("success_weight", 1.0)))
-        retry = tree.RetryPolicy(
-            max_iters=int(row.get("max_iters", 64)),
-            delta_ramp=float(row.get("delta_ramp", 1.0)),
-            renaturalize=bool(row.get("renaturalize", False)))
+        row = {**sec["nodes"], **overrides.get(node_id, {})}
+        dim = leaf_dim ** len(shape.node(node_id).subsystem)
+        bip = crit.Bipartition(np.arange(dim) < max(1, dim // 2))
+        channel = tree.PumpChannel(bip, row["success_weight"])
+        retry = tree.RetryPolicy(max_iters=row["max_iters"],
+                                 delta_ramp=row["delta_ramp"],
+                                 renaturalize=row["renaturalize"])
         configured = configured.configure(
-            node_id, channel=channel, bipartition=bip,
-            delta=float(row.get("delta", math.pi / 2.0)), retry=retry)
+            node_id, channel=channel, bipartition=bip, delta=row["delta"],
+            retry=retry)
 
-    leaf_state_spec = sec.get("leaf_state", {"kind": "basis_state", "index": 0})
+    leaf_state = sec["leaf_state"]
     states = {}
     for leaf in configured.leaf_ids():
-        if leaf_state_spec.get("kind") == "maximally_mixed":
+        if leaf_state["kind"] == "maximally_mixed":
             states[leaf] = DensityMatrix.maximally_mixed(leaf_dim)
         else:
             states[leaf] = DensityMatrix.from_pure(
-                _initial_vector(leaf_state_spec, leaf_dim))
+                _initial_vector(leaf_state, leaf_dim))
+    return configured, states
 
+
+def cmd_tree(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
+    configured, states = _build_tree(_section(cfg, "tree"))
     report_path = os.path.join(out_dir, "tree_report.json")
     trace_path = os.path.join(out_dir, "tree_trace.jsonl")
     try:
@@ -407,56 +440,49 @@ def cmd_tree(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     return payload
 
 
-def _unit_value(obj, kind: str, target: str) -> float:
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    _check_keys(kind, obj, {"value", "unit"})
-    return unit_convert(float(_require(obj, kind, "value")),
-                        str(_require(obj, kind, "unit")), target)
+def _write_table(payload: dict, out_dir: str, stem: str, fmt: str,
+                 columns: list, rows: list) -> dict:
+    """Rows to <stem>.csv, or into the payload written as <stem>.json."""
+    if fmt == "json":
+        payload["rows"] = [list(r) for r in rows]
+        path = os.path.join(out_dir, f"{stem}.json")
+        out_io.write_json(path, payload)
+    else:
+        path = os.path.join(out_dir, f"{stem}.csv")
+        out_io.write_csv(path, columns, rows)
+    payload["artifacts"] = [path]
+    return payload
+
+
+def _unit_value(value, target: str) -> float:
+    if isinstance(value, float):
+        return value
+    return unit_convert(value["value"], value["unit"], target)
 
 
 def cmd_lz(cfg: dict, out_dir: str, fmt: str) -> dict:
     sec = _section(cfg, "lz")
-    params = lzcost.LZParams(
-        mu=_unit_value(_require(sec, "lz", "mu"), "lz.mu", "me"),
-        omega=_unit_value(_require(sec, "lz", "omega"), "lz.omega", "au"),
-        omega_a=_unit_value(_require(sec, "lz", "omega_a"), "lz.omega_a", "au"),
-        v=1.0)
-    v_sec = _require(sec, "lz", "v")
-    if isinstance(v_sec, dict) and "values" in v_sec:
-        _check_keys("lz.v", v_sec, {"values"})
-        v_values = [float(x) for x in v_sec["values"]]
+    with _config_values():
+        params = lzcost.LZParams(mu=_unit_value(sec["mu"], "me"),
+                                 omega=_unit_value(sec["omega"], "au"),
+                                 omega_a=_unit_value(sec["omega_a"], "au"),
+                                 v=1.0)
+    v_sec = sec["v"]
+    if "values" in v_sec:
+        v_values = v_sec["values"]
     else:
-        _check_keys("lz.v", v_sec, {"min", "max", "points", "scale"})
-        lo = float(_require(v_sec, "lz.v", "min"))
-        hi = float(_require(v_sec, "lz.v", "max"))
-        pts = int(_require(v_sec, "lz.v", "points"))
-        if v_sec.get("scale", "log") == "log":
-            v_values = list(np.geomspace(lo, hi, pts))
-        else:
-            v_values = list(np.linspace(lo, hi, pts))
+        space = np.geomspace if v_sec["scale"] == "log" else np.linspace
+        v_values = list(space(v_sec["min"], v_sec["max"], v_sec["points"]))
 
-    rows = []
-    for v, result in lzcost.sweep_velocity(params, v_values):
-        rows.append((v, result.gamma, result.p_lz, result.p_lz_bound,
-                     result.p_suc))
-    artifacts = []
+    rows = [(v, result.gamma, result.p_lz, result.p_lz_bound, result.p_suc)
+            for v, result in lzcost.sweep_velocity(params, v_values)]
     payload = {"status": "ok",
                "mu_me": params.mu, "omega_au": params.omega,
                "omega_a_au": params.omega_a,
                "p_suc_min": min(r[4] for r in rows),
                "p_suc_max": max(r[4] for r in rows)}
-    if fmt == "json":
-        payload["rows"] = [list(r) for r in rows]
-        path = os.path.join(out_dir, "lz_sweep.json")
-        out_io.write_json(path, payload)
-    else:
-        path = os.path.join(out_dir, "lz_sweep.csv")
-        out_io.write_csv(path, ["v_au", "gamma", "p_lz", "p_lz_bound",
-                                "p_suc"], rows)
-    artifacts.append(path)
-    payload["artifacts"] = artifacts
-    return payload
+    return _write_table(payload, out_dir, "lz_sweep", fmt,
+                        ["v_au", "gamma", "p_lz", "p_lz_bound", "p_suc"], rows)
 
 
 _COST_COLUMNS = ["scenario", "n_el", "n_nuc", "grid_points", "box_volume",
@@ -474,61 +500,48 @@ def _cost_row(name: str, params: lzcost.CostParams, bits: int) -> list:
             est.block_encoding_repetitions]
 
 
-def cmd_cost(cfg: dict, out_dir: str, fmt: str) -> dict:
-    sec = _section(cfg, "cost")
-    base = lzcost.CostParams(
-        n_el=int(_require(sec, "cost", "n_el")),
-        n_nuc=int(_require(sec, "cost", "n_nuc")),
-        grid_points=int(_require(sec, "cost", "grid_points")),
-        box_volume=float(_require(sec, "cost", "box_volume")),
-        trap_volume=float(_require(sec, "cost", "trap_volume")),
-        omega_max=float(_require(sec, "cost", "omega_max")),
-        m_max=float(sec.get("m_max", 1.0)))
-    bits = int(sec.get("bits", 32))
-    doublings = sec.get("doublings", [])
-    numeric = {"n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
-               "omega_max"}
+_COST_FIELDS = ("n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
+                "omega_max", "m_max")
+
+
+@_config_values()
+def _cost_rows(sec: dict) -> list:
+    """The base row and one row per requested doubling."""
+    base = lzcost.CostParams(**{k: sec[k] for k in _COST_FIELDS})
+    bits = sec["bits"]
     rows = [_cost_row("base", base, bits)]
-    for name in doublings:
+    for name in sec["doublings"]:
         if name == "bits":
             rows.append(_cost_row("2x bits", base, 2 * bits))
             continue
-        if name not in numeric:
+        if name == "m_max" or name not in _COST_FIELDS:
             raise ConfigError(f"cannot double unknown parameter {name!r}")
-        kwargs = {k: getattr(base, k) for k in
-                  ("n_el", "n_nuc", "grid_points", "box_volume",
-                   "trap_volume", "omega_max", "m_max")}
-        kwargs[name] = (2 * kwargs[name] if isinstance(kwargs[name], int)
-                        else 2.0 * kwargs[name])
+        kwargs = {k: getattr(base, k) for k in _COST_FIELDS}
+        kwargs[name] *= 2
         if name == "box_volume":
             kwargs["trap_volume"] = min(kwargs["trap_volume"],
                                         kwargs["box_volume"])
         rows.append(_cost_row(f"2x {name}", lzcost.CostParams(**kwargs), bits))
+    return rows
 
-    payload = {"status": "ok", "bits": bits}
-    if fmt == "json":
-        payload["columns"] = _COST_COLUMNS
-        payload["rows"] = [list(r) for r in rows]
-        path = os.path.join(out_dir, "cost_table.json")
-        out_io.write_json(path, payload)
-    else:
-        path = os.path.join(out_dir, "cost_table.csv")
-        out_io.write_csv(path, _COST_COLUMNS, rows)
-    payload["artifacts"] = [path]
-    return payload
+
+def cmd_cost(cfg: dict, out_dir: str, fmt: str) -> dict:
+    sec = _section(cfg, "cost")
+    rows = _cost_rows(sec)
+    bits = sec["bits"]
+    payload = {"status": "ok", "bits": bits, "columns": _COST_COLUMNS}
+    return _write_table(payload, out_dir, "cost_table", fmt, _COST_COLUMNS,
+                        rows)
 
 
 def cmd_validate(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     basis = _build_basis(cfg)
-    declaration = _build_declaration(cfg)
-    declaration.check_against(basis.particles)
+    declaration = _build_declaration(cfg, basis.particles)
     criteria_table = _build_criteria(cfg)
     sec = _section(cfg, "validate")
-    cid = str(_require(sec, "validate", "criterion"))
-    if cid not in criteria_table:
-        raise ConfigError(f"validate.criterion {cid!r} does not resolve")
-    criterion = criteria_table[cid]
-    if bool(sec.get("symmetrize", False)):
+    cid = sec["criterion"]
+    criterion = _resolve(criteria_table, cid, "validate.criterion")
+    if sec["symmetrize"]:
         criterion = crit.symmetrize_criterion(criterion, declaration)
     result = crit.validate_symmetric(criterion, declaration, basis, seed=seed)
     payload = {"status": "ok", "criterion": cid,
@@ -547,14 +560,16 @@ def cmd_validate(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     return payload
 
 
+_COMMANDS = {"evolve": cmd_evolve, "measure": cmd_measure, "tree": cmd_tree,
+             "lz": cmd_lz, "cost": cmd_cost, "validate": cmd_validate}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mergosim",
         description="Desk-scale simulator of scheduled merge dynamics, "
                     "heralded weak measurement and scattering trees.")
-    parser.add_argument("command",
-                        choices=["evolve", "measure", "tree", "lz", "cost",
-                                 "validate"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="run config (JSON)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -569,21 +584,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
 
     try:
-        cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        cfg = _typed(load_config(args.config), _CONFIG, "config")
+        seed = args.seed if args.seed is not None else cfg["seed"]
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "evolve":
-            payload = cmd_evolve(cfg, args.out, args.format)
-        elif args.command == "measure":
-            payload = cmd_measure(cfg, args.out, args.format, seed)
-        elif args.command == "tree":
-            payload = cmd_tree(cfg, args.out, args.format, seed)
-        elif args.command == "lz":
-            payload = cmd_lz(cfg, args.out, args.format)
-        elif args.command == "cost":
-            payload = cmd_cost(cfg, args.out, args.format)
-        else:
-            payload = cmd_validate(cfg, args.out, args.format, seed)
+        seeded = args.command in ("measure", "tree", "validate")
+        payload = _COMMANDS[args.command](cfg, args.out, args.format,
+                                          *((seed,) if seeded else ()))
     except ConfigError as exc:
         return emit_error("config_error", exc, 2)
     except NodeExhausted as exc:

@@ -405,7 +405,3 @@ class ScheduledHamiltonian:
         mat = (self.h_a.matrix + self.h_b.matrix
                + f * self.h_ab.matrix + g * self.v_trap.matrix)
         return OperatorBlock(mat, "total")
-
-
-def evaluate(sh: ScheduledHamiltonian, s: float) -> OperatorBlock:
-    return sh.evaluate(s)

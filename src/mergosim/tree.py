@@ -20,21 +20,14 @@ from .criteria import Bipartition
 from .errors import MaxItersExceeded, NodeExhausted
 from .evolution import DensityMatrix, PropagationReport, propagate
 from .hamiltonian import ScheduledHamiltonian
-from .weakmeas import TraceLog, WeakMeasurementSpec, repeat_until_success
+from .weakmeas import (TraceLog, WeakMeasurementSpec, _ABBlocks,
+                       p_success_weight, repeat_until_success)
 
 
 def derive_seed(global_seed: int, node_id: str) -> int:
     """Stable per-node seed; hashlib keeps it independent of PYTHONHASHSEED."""
     digest = hashlib.sha256(f"{global_seed}/{node_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-class IdentityChannel:
-    """No-op channel, useful for rigging tests."""
-
-    def apply(self, state: DensityMatrix, iteration: int,
-              rng: Optional[np.random.Generator] = None) -> DensityMatrix:
-        return state
 
 
 class PumpChannel:
@@ -57,15 +50,9 @@ class PumpChannel:
         mask = self.bipartition.mask
         n_a = int(np.sum(mask))
         n_b = mask.size - n_a
-        diag = np.zeros(mask.size)
-        if n_a:
-            diag[mask] = self.p / n_a
-        if n_b:
-            diag[~mask] = (1.0 - self.p) / n_b
-        if n_a == 0:
-            diag[~mask] = 1.0 / n_b
-        elif n_b == 0:
-            diag[mask] = 1.0 / n_a
+        # an empty side passes its weight to the other one
+        p = 1.0 if n_b == 0 else 0.0 if n_a == 0 else self.p
+        diag = np.where(mask, p / max(n_a, 1), (1.0 - p) / max(n_b, 1))
         return DensityMatrix.trusted(np.diag(diag.astype(complex)))
 
 
@@ -100,7 +87,7 @@ class PropagationChannel:
         return report.final_state
 
 
-Channel = Union[IdentityChannel, PumpChannel, PropagationChannel]
+Channel = Union[PumpChannel, PropagationChannel]
 
 
 @dataclass(frozen=True)
@@ -129,7 +116,8 @@ class ScatterNode:
 
 
 class ScatterTree:
-    """Node table plus root id, with structural validation."""
+    """Node table plus root id, with structural validation. An internal
+    node given no subsystem gets the union of its children's."""
 
     def __init__(self, nodes: Sequence[ScatterNode], root: str):
         self.nodes: dict[str, ScatterNode] = {}
@@ -153,22 +141,24 @@ class ScatterTree:
                 if child in seen_child:
                     raise ValueError(f"child {child!r} has two parents")
                 seen_child.add(child)
-        reachable = set(self.postorder())
-        if reachable != set(self.nodes):
+        order = self.postorder()
+        if set(order) != set(self.nodes):
             raise ValueError("tree contains nodes unreachable from the root")
-        for node in self.nodes.values():
+        for node_id in order:
+            node = self.nodes[node_id]
             if node.is_leaf:
                 continue
-            subsystems = [self.nodes[c].subsystem for c in node.children]
             union: set[int] = set()
-            for sub in subsystems:
-                if union & sub:
+            for child in node.children:
+                if union & self.nodes[child].subsystem:
                     raise ValueError(
-                        f"children of {node.node_id!r} share particles")
-                union |= sub
-            if node.subsystem and set(node.subsystem) != union:
+                        f"children of {node_id!r} share particles")
+                union |= self.nodes[child].subsystem
+            if not node.subsystem:
+                self.nodes[node_id] = replace(node, subsystem=frozenset(union))
+            elif set(node.subsystem) != union:
                 raise ValueError(
-                    f"node {node.node_id!r} subsystem is not the union "
+                    f"node {node_id!r} subsystem is not the union "
                     "of its children")
 
     def node(self, node_id: str) -> ScatterNode:
@@ -239,11 +229,8 @@ def plan_tree(leaves: Union[int, Sequence[str]], arity: int = 2) -> ScatterTree:
                 continue
             node_id = f"node{counter}"
             counter += 1
-            subsystem = frozenset().union(
-                *(table[c].subsystem for c in chunk))
             table[node_id] = ScatterNode(node_id=node_id,
-                                         children=tuple(chunk),
-                                         subsystem=subsystem)
+                                         children=tuple(chunk))
             next_level.append(node_id)
         level = next_level
     return ScatterTree(list(table.values()), level[0])
@@ -318,8 +305,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
         state = node.channel.apply(state, 0, rng)
         wall_steps = 1
         spec = WeakMeasurementSpec(node.bipartition, node.delta)
-        p_initial = float(np.sum(np.diag(state.matrix).real
-                                 [node.bipartition.mask]))
+        p_initial = p_success_weight(state, node.bipartition)
 
         def recovery(s: DensityMatrix, k: int) -> DensityMatrix:
             nonlocal wall_steps
@@ -378,17 +364,14 @@ def channel_decompose(state: DensityMatrix,
     p0 is the accepted-block weight, rho_suc / rho_nsuc the renormalized
     diagonal blocks, and the coherence matrix collects the off-blocks
     (Frobenius norm reported)."""
-    mask = bipartition.mask
-    a = mask.astype(float)
-    b = 1.0 - a
-    mat = state.matrix
-    block_a = mat * np.outer(a, a)
-    block_b = mat * np.outer(b, b)
-    cross = mat - block_a - block_b
-    p0 = float(np.trace(block_a).real)
+    blocks = _ABBlocks(state.matrix, bipartition.mask)
+    block_a, block_b, cross = blocks.split()
+    p0 = blocks.p_suc
+    # dividing by each block's own weight keeps trace rounding harmless
+    p_rest = float(np.trace(block_b).real)
     rho_suc = DensityMatrix.trusted(block_a / p0) if p0 > 1e-14 else None
-    rho_nsuc = (DensityMatrix.trusted(block_b / (1.0 - p0))
-                if 1.0 - p0 > 1e-14 else None)
+    rho_nsuc = (DensityMatrix.trusted(block_b / p_rest)
+                if p_rest > 1e-14 else None)
     return ChannelDecomposition(
         p0=p0, rho_suc=rho_suc, rho_nsuc=rho_nsuc, coherence=cross,
         coherence_norm=float(np.linalg.norm(cross)))

@@ -10,6 +10,9 @@ over the A/B bipartition:
     rho_0 = [cos(delta)^2 * (A block) + (B block)
              + cos(delta) * (cross blocks)] / p_0,   p_0 = 1 - p_1
 
+where each post state is divided by its own trace, which is p_suc or
+p_0 for a unit-trace input.
+
 The failure-branch disturbance decomposes through the coefficients
 Lambda_A, Lambda_B, Lambda_C, all of order delta^2 for weak rotations;
 that trade-off (detection probability versus state damage) is what the
@@ -19,7 +22,8 @@ angle delta tunes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,6 +51,50 @@ class WeakMeasurementSpec:
             raise ValueError("delta must lie in [0, pi/2]")
 
 
+class _ABBlocks:
+    """A matrix seen through the A/B mask: the one home of the accepted
+    weight p_suc = sum_{j in A} rho_jj, the success projection
+    Pi_A rho Pi_A, the failure damping (cos^2 delta on A x A, cos delta
+    on the cross blocks, 1 on B x B) and the three-block split. Blocks
+    are indexed by the mask and the damping is a row and column scaling,
+    so no n x n factor array is built."""
+
+    def __init__(self, mat: np.ndarray, mask: np.ndarray):
+        if mask.size != mat.shape[0]:
+            raise ValueError("bipartition and state dimensions disagree")
+        self.mat, self.mask = mat, mask
+        self.p_suc = self.weight(np.diag(mat).real, mask)
+
+    @staticmethod
+    def weight(diag: np.ndarray, mask: np.ndarray) -> float:
+        return float(np.sum(diag[mask]))
+
+    def projected(self, norm: float = 1.0) -> np.ndarray:
+        """Pi_A rho Pi_A / norm."""
+        aa = np.ix_(self.mask, self.mask)
+        out = np.zeros_like(self.mat)
+        out[aa] = self.mat[aa] / norm
+        return out
+
+    def damped(self, delta: float) -> np.ndarray:
+        """The failure-branch state, divided by its own trace: the
+        closed-form p_0 = 1 - p_1 would magnify any trace drift of the
+        input when p_0 is small."""
+        damp = np.where(self.mask, math.cos(delta), 1.0)
+        out = self.mat * damp[:, None]
+        out *= damp
+        out /= np.trace(out).real
+        return out
+
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A block, B block, cross blocks), each embedded n x n."""
+        bb = np.ix_(~self.mask, ~self.mask)
+        block_a = self.projected()
+        block_b = np.zeros_like(self.mat)
+        block_b[bb] = self.mat[bb]
+        return block_a, block_b, self.mat - block_a - block_b
+
+
 def p_success_weight(state: Union[DensityMatrix, np.ndarray],
                      bipartition: Bipartition) -> float:
     """p_suc = sum of diagonal weights over the accepted block.
@@ -54,73 +102,42 @@ def p_success_weight(state: Union[DensityMatrix, np.ndarray],
     Accepts a density matrix or a pure state vector (for which the
     weight is sum_{j in A} |psi_j|^2).
     """
-    if isinstance(state, DensityMatrix):
-        diag = np.diag(state.matrix).real
-    else:
-        diag = np.abs(np.asarray(state).ravel()) ** 2
-    return float(np.sum(diag[bipartition.mask]))
-
-
-def _split_blocks(mat: np.ndarray, mask: np.ndarray):
-    a = mask.astype(float)
-    b = 1.0 - a
-    block_a = mat * np.outer(a, a)
-    block_b = mat * np.outer(b, b)
-    cross = mat - block_a - block_b
-    return block_a, block_b, cross
-
-
-def _failure_state(mat: np.ndarray, mask: np.ndarray, delta: float,
-                   p0: float) -> np.ndarray:
-    # cos^2 on the A block, cos on the cross blocks, 1 on the B block,
-    # written as one rank-1 damping profile
-    damp = np.where(mask, math.cos(delta), 1.0)
-    return mat * np.outer(damp, damp) / p0
+    diag = (np.diag(state.matrix).real if isinstance(state, DensityMatrix)
+            else np.abs(np.asarray(state).ravel()) ** 2)
+    return _ABBlocks.weight(diag, bipartition.mask)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBranches:
-    """Analytic Born probabilities and post states of both outcomes."""
+    """Analytic Born probabilities of both outcomes; each post state is
+    built on first access, so only a branch that is used costs anything."""
 
     p_suc: float
     p1: float
     p0: float
-    _rho1: Optional[DensityMatrix]
-    _rho0: Optional[DensityMatrix]
+    delta: float
+    _blocks: _ABBlocks = field(repr=False)
 
-    @property
+    @cached_property
     def rho1(self) -> DensityMatrix:
-        if self._rho1 is None:
+        if not self.p1 > 0.0:
             raise ZeroProbabilityBranch("success branch has probability zero")
-        return self._rho1
+        return DensityMatrix.trusted(self._blocks.projected(self.p_suc))
 
-    @property
+    @cached_property
     def rho0(self) -> DensityMatrix:
-        if self._rho0 is None:
+        if not self.p0 > DEGENERATE_TOL:
             raise ZeroProbabilityBranch("failure branch has probability zero")
-        return self._rho0
+        return DensityMatrix.trusted(self._blocks.damped(self.delta))
 
 
 def measurement_branches(state: DensityMatrix, bipartition: Bipartition,
                          delta: float) -> MeasurementBranches:
     """Closed-form (p_1, rho_1) and (p_0, rho_0) for one weak measurement."""
-    mask = bipartition.mask
-    if mask.size != state.dim:
-        raise ValueError("bipartition and state dimensions disagree")
-    mat = state.matrix
-    p_suc = float(np.sum(np.diag(mat).real[mask]))
-    p1 = math.sin(delta) ** 2 * p_suc
-    p0 = 1.0 - p1
-
-    rho1 = None
-    if p1 > 0.0:
-        a = mask.astype(float)
-        rho1 = DensityMatrix.trusted(mat * np.outer(a, a) / p_suc)
-    rho0 = None
-    if p0 > DEGENERATE_TOL:
-        rho0 = DensityMatrix.trusted(_failure_state(mat, mask, delta, p0))
-    return MeasurementBranches(p_suc=p_suc, p1=p1, p0=p0,
-                               _rho1=rho1, _rho0=rho0)
+    blocks = _ABBlocks(state.matrix, bipartition.mask)
+    p1 = math.sin(delta) ** 2 * blocks.p_suc
+    return MeasurementBranches(p_suc=blocks.p_suc, p1=p1, p0=1.0 - p1,
+                               delta=delta, _blocks=blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +199,9 @@ def reconstruct_rho0(state: DensityMatrix, bipartition: Bipartition,
     Algebraically identical to the closed-form rho_0; exposed so the
     identity can be checked term by term.
     """
-    mask = bipartition.mask
-    block_a, block_b, cross = _split_blocks(state.matrix, mask)
-    p_suc = float(np.trace(block_a).real)
+    blocks = _ABBlocks(state.matrix, bipartition.mask)
+    block_a, block_b, cross = blocks.split()
+    p_suc = blocks.p_suc
     lam_a, lam_b, lam_c = lambda_coefficients(delta, p_suc)
     out = state.matrix.astype(complex).copy()
     if p_suc > 0.0:
@@ -224,22 +241,17 @@ def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
         raise ValueError("max_iters must be at least 1")
     if rng is None:
         rng = np.random.default_rng(spec.rng_seed)
-    mask = spec.bipartition.mask
     current = state
     for k in range(1, max_iters + 1):
         delta_k = min(math.pi / 2.0, spec.delta * delta_ramp ** (k - 1))
-        mat = current.matrix
-        p_suc = float(np.sum(np.diag(mat).real[mask]))
-        p1 = math.sin(delta_k) ** 2 * p_suc
-        flag = 1 if rng.random() < p1 else 0
+        branches = measurement_branches(current, spec.bipartition, delta_k)
+        flag = 1 if rng.random() < branches.p1 else 0
         if trace is not None:
-            trace.record(node_id, k, delta_k, flag, p1, p_suc)
+            trace.record(node_id, k, delta_k, flag, branches.p1,
+                         branches.p_suc)
         if flag == 1:
-            a = mask.astype(float)
-            return DensityMatrix.trusted(mat * np.outer(a, a) / p_suc), k
-        post = DensityMatrix.trusted(
-            _failure_state(mat, mask, delta_k, 1.0 - p1))
-        current = channel(post, k)
+            return branches.rho1, k
+        current = channel(branches.rho0, k)
         if abs(current.trace() - 1.0) > 1e-9:
             raise ValueError("channel failed to preserve trace")
     raise MaxItersExceeded(

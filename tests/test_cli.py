@@ -9,6 +9,7 @@ import pytest
 from mergosim.cli import emit_config, load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DELETE = object()
 
 
 def run_cli(*args):
@@ -38,22 +39,52 @@ class TestConfigSchema:
         echoed.write_text(emit_config(cfg))
         assert load_config(str(echoed)) == cfg
 
-    def test_missing_required_key(self, tmp_path, capsys):
-        cfg = json.loads((CONFIG_DIR / "evolve_flat.json").read_text())
-        del cfg["grid"]["box_length"]
+    @pytest.mark.parametrize("base, mutation, command", [
+        pytest.param("evolve_flat.json", (("grid", "box_length"), DELETE),
+                     "evolve", id="missing_required_key"),
+        pytest.param("evolve_flat.json", (("grid", "bogus"), 1), "evolve",
+                     id="unknown_key"),
+        pytest.param("measure_bond.json",
+                     (("measure", "initial"),
+                      {"kind": "basis_state", "index": 999}),
+                     "measure", id="initial_index_past_basis"),
+        pytest.param("measure_bond.json",
+                     (("measure", "initial"),
+                      {"kind": "basis_state", "index": -1}),
+                     "measure", id="initial_index_negative"),
+        pytest.param("measure_bond.json", (("criteria", 0, "pairs"), 5),
+                     "measure", id="pairs_not_a_list"),
+        pytest.param("evolve_flat.json", (("grid", "dims"), None), "evolve",
+                     id="dims_null"),
+        pytest.param("evolve_flat.json", (("grid", "points_per_axis"), 4),
+                     "evolve", id="even_points_per_axis"),
+        pytest.param("measure_bond.json", (("measure", "delta"), "x"),
+                     "measure", id="delta_not_a_number"),
+        pytest.param("measure_bond.json", (("measure", "delta"), 3.0),
+                     "measure", id="delta_out_of_range"),
+        pytest.param("evolve_flat.json", (("evolve", "n_steps"), "abc"),
+                     "evolve", id="n_steps_not_an_int"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian", "trap"), {"omega": 1.0}), "evolve",
+                     id="trap_without_centers"),
+    ])
+    def test_config_error(self, base, mutation, command, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / base).read_text())
+        (*parents, key), value = mutation
+        target = cfg
+        for step in parents:
+            target = target[step]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
         path = write_config(tmp_path, cfg)
-        code = run_cli("evolve", "--config", path, "--out", str(tmp_path))
+        code = run_cli(command, "--config", path, "--out", str(tmp_path))
+        captured = capsys.readouterr()
         assert code == 2
-        record = json.loads(capsys.readouterr().out.strip())
+        assert "Traceback" not in captured.out + captured.err
+        record = json.loads(captured.out.strip().splitlines()[-1])
         assert record["status"] == "config_error"
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = json.loads((CONFIG_DIR / "evolve_flat.json").read_text())
-        cfg["grid"]["bogus"] = 1
-        path = write_config(tmp_path, cfg)
-        assert run_cli("evolve", "--config", path, "--out", str(tmp_path)) == 2
-        assert json.loads(capsys.readouterr().out.strip())["status"] == \
-            "config_error"
 
     def test_wrong_schema_version(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "evolve_flat.json").read_text())

@@ -257,6 +257,28 @@ class TestRepeatUntilSuccess:
         with pytest.raises(ValueError):
             repeat_until_success(rho, spec, leaky, 5)
 
+    def test_failure_branch_normalized_by_its_own_weight(self):
+        # a channel within the documented 1e-9 trace tolerance must not
+        # push the failure post state past the 1e-10 state trace guard
+        rho = DensityMatrix(np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex))
+        bip = Bipartition.from_indices([0, 1, 2], 4)
+
+        def drifting(state, k):
+            obj = object.__new__(DensityMatrix)
+            object.__setattr__(obj, "matrix", state.matrix * (1.0 + 5e-11))
+            return obj
+
+        raised = 0
+        for seed in range(200):
+            spec = WeakMeasurementSpec(bip, math.pi / 2 - 1e-3, rng_seed=seed)
+            try:
+                repeat_until_success(rho, spec, drifting, 3)
+            except MaxItersExceeded:
+                pass  # the damped accepted block rarely heralds again
+            except ValueError:
+                raised += 1
+        assert raised == 0
+
 
 def spin_basis(n_spins):
     """Pure spin registers: nuclei pinned on a single-point grid."""
