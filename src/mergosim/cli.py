@@ -27,7 +27,8 @@ import numpy as np
 from . import criteria as crit
 from . import io as out_io
 from . import lzcost, symmetry, tree, weakmeas
-from .errors import ConfigError, NodeExhausted, SimulationError
+from .errors import (CenterOutsideBox, ConfigError, NodeExhausted,
+                     SimulationError, UnsupportedUnit)
 from .evolution import (DensityMatrix, autocorrelation, default_step_count,
                         propagate, spectrum)
 from .grid import GridSpec, ParticleSet, enumerate_basis
@@ -184,11 +185,11 @@ def emit_config(cfg: dict) -> str:
 
 @contextlib.contextmanager
 def _config_values():
-    """Report a ValueError raised while config values become objects as
-    the config error it is."""
+    """Report a ValueError, unknown unit or trap center outside the box
+    raised while config values become objects as the config error."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, CenterOutsideBox, UnsupportedUnit) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -296,6 +297,9 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     sec = _section(cfg, "evolve")
     s_from = sec["s_from"]
     s_to = sec["s_to"] if sec["s_to"] is not None else sh.schedule.s1
+    if not 0.0 <= s_from < s_to <= sh.schedule.s1:
+        raise ConfigError(f"evolve needs 0 <= s_from < s_to <= s1 = "
+                          f"{sh.schedule.s1}, got [{s_from}, {s_to}]")
     n_steps = sec["n_steps"] or default_step_count(sh, s_from, s_to)
     h0 = sh.evaluate(s_from).matrix
     psi0 = _initial_vector(sec["initial"], basis.size, h0)

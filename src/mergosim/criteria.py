@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import PairIndexOutOfRange
 from .grid import Basis, Configuration, GridSpec, ParticleSet, label_to_coord
-from .symmetry import Permutation, SymmetryDeclaration, generators, group_elements
+from .symmetry import (Permutation, SymmetryDeclaration, generators,
+                       group_elements, permutation_indices)
 from .units import unit_convert
 
 EXHAUSTIVE_LIMIT = 4096
@@ -55,6 +56,7 @@ class GeometricCriterion:
                                  "strictly positive")
             rows.append((j, k) + values)
         object.__setattr__(self, "constraints", tuple(rows))
+        self._to_bohr(1.0)  # rejects a unit that is not a length
 
     def _to_bohr(self, value: float) -> float:
         return unit_convert(value, self.unit, "bohr")
@@ -75,12 +77,10 @@ class GeometricCriterion:
             j, k = row[0], row[1]
             dist = float(np.linalg.norm(nucleus_coord(j) - nucleus_coord(k)))
             if self.mode == "equilibrium":
-                target, eps = self._to_bohr(row[2]), self._to_bohr(row[3])
-                if abs(dist - target) > eps:
+                if abs(dist - self._to_bohr(row[2])) > self._to_bohr(row[3]):
                     return 0
-            else:
-                if dist > self._to_bohr(row[2]):
-                    return 0
+            elif dist > self._to_bohr(row[2]):
+                return 0
         return 1
 
 
@@ -93,11 +93,9 @@ class SymmetrizedCriterion:
 
     def evaluate(self, config: Configuration, grid: GridSpec,
                  particles: ParticleSet) -> int:
-        for perm in self.permutations:
-            if self.base.evaluate(perm.apply_to_configuration(config),
-                                  grid, particles):
-                return 1
-        return 0
+        return int(any(self.base.evaluate(perm.apply_to_configuration(config),
+                                          grid, particles)
+                       for perm in self.permutations))
 
 
 Criterion = Union[GeometricCriterion, SymmetrizedCriterion]
@@ -150,7 +148,14 @@ class Bipartition:
 
 
 def bipartition(criterion: Criterion, basis: Basis) -> Bipartition:
-    """Exhaustively classify every basis configuration."""
+    """Exhaustively classify every basis configuration; a symmetrized
+    criterion ORs its base criterion's mask over the group images."""
+    if isinstance(criterion, SymmetrizedCriterion):
+        base = bipartition(criterion.base, basis).mask
+        mask = np.zeros(basis.size, dtype=bool)
+        for perm in criterion.permutations:
+            mask |= base[permutation_indices(perm, basis)]
+        return Bipartition(mask)
     mask = np.fromiter(
         (bool(criterion.evaluate(cfg, basis.grid, basis.particles))
          for cfg in basis.configurations), dtype=bool, count=basis.size)
@@ -178,23 +183,29 @@ def validate_symmetric(criterion: Criterion,
     first violating (permutation, configuration) found.
     """
     gens = generators(declaration)
-    sampled = basis.size > exhaustive_limit
-    if sampled:
-        rng = np.random.default_rng(seed)
-        indices = rng.integers(0, basis.size, size=n_samples)
-    else:
-        indices = range(basis.size)
-    checked = 0
-    for i in indices:
+    if basis.size <= exhaustive_limit:
+        mask = bipartition(criterion, basis).mask
+        first, culprit = basis.size, None
+        for gen in gens:
+            pi = permutation_indices(gen, basis)
+            moved = np.flatnonzero(mask[pi] != mask)
+            if moved.size and moved[0] < first:
+                first, culprit = int(moved[0]), gen
+        if culprit is None:
+            return CriterionSymmetryResult(True, None, basis.size, False)
+        return CriterionSymmetryResult(
+            False, (culprit, basis.configuration_at(first)), first + 1, False)
+    rng = np.random.default_rng(seed)
+    for checked, i in enumerate(rng.integers(0, basis.size, size=n_samples),
+                                start=1):
         cfg = basis.configuration_at(int(i))
         ref = criterion.evaluate(cfg, basis.grid, basis.particles)
-        checked += 1
         for gen in gens:
             image = gen.apply_to_configuration(cfg)
             if criterion.evaluate(image, basis.grid, basis.particles) != ref:
                 return CriterionSymmetryResult(False, (gen, cfg),
-                                               checked, sampled)
-    return CriterionSymmetryResult(True, None, checked, sampled)
+                                               checked, True)
+    return CriterionSymmetryResult(True, None, n_samples, True)
 
 
 def symmetry_breaking_witness(criterion: Criterion,

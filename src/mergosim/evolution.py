@@ -60,11 +60,12 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, vector: np.ndarray) -> "DensityMatrix":
+        """|v><v| is Hermitian and PSD by construction: check only v."""
         v = np.asarray(vector, dtype=complex).ravel()
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-9:
+        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
             raise UnnormalizedInput(f"vector norm {norm} differs from one")
-        return cls(np.outer(v, v.conj()))
+        return cls.trusted(np.outer(v, v.conj()))
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityMatrix":

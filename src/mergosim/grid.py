@@ -13,9 +13,9 @@ charges in units of e.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,36 +55,23 @@ class GridSpec:
     def spacing(self) -> float:
         return self.box_length / self.points_per_axis
 
-    @property
-    def n_points(self) -> int:
-        return self.points_per_axis ** self.dims
-
     def axis_labels(self) -> range:
         return range(-self.max_label, self.max_label + 1)
 
-    def labels(self) -> Iterator[tuple[int, ...]]:
-        """All lattice labels, lexicographically ordered."""
-        return itertools.product(self.axis_labels(), repeat=self.dims)
-
     def contains_label(self, label: Sequence[int]) -> bool:
         return len(label) == self.dims and all(
-            -self.max_label <= int(c) <= self.max_label for c in label)
-
-
-def normalize_label(grid: GridSpec, label) -> tuple[int, ...]:
-    """Accept a bare int in 1D, otherwise require a dims-length tuple."""
-    if isinstance(label, (int, np.integer)):
-        label = (int(label),)
-    label = tuple(int(c) for c in label)
-    if not grid.contains_label(label):
-        raise LabelOutOfRange(f"label {label} outside lattice of {grid}")
-    return label
+            c == int(c) and -self.max_label <= c <= self.max_label
+            for c in label)
 
 
 def label_to_coord(grid: GridSpec, label) -> np.ndarray:
-    """Map lattice label p to the coordinate p * (L/m), in Bohr."""
-    lab = normalize_label(grid, label)
-    return np.array(lab, dtype=float) * grid.spacing
+    """Map lattice label p (a bare int in 1D, otherwise a dims-length
+    tuple) to the coordinate p * (L/m), in Bohr."""
+    label = (label,) if isinstance(label, (int, np.integer)) else label
+    label = tuple(int(c) for c in label)
+    if not grid.contains_label(label):
+        raise LabelOutOfRange(f"label {label} outside lattice of {grid}")
+    return np.array(label, dtype=float) * grid.spacing
 
 
 @dataclass(frozen=True)
@@ -154,55 +141,75 @@ class Configuration:
     labels: tuple[tuple[int, ...], ...]
     spins: tuple[Optional[int], ...]
 
-    def replace_label(self, register: int, label: tuple[int, ...]) -> "Configuration":
-        labels = list(self.labels)
-        labels[register] = tuple(label)
-        return Configuration(tuple(labels), self.spins)
-
-    def replace_spin(self, register: int, spin: Optional[int]) -> "Configuration":
-        spins = list(self.spins)
-        spins[register] = spin
-        return Configuration(self.labels, tuple(spins))
-
 
 class Basis:
-    """Deterministically ordered configuration basis with O(1) index lookup."""
+    """Configuration basis held as read-only arrays: ``labels``
+    (n, n_particles, dims) and ``spins`` (n, n_particles), -1 where a
+    register has no spin. The index is mixed radix: the first register
+    varies slowest; per register the grid label is the major key and
+    spin (up before down) the minor one. Built by ``enumerate_basis``.
+    """
 
-    def __init__(self, grid: GridSpec, particles: ParticleSet,
-                 configurations: Sequence[Configuration]):
+    def __init__(self, grid: GridSpec, particles: ParticleSet):
         self.grid = grid
         self.particles = particles
-        self.configurations = tuple(configurations)
-        self._index = {c: i for i, c in enumerate(self.configurations)}
+        self._has_spin = np.array([particles.has_spin(p)
+                                   for p in range(particles.n_particles)])
+        # per register one digit per axis, then a spin digit of radix 2,
+        # or of radix 1 where the register has no spin
+        self._radices = tuple(r for has in self._has_spin for r in
+                              (grid.points_per_axis,) * grid.dims
+                              + (2 if has else 1,))
+        digits = np.stack(np.unravel_index(np.arange(np.prod(self._radices)),
+                                           self._radices), axis=-1)
+        digits = digits.reshape(-1, particles.n_particles, grid.dims + 1)
+        self.labels = digits[..., :-1] - grid.max_label
+        self.spins = np.where(self._has_spin, digits[..., -1], -1)
+        self.labels.setflags(write=False)
+        self.spins.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return len(self.configurations)
+        return self.labels.shape[0]
 
-    def index_of(self, config: Configuration) -> int:
-        return self._index[config]
-
-    def configuration_at(self, i: int) -> Configuration:
-        return self.configurations[i]
+    def index(self, labels: np.ndarray, spins: np.ndarray) -> np.ndarray:
+        """Indices of label rows (k, n_particles, dims) with spin rows
+        (k, n_particles); a digit out of range raises, never wraps."""
+        digits = np.concatenate(
+            [labels + self.grid.max_label,
+             np.where(self._has_spin, spins, spins + 1)[..., None]], axis=-1)
+        return np.ravel_multi_index(
+            digits.reshape(len(digits), len(self._radices)).T, self._radices)
 
     def __contains__(self, config: Configuration) -> bool:
-        return config in self._index
+        """Labels in the lattice; spin None exactly on spinless registers."""
+        return (len(config.labels) == len(config.spins)
+                == self.particles.n_particles
+                and all(map(self.grid.contains_label, config.labels))
+                and all(s in (SPIN_UP, SPIN_DOWN) if has else s is None
+                        for s, has in zip(config.spins, self._has_spin)))
 
-    def coordinates(self, config: Configuration) -> np.ndarray:
-        """Per-particle coordinates, shape (n_particles, dims)."""
-        return np.array([label_to_coord(self.grid, lab) for lab in config.labels])
+    def index_of(self, config: Configuration) -> int:
+        if config not in self:
+            raise KeyError(config)
+        spins = [[-1 if s is None else s for s in config.spins]]
+        return int(self.index(np.array([config.labels]), np.array(spins))[0])
 
-    def nuclear_coordinates(self, config: Configuration) -> np.ndarray:
-        coords = self.coordinates(config)
-        return coords[self.particles.n_el:]
+    def configuration_at(self, i: int) -> Configuration:
+        return Configuration(
+            tuple(map(tuple, self.labels[i].tolist())),
+            tuple(None if s < 0 else s for s in self.spins[i].tolist()))
+
+    @cached_property
+    def configurations(self) -> tuple[Configuration, ...]:
+        return tuple(map(self.configuration_at, range(self.size)))
 
 
 def basis_dimension(grid: GridSpec, particles: ParticleSet) -> int:
     """Exact basis size (m^dims * spin_factor per register, multiplied)."""
-    dim = 1
-    for p in range(particles.n_particles):
-        dim *= grid.n_points * (2 if particles.has_spin(p) else 1)
-    return dim
+    spinful = sum(map(particles.has_spin, range(particles.n_particles)))
+    return (grid.points_per_axis ** (grid.dims * particles.n_particles)
+            * 2 ** spinful)
 
 
 def enumerate_basis(grid: GridSpec, particles: ParticleSet,
@@ -217,15 +224,4 @@ def enumerate_basis(grid: GridSpec, particles: ParticleSet,
     if dim > cap:
         raise DimensionCapExceeded(
             f"basis size {dim} exceeds the configured cap {cap}")
-
-    per_register = []
-    for p in range(particles.n_particles):
-        spins = (SPIN_UP, SPIN_DOWN) if particles.has_spin(p) else (None,)
-        per_register.append([(lab, s) for lab in grid.labels() for s in spins])
-
-    configs = []
-    for combo in itertools.product(*per_register):
-        labels = tuple(lab for lab, _ in combo)
-        spins = tuple(s for _, s in combo)
-        configs.append(Configuration(labels, spins))
-    return Basis(grid, particles, configs)
+    return Basis(grid, particles)

@@ -67,13 +67,6 @@ def zero_block(dim: int, tag: str = "external") -> OperatorBlock:
     return OperatorBlock(np.zeros((dim, dim), dtype=complex), tag)
 
 
-def _neighbor(config: Configuration, register: int, axis: int,
-              step: int) -> tuple[int, ...]:
-    label = list(config.labels[register])
-    label[axis] += step
-    return tuple(label)
-
-
 def build_kinetic(basis: Basis,
                   registers: Optional[Sequence[int]] = None) -> OperatorBlock:
     """Finite-difference kinetic energy, -(1/2m) Laplacian per particle.
@@ -88,16 +81,17 @@ def build_kinetic(basis: Basis,
     h = grid.spacing
     n = basis.size
     mat = np.zeros((n, n), dtype=complex)
-    for i, cfg in enumerate(basis.configurations):
-        for p in registers:
-            c = 1.0 / (2.0 * particles.mass(p) * h * h)
-            mat[i, i] += 2.0 * c * grid.dims
-            for axis in range(grid.dims):
-                for step in (-1, 1):
-                    nb = _neighbor(cfg, p, axis, step)
-                    if grid.contains_label(nb):
-                        j = basis.index_of(cfg.replace_label(p, nb))
-                        mat[j, i] -= c
+    columns = np.arange(n)
+    for p in registers:
+        c = 1.0 / (2.0 * particles.mass(p) * h * h)
+        mat[columns, columns] += 2.0 * c * grid.dims
+        for axis in range(grid.dims):
+            for step in (-1, 1):
+                moved = basis.labels.copy()
+                moved[:, p, axis] += step
+                inside = np.abs(moved[:, p, axis]) <= grid.max_label
+                rows = basis.index(moved[inside], basis.spins[inside])
+                mat[rows, columns[inside]] -= c
     return OperatorBlock(mat, "kinetic")
 
 
@@ -136,20 +130,37 @@ def _pair_tag(particles: ParticleSet, pair_list: list[tuple[int, int]]) -> str:
     return "external"
 
 
+def _softened_sum(n: int, terms, softening: float,
+                  soft2: float) -> np.ndarray:
+    """sum of q / sqrt(|a - b|^2 + soft2) over (q, a, b, culprit) terms,
+    where a and b hold one coordinate row per configuration; with zero
+    softening a coincidence raises, naming the term's culprit."""
+    total = np.zeros(n)
+    for q, a, b, culprit in terms:
+        d2 = np.sum((a - b) ** 2, axis=-1)
+        if softening == 0.0 and np.any(d2 == 0.0):
+            raise SingularCoulomb(culprit)
+        total += q / np.sqrt(d2 + soft2)
+    return total
+
+
+def _coulomb_sum(particles: ParticleSet, coords: np.ndarray,
+                 softening: float, pair_list) -> np.ndarray:
+    """Softened pairwise Coulomb sum per configuration row of ``coords``
+    (configurations, n_particles, dims)."""
+    return _softened_sum(coords.shape[0], [
+        (particles.charge(i) * particles.charge(j), coords[:, i], coords[:, j],
+         f"registers {i} and {j} coincide with zero softening")
+        for i, j in pair_list], softening, softening * softening)
+
+
 def coulomb_energy(grid: GridSpec, particles: ParticleSet,
                    config: Configuration, softening: float,
                    pairs="all") -> float:
     """Softened pairwise Coulomb sum for a single configuration."""
     coords = np.array([label_to_coord(grid, lab) for lab in config.labels])
-    total = 0.0
-    for i, j in _resolve_pairs(particles, pairs):
-        d2 = float(np.sum((coords[i] - coords[j]) ** 2))
-        if softening == 0.0 and d2 == 0.0:
-            raise SingularCoulomb(
-                f"registers {i} and {j} coincide with zero softening")
-        total += particles.charge(i) * particles.charge(j) / np.sqrt(
-            d2 + softening * softening)
-    return total
+    return float(_coulomb_sum(particles, coords[None], softening,
+                              _resolve_pairs(particles, pairs))[0])
 
 
 def build_coulomb(basis: Basis, softening: float,
@@ -164,9 +175,8 @@ def build_coulomb(basis: Basis, softening: float,
     pair_list = _resolve_pairs(basis.particles, pairs)
     if tag is None:
         tag = _pair_tag(basis.particles, pair_list)
-    diag = np.array([coulomb_energy(basis.grid, basis.particles, cfg,
-                                    softening, pair_list)
-                     for cfg in basis.configurations])
+    diag = _coulomb_sum(basis.particles, basis.labels * basis.grid.spacing,
+                        softening, pair_list)
     return OperatorBlock(np.diag(diag.astype(complex)), tag)
 
 
@@ -181,19 +191,12 @@ def build_point_charges(basis: Basis, centers: Sequence[Sequence[float]],
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     charges = np.asarray(charges, dtype=float)
     particles = basis.particles
-    n = basis.size
-    diag = np.zeros(n)
-    for idx, cfg in enumerate(basis.configurations):
-        coords = basis.coordinates(cfg)
-        val = 0.0
-        for p in range(particles.n_particles):
-            for c, q in zip(centers, charges):
-                d2 = float(np.sum((coords[p] - c) ** 2))
-                if softening == 0.0 and d2 == 0.0:
-                    raise SingularCoulomb(
-                        f"register {p} coincides with a fixed charge")
-                val += particles.charge(p) * q / np.sqrt(d2 + softening ** 2)
-        diag[idx] = val
+    coords = basis.labels * basis.grid.spacing
+    diag = _softened_sum(basis.size, [
+        (particles.charge(p) * q, coords[:, p], c,
+         f"register {p} coincides with a fixed charge")
+        for p in range(particles.n_particles)
+        for c, q in zip(centers, charges)], softening, softening ** 2)
     return OperatorBlock(np.diag(diag.astype(complex)), "external")
 
 
@@ -232,22 +235,9 @@ class TrapSpec:
         return TrapSpec(self.centers, freqs, self.isotropic)
 
 
-def trap_energy(basis: Basis, trap: TrapSpec, config: Configuration) -> float:
-    """sum_j (m_j/2) sum_w omega_{j,w}^2 (R_{j,w} - R_{0,j,w})^2."""
-    particles = basis.particles
-    coords = basis.nuclear_coordinates(config)
-    total = 0.0
-    for j in range(particles.n_nuc):
-        m = particles.nuclear_masses[j]
-        r0 = np.asarray(trap.centers[j], dtype=float)
-        w = np.asarray(trap.frequencies[j], dtype=float)
-        disp = coords[j] - r0
-        total += 0.5 * m * float(np.sum(w * w * disp * disp))
-    return total
-
-
 def build_trap(basis: Basis, trap: TrapSpec) -> OperatorBlock:
-    """Diagonal harmonic-trap block acting on nuclear coordinates only."""
+    """Diagonal harmonic-trap block acting on nuclear coordinates only:
+    sum_j (m_j/2) sum_w omega_{j,w}^2 (R_{j,w} - R_{0,j,w})^2."""
     grid, particles = basis.grid, basis.particles
     if len(trap.centers) != particles.n_nuc:
         raise ValueError("one trap center per nucleus required")
@@ -257,8 +247,12 @@ def build_trap(basis: Basis, trap: TrapSpec) -> OperatorBlock:
             raise ValueError("trap center dimensionality mismatch")
         if any(abs(x) > half for x in c):
             raise CenterOutsideBox(f"trap center {c} outside the box")
-    diag = np.array([trap_energy(basis, trap, cfg)
-                     for cfg in basis.configurations])
+    coords = basis.labels[:, particles.n_el:] * grid.spacing
+    diag = np.zeros(basis.size)
+    for j, (m, r0, w) in enumerate(zip(particles.nuclear_masses, trap.centers,
+                                       trap.frequencies)):
+        disp, w = coords[:, j] - np.asarray(r0), np.asarray(w)
+        diag += 0.5 * m * np.sum(w * w * disp * disp, axis=-1)
     return OperatorBlock(np.diag(diag.astype(complex)), "trap")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,13 +62,8 @@ class SymmetryDeclaration:
 
 
 def _parity(seq: Sequence[int]) -> int:
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+    """(-1) ** (number of inversions)."""
+    return (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -164,9 +159,8 @@ def permutation_indices(perm: Permutation, basis: Basis) -> np.ndarray:
     for a, _ in perm.moves:
         if not 0 <= a < n_part:
             raise InvalidPermutation(f"register {a} out of range")
-    return np.fromiter(
-        (basis.index_of(perm.apply_to_configuration(cfg))
-         for cfg in basis.configurations), dtype=np.intp, count=basis.size)
+    order = [perm(k) for k in range(n_part)]
+    return basis.index(basis.labels[:, order], basis.spins[:, order])
 
 
 def permutation_matrix(perm: Permutation, basis: Basis) -> np.ndarray:
@@ -177,11 +171,11 @@ def permutation_matrix(perm: Permutation, basis: Basis) -> np.ndarray:
     return mat
 
 
-def apply_permutation(perm: Permutation, basis: Basis, array: np.ndarray,
-                      indices: Optional[np.ndarray] = None) -> np.ndarray:
+def apply_permutation(perm: Permutation, basis: Basis,
+                      array: np.ndarray) -> np.ndarray:
     """U_sigma vec, or U_sigma rho U_sigma^dag on a square array, done by
     index scatter instead of a dense matrix product."""
-    idx = permutation_indices(perm, basis) if indices is None else indices
+    idx = permutation_indices(perm, basis)
     out = np.empty_like(np.asarray(array, dtype=complex))
     if array.ndim == 1:
         out[idx] = array
@@ -190,24 +184,17 @@ def apply_permutation(perm: Permutation, basis: Basis, array: np.ndarray,
     return out
 
 
-def _apply_set_symmetrizer(registers: tuple[int, ...], fermionic: bool,
-                           basis: Basis, array: np.ndarray) -> np.ndarray:
-    """(1/sqrt(k!)) sum_sigma sgn(sigma) U_sigma applied along axis 0."""
-    perms = _set_permutations(registers, fermionic)
-    out = np.zeros_like(np.asarray(array, dtype=complex))
-    scratch = np.empty_like(out)
-    for p in perms:
-        idx = permutation_indices(p, basis)
-        scratch[idx] = array
-        out += p.sign * scratch
-    return out / np.sqrt(len(perms))
-
-
 def _apply_projector(declaration: SymmetryDeclaration, basis: Basis,
                      array: np.ndarray) -> np.ndarray:
+    """Per declared set, (1/sqrt(k!)) sum_sigma sgn(sigma) U_sigma
+    applied along axis 0."""
     out = np.asarray(array, dtype=complex)
     for s, fermionic in declaration.all_sets:
-        out = _apply_set_symmetrizer(s, bool(fermionic), basis, out)
+        perms = _set_permutations(s, bool(fermionic))
+        summed = np.zeros_like(out)
+        for p in perms:
+            summed[permutation_indices(p, basis)] += p.sign * out
+        out = summed / np.sqrt(len(perms))
     return out
 
 

@@ -110,6 +110,10 @@ class ScatterNode:
     delta: float = math.pi / 2.0
     retry: RetryPolicy = RetryPolicy()
 
+    def __post_init__(self):
+        if not 0.0 <= self.delta <= math.pi / 2.0 + 1e-12:
+            raise ValueError(f"node {self.node_id!r} delta outside [0, pi/2]")
+
     @property
     def is_leaf(self) -> bool:
         return not self.children

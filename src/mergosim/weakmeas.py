@@ -271,17 +271,18 @@ def total_spin_squared(basis: Basis, spin_registers) -> np.ndarray:
             raise ValueError(f"register {r} carries no spin label")
     n = basis.size
     s2 = np.zeros((n, n), dtype=complex)
-    for idx, cfg in enumerate(basis.configurations):
-        sz = np.array([0.5 if cfg.spins[r] == SPIN_UP else -0.5 for r in regs])
-        diag = 0.75 * len(regs)
-        for i in range(len(regs)):
-            for j in range(i + 1, len(regs)):
-                diag += 2.0 * sz[i] * sz[j]
-                if cfg.spins[regs[i]] != cfg.spins[regs[j]]:
-                    flipped = cfg.replace_spin(regs[i], cfg.spins[regs[j]])
-                    flipped = flipped.replace_spin(regs[j], cfg.spins[regs[i]])
-                    s2[basis.index_of(flipped), idx] += 1.0
-        s2[idx, idx] += diag
+    columns = np.arange(n)
+    sz = np.where(basis.spins[:, regs] == SPIN_UP, 0.5, -0.5)
+    diag = np.full(n, 0.75 * len(regs))
+    for i in range(len(regs)):
+        for j in range(i + 1, len(regs)):
+            diag += 2.0 * sz[:, i] * sz[:, j]
+            flips = sz[:, i] != sz[:, j]
+            swapped = basis.spins.copy()
+            swapped[:, [regs[i], regs[j]]] = swapped[:, [regs[j], regs[i]]]
+            s2[basis.index(basis.labels[flips], swapped[flips]),
+               columns[flips]] += 1.0
+    s2[np.diag_indices(n)] += diag
     return s2
 
 

@@ -67,6 +67,17 @@ class TestConfigSchema:
         pytest.param("evolve_salt_1d.json",
                      (("hamiltonian", "trap"), {"omega": 1.0}), "evolve",
                      id="trap_without_centers"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian", "trap", "centers"), [[-100.0], [1.0]]),
+                     "evolve", id="trap_center_outside_box"),
+        pytest.param("evolve_salt_1d.json", (("evolve", "s_from"), 5.0),
+                     "evolve", id="s_from_past_schedule_end"),
+        pytest.param("tree_synthetic.json", (("tree", "nodes", "delta"), 3.0),
+                     "tree", id="tree_delta_out_of_range"),
+        pytest.param("lz_rbcs.json", (("lz", "mu", "unit"), "furlong"), "lz",
+                     id="unknown_unit"),
+        pytest.param("measure_bond.json", (("criteria", 0, "unit"), "furlong"),
+                     "measure", id="unknown_criterion_unit"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())

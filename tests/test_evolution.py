@@ -39,6 +39,8 @@ class TestDensityMatrix:
         assert DensityMatrix.maximally_mixed(4).purity() == pytest.approx(0.25)
         with pytest.raises(UnnormalizedInput):
             DensityMatrix.from_pure(np.array([1.0, 1.0]))
+        with pytest.raises(UnnormalizedInput):
+            DensityMatrix.from_pure(np.array([np.nan, 0.0]))
 
 
 class TestPropagate:

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mergosim.errors import DimensionCapExceeded, LabelOutOfRange
-from mergosim.grid import (GridSpec, ParticleSet, basis_dimension,
-                           enumerate_basis, label_to_coord)
+from mergosim.grid import (SPIN_DOWN, SPIN_UP, Configuration, GridSpec,
+                           ParticleSet, basis_dimension, enumerate_basis,
+                           label_to_coord)
 
 
 def test_spacing_and_label_range():
@@ -36,13 +39,13 @@ def test_label_out_of_range():
 
 def test_coords_stay_strictly_inside_box():
     g = GridSpec(9, 2, 7.0)
-    for lab in g.labels():
+    for lab in itertools.product(g.axis_labels(), repeat=g.dims):
         assert np.all(np.abs(label_to_coord(g, lab)) < g.box_length / 2)
 
 
 def test_coordinate_symmetry():
     g = GridSpec(7, 3, 5.0)
-    for lab in g.labels():
+    for lab in itertools.product(g.axis_labels(), repeat=g.dims):
         neg = tuple(-c for c in lab)
         assert np.allclose(label_to_coord(g, neg), -label_to_coord(g, lab))
 
@@ -83,6 +86,35 @@ def test_index_bijection():
                                         nuclear_charges=(1.0,)))
     for i in range(basis.size):
         assert basis.index_of(basis.configuration_at(i)) == i
+
+
+@pytest.mark.parametrize("labels, spins", [
+    (((2,), (0,)), (SPIN_UP, None)),        # label outside the lattice
+    (((-2,), (0,)), (SPIN_UP, None)),
+    (((0, 0), (0,)), (SPIN_UP, None)),      # label of the wrong length
+    (((0.5,), (0,)), (SPIN_UP, None)),      # label off the lattice points
+    (((0,), (0,)), (SPIN_UP, SPIN_DOWN)),   # spin on a spinless register
+    (((0,), (0,)), (None, None)),           # no spin on a spin register
+    (((0,), (0,)), (2, None)),              # not a spin label
+    (((0,),), (SPIN_UP,)),                  # too few registers
+])
+def test_configuration_outside_the_basis_never_wraps(labels, spins):
+    basis = enumerate_basis(GridSpec(3, 1, 3.0),
+                            ParticleSet(n_el=1, nuclear_masses=(10.0,),
+                                        nuclear_charges=(1.0,),
+                                        electron_spin=True))
+    config = Configuration(labels, spins)
+    assert config not in basis
+    with pytest.raises(KeyError):
+        basis.index_of(config)
+
+
+def test_basis_arrays_are_read_only():
+    basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=2))
+    with pytest.raises(ValueError):
+        basis.labels[0, 0, 0] = 5
+    with pytest.raises(ValueError):
+        basis.spins[0, 0] = 0
 
 
 def test_particle_accessors():
