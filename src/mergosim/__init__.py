@@ -16,9 +16,10 @@ from .evolution import (DensityMatrix, PropagationReport, autocorrelation,
 from .grid import (Basis, Configuration, GridSpec, ParticleSet,
                    enumerate_basis, label_to_coord)
 from .hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,
-                          TrapSpec, build_coulomb, build_kinetic,
-                          build_point_charges, build_trap,
-                          coulomb_mimicking_f)
+                          StructuredHamiltonian, TrapSpec, build_coulomb,
+                          build_kinetic, build_point_charges, build_trap,
+                          coulomb_diagonal, coulomb_mimicking_f,
+                          point_charge_diagonal, trap_diagonal)
 from .lzcost import (AlphaFactors, CostParams, LZParams, LZResult,
                      alpha_factors, lcu_query_model, p_landau_zener)
 from .symmetry import (Permutation, SymmetryDeclaration, antisymmetrize,

@@ -30,11 +30,10 @@ from . import lzcost, symmetry, tree, weakmeas
 from .errors import (CenterOutsideBox, ConfigError, NodeExhausted,
                      SimulationError, UnsupportedUnit)
 from .evolution import (DensityMatrix, autocorrelation, default_step_count,
-                        propagate, spectrum)
+                        hermitian_eigh, propagate, spectrum)
 from .grid import GridSpec, ParticleSet, enumerate_basis
-from .hamiltonian import (Schedule, ScheduledHamiltonian, TrapSpec,
-                          build_coulomb, build_kinetic, build_trap,
-                          zero_block)
+from .hamiltonian import (Schedule, StructuredHamiltonian, TrapSpec,
+                          coulomb_diagonal, trap_diagonal)
 from .units import unit_convert
 
 SCHEMA_VERSION = 1
@@ -232,7 +231,7 @@ def _build_criteria(cfg: dict) -> dict[str, crit.GeometricCriterion]:
 
 
 @_config_values()
-def _build_scheduled_hamiltonian(cfg: dict, basis) -> ScheduledHamiltonian:
+def _build_scheduled_hamiltonian(cfg: dict, basis) -> StructuredHamiltonian:
     sec = _section(cfg, "hamiltonian")
     regs = set(range(basis.particles.n_particles))
     sub_a = sec["subsystem_a"] if sec["subsystem_a"] is not None \
@@ -243,33 +242,27 @@ def _build_scheduled_hamiltonian(cfg: dict, basis) -> ScheduledHamiltonian:
                           "the particle registers")
     softening = sec["softening"] if sec["softening"] is not None \
         else basis.grid.spacing
-    dim = basis.size
 
-    def fragment_block(registers):
-        block = zero_block(dim)
-        if sec["include_kinetic"] and registers:
-            block = block + build_kinetic(basis, registers)
-        pairs = [(i, j) for i in registers for j in registers if i < j]
+    def coulomb(pairs):
         if sec["include_coulomb"] and pairs:
-            block = block + build_coulomb(basis, softening, pairs)
-        return block
+            return coulomb_diagonal(basis, softening, pairs)
+        return np.zeros(basis.size)
 
-    h_a = fragment_block(sub_a)
-    h_b = fragment_block(sub_b)
-    cross = [(i, j) for i in sub_a for j in sub_b]
-    h_ab = (build_coulomb(basis, softening, cross)
-            if sec["include_coulomb"] and cross else zero_block(dim))
-
+    v_frag = sum(coulomb([(i, j) for i in part for j in part if i < j])
+                 for part in (sub_a, sub_b))
     trap = sec["trap"]
     if trap is None:
-        v_trap = zero_block(dim)
+        v_trap = np.zeros(basis.size)
     elif "omega" in trap:
-        v_trap = build_trap(basis, TrapSpec.isotropic_spec(**trap))
+        v_trap = trap_diagonal(basis, TrapSpec.isotropic_spec(**trap))
     else:
-        v_trap = build_trap(basis, TrapSpec(**trap))
+        v_trap = trap_diagonal(basis, TrapSpec(**trap))
 
-    return ScheduledHamiltonian(h_a=h_a, h_b=h_b, h_ab=h_ab, v_trap=v_trap,
-                                schedule=Schedule(**_section(cfg, "schedule")))
+    return StructuredHamiltonian(
+        basis=basis,
+        kinetic_registers=sub_a + sub_b if sec["include_kinetic"] else (),
+        v_frag=v_frag, v_ab=coulomb([(i, j) for i in sub_a for j in sub_b]),
+        v_trap=v_trap, schedule=Schedule(**_section(cfg, "schedule")))
 
 
 def _initial_vector(spec: dict, dim: int, hamiltonian=None) -> np.ndarray:
@@ -286,22 +279,33 @@ def _initial_vector(spec: dict, dim: int, hamiltonian=None) -> np.ndarray:
     if kind == "eigenstate":
         if hamiltonian is None:
             raise ConfigError("eigenstate initial state needs a Hamiltonian")
-        _, vecs = np.linalg.eigh(hamiltonian)
+        _, vecs = hermitian_eigh(hamiltonian)
         return vecs[:, index].astype(complex)
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
 def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
+    sec = _section(cfg, "evolve")
+    s1 = _section(cfg, "schedule")["s1"]
+    s_from = sec["s_from"]
+    s_to = sec["s_to"] if sec["s_to"] is not None else s1
+    if not 0.0 <= s_from < s_to <= s1:
+        raise ConfigError(f"evolve needs 0 <= s_from < s_to <= s1 = "
+                          f"{s1}, got [{s_from}, {s_to}]")
+    auto = sec["autocorrelation"]
+    fixed_s = auto["fixed_s"] if auto else None
+    if fixed_s is not None and not 0.0 <= fixed_s <= s1:
+        raise ConfigError(f"evolve.autocorrelation.fixed_s must lie in "
+                          f"[0, s1 = {s1}], got {fixed_s}")
+    if auto and fixed_s is None and auto["t_max"] > s1:
+        raise ConfigError(f"evolve.autocorrelation.t_max {auto['t_max']} "
+                          f"runs past s1 = {s1}; set fixed_s or lower it")
+
     basis = _build_basis(cfg)
     sh = _build_scheduled_hamiltonian(cfg, basis)
-    sec = _section(cfg, "evolve")
-    s_from = sec["s_from"]
-    s_to = sec["s_to"] if sec["s_to"] is not None else sh.schedule.s1
-    if not 0.0 <= s_from < s_to <= sh.schedule.s1:
-        raise ConfigError(f"evolve needs 0 <= s_from < s_to <= s1 = "
-                          f"{sh.schedule.s1}, got [{s_from}, {s_to}]")
     n_steps = sec["n_steps"] or default_step_count(sh, s_from, s_to)
-    h0 = sh.evaluate(s_from).matrix
+    h0 = sh.evaluate(s_from).matrix \
+        if sec["initial"]["kind"] == "eigenstate" else None
     psi0 = _initial_vector(sec["initial"], basis.size, h0)
     report = propagate(DensityMatrix.from_pure(psi0), sh, s_from, s_to, n_steps)
 
@@ -313,9 +317,7 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     out_io.write_json(path, payload)
     artifacts = [path]
 
-    auto = sec["autocorrelation"]
     if auto:
-        fixed_s = auto["fixed_s"]
         target = sh.evaluate(fixed_s) if fixed_s is not None else sh
         times, values = autocorrelation(psi0, target, auto["t_max"],
                                         auto["n_samples"])

@@ -1,22 +1,35 @@
 """State propagation under H(s), autocorrelation functions and spectra.
 
-Propagation applies exact midpoint-rule step propagators
-U_k = exp(-i H(s_mid,k) ds) to a density matrix as U rho U^dag. Each
-exponential comes from a dense eigendecomposition, so every step is
-unitary to machine precision; the midpoint sampling makes the product a
-second-order approximation of the time-ordered exponential.
+A ``StructuredHamiltonian`` (what the command line builds) is stepped
+with Strang splitting, exp(-i V ds/2) exp(-i T ds) exp(-i V ds/2), V
+taken at the step midpoint. The potential factors are phases; the
+kinetic factor is exact, applied along each (register, lattice axis)
+tensor axis in the closed-form DST-I eigenbasis of the 1D Dirichlet
+stencil, so a step calls no eigensolver and costs O(n m) on a state
+vector. A pure state built by ``DensityMatrix.from_pure`` is propagated
+as its vector; a mixed state gets the map on both sides,
+U rho U^dag = U (U rho)^dag.
+
+Any other scheduled Hamiltonian (four dense ``OperatorBlock``s) takes
+the dense path: exact midpoint-rule propagators U_k = exp(-i H(s_mid,k)
+ds) from an eigendecomposition, applied as U rho U^dag.
+
+Both integrators are unitary to machine precision and second order in
+the step size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import (NonHermitianHamiltonian, NonuniformGrid,
                      ScheduleOutOfRange, UnnormalizedInput)
-from .hamiltonian import OperatorBlock, ScheduledHamiltonian
+from .hamiltonian import (OperatorBlock, ScheduledHamiltonian,
+                          StructuredHamiltonian)
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -25,9 +38,15 @@ EIGENVALUE_FLOOR = -1e-10
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state carrier."""
+    """Hermitian, unit-trace, positive-semidefinite state carrier.
+
+    ``vector`` is the (read-only) state vector of a pure state built by
+    ``from_pure`` or propagated from one, and None otherwise.
+    """
 
     matrix: np.ndarray
+    vector: Optional[np.ndarray] = field(default=None, init=False,
+                                         repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -56,16 +75,20 @@ class DensityMatrix:
             raise ValueError("density matrix trace differs from one")
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", mat)
+        object.__setattr__(obj, "vector", None)
         return obj
 
     @classmethod
     def from_pure(cls, vector: np.ndarray) -> "DensityMatrix":
         """|v><v| is Hermitian and PSD by construction: check only v."""
-        v = np.asarray(vector, dtype=complex).ravel()
+        v = np.array(vector, dtype=complex).ravel()
         norm = np.linalg.norm(v)
         if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
             raise UnnormalizedInput(f"vector norm {norm} differs from one")
-        return cls.trusted(np.outer(v, v.conj()))
+        obj = cls.trusted(np.outer(v, v.conj()))
+        v.setflags(write=False)
+        object.__setattr__(obj, "vector", v)
+        return obj
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityMatrix":
@@ -85,7 +108,8 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """tr(rho^2) = sum |rho_ij|^2 for Hermitian rho, in O(n^2)."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def expectation(self, operator: np.ndarray) -> float:
         return float(np.trace(operator @ self.matrix).real)
@@ -115,19 +139,90 @@ def _check_hermitian(h: np.ndarray) -> None:
         raise NonHermitianHamiltonian("H(s) is not Hermitian")
 
 
+def hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``, on the real part alone when h has no
+    imaginary part (real-symmetric eigensolvers are several times
+    faster)."""
+    if np.iscomplexobj(h) and np.any(h.imag):
+        return np.linalg.eigh(h)
+    return np.linalg.eigh(h.real)
+
+
 def step_unitary(h: np.ndarray, ds: float) -> np.ndarray:
     """exp(-i h ds) through a dense eigendecomposition."""
-    w, v = np.linalg.eigh(h)
+    w, v = hermitian_eigh(h)
     return (v * np.exp(-1j * w * ds)) @ v.conj().T
 
 
-def propagate(state: DensityMatrix, sh: ScheduledHamiltonian,
-              s_from: float, s_to: float, n_steps: int) -> PropagationReport:
-    """Evolve rho across [s_from, s_to] with midpoint-rule exponentials.
+def kinetic_propagator(sh: StructuredHamiltonian,
+                       ds: float) -> Callable[[np.ndarray], np.ndarray]:
+    """exp(-i T ds) as a map on arrays whose first axis is the basis index.
 
-    Step propagators are cached on the (f, g) schedule values, so flat
-    stretches of the schedule reuse one eigendecomposition.
+    Along the tensor axis (length m) of each kinetic (register, lattice
+    axis) it applies S diag(exp(-i c lam_j ds)) S, where
+    S_kj = sqrt(2/(m+1)) sin(j k pi/(m+1)) is the DST-I eigenbasis and
+    lam_j = 2 - 2 cos(j pi/(m+1)) the eigenvalues of the Dirichlet
+    stencil 2 - shift - shift^T.
     """
+    shape = sh.basis.tensor_shape
+    factors = []
+    for axis, c in sh.kinetic_axes():
+        m = shape[axis]
+        j = np.arange(1, m + 1)
+        dst = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * math.pi
+                                                / (m + 1))
+        lam = 2.0 - 2.0 * np.cos(j * math.pi / (m + 1))
+        factors.append((math.prod(shape[:axis]),
+                        (dst * np.exp(-1j * c * ds * lam)) @ dst))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        for outer, factor in factors:
+            x = (factor @ x.reshape(outer, len(factor), -1)).reshape(x.shape)
+        return x
+    return apply
+
+
+def _strang_steps(x: np.ndarray, sh: StructuredHamiltonian,
+                  mids: np.ndarray, ds: float) -> Iterator[np.ndarray]:
+    """x after each split step exp(-i V(s) ds/2) exp(-i T ds)
+    exp(-i V(s) ds/2), s running over ``mids``; x is a state vector or
+    a matrix whose columns are stepped."""
+    kinetic = kinetic_propagator(sh, ds)
+    for s in mids:
+        half = np.exp(-0.5j * ds * sh.potential(s))
+        half = half.reshape(half.shape + (1,) * (x.ndim - 1))
+        x = half * kinetic(half * x)
+        yield x
+
+
+def _midpoint_unitaries(sh: ScheduledHamiltonian, mids: np.ndarray,
+                        ds: float) -> Iterator[np.ndarray]:
+    """exp(-i H(s) ds) for s in ``mids``, the schedule evaluated once for
+    all steps; a step whose rounded (f, g) equal the previous step's
+    reuses its unitary, so a flat stretch of the schedule costs one
+    eigendecomposition."""
+    key = u = None
+    for f, g in zip(sh.schedule.f(mids).tolist(),
+                    sh.schedule.g(mids).tolist()):
+        rounded = (round(f, 15), round(g, 15))
+        if rounded != key:
+            key, u = rounded, step_unitary(sh.combine(f, g).matrix, ds)
+        yield u
+
+
+def _midpoint_states(psi: np.ndarray, sh: ScheduledHamiltonian,
+                     mids: np.ndarray, ds: float) -> Iterator[np.ndarray]:
+    for u in _midpoint_unitaries(sh, mids, ds):
+        psi = u @ psi
+        yield psi
+
+
+def propagate(state: DensityMatrix,
+              sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
+              s_from: float, s_to: float, n_steps: int) -> PropagationReport:
+    """Evolve rho across [s_from, s_to] in ``n_steps`` steps: split-operator
+    steps for a StructuredHamiltonian, dense midpoint exponentials for a
+    ScheduledHamiltonian (see the module docstring)."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not (0.0 <= s_from < s_to <= sh.schedule.s1):
@@ -136,28 +231,34 @@ def propagate(state: DensityMatrix, sh: ScheduledHamiltonian,
 
     ds = (s_to - s_from) / n_steps
     mids = s_from + (np.arange(n_steps) + 0.5) * ds
-    rho = state.matrix.copy()
     drift = 0.0
-    cache: dict[tuple[float, float], np.ndarray] = {}
-    for s_mid in mids:
-        key = (round(sh.schedule.f(s_mid), 15), round(sh.schedule.g(s_mid), 15))
-        u = cache.get(key)
-        if u is None:
-            h = sh.evaluate(s_mid).matrix
-            _check_hermitian(h)
-            u = step_unitary(h, ds)
-            cache[key] = u
-        rho = u @ rho @ u.conj().T
-        drift = max(drift, abs(np.trace(rho).real - 1.0))
-    return PropagationReport(final_state=DensityMatrix.trusted(rho),
-                             norm_drift=drift, steps=n_steps, s_grid=mids)
+    if not isinstance(sh, StructuredHamiltonian):
+        rho = state.matrix
+        for u in _midpoint_unitaries(sh, mids, ds):
+            rho = u @ rho @ u.conj().T
+            drift = max(drift, abs(np.trace(rho).real - 1.0))
+        final = DensityMatrix.trusted(rho)
+    elif state.vector is not None:
+        psi = state.vector
+        for psi in _strang_steps(psi, sh, mids, ds):
+            drift = max(drift, abs(np.vdot(psi, psi).real - 1.0))
+        final = DensityMatrix.from_pure(psi)
+    else:
+        for u_rho in _strang_steps(state.matrix, sh, mids, ds):
+            pass
+        for rho in _strang_steps(u_rho.conj().T, sh, mids, ds):
+            pass
+        drift = abs(np.trace(rho).real - 1.0)
+        final = DensityMatrix.trusted(rho)
+    return PropagationReport(final_state=final, norm_drift=drift,
+                             steps=n_steps, s_grid=mids)
 
 
-def default_step_count(sh: ScheduledHamiltonian, s_from: float,
-                       s_to: float, resolution: float = 0.1) -> int:
+def default_step_count(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
+                       s_from: float, s_to: float,
+                       resolution: float = 0.1) -> int:
     """Heuristic step count from ds <= resolution / ||H||_max."""
-    h_norm = max(np.max(np.abs(sh.evaluate(s).matrix))
-                 for s in np.linspace(s_from, s_to, 7))
+    h_norm = max(sh.norm_max(s) for s in np.linspace(s_from, s_to, 7))
     if h_norm == 0.0:
         return 1
     return max(1, int(np.ceil((s_to - s_from) * h_norm / resolution)))
@@ -165,14 +266,15 @@ def default_step_count(sh: ScheduledHamiltonian, s_from: float,
 
 def autocorrelation(initial: np.ndarray,
                     hamiltonian: Union[OperatorBlock, np.ndarray,
-                                       ScheduledHamiltonian],
+                                       ScheduledHamiltonian,
+                                       StructuredHamiltonian],
                     t_max: float, n_samples: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """C(t) = <psi0 | psi(t)> on a uniform t-grid including t = 0.
 
     A fixed Hamiltonian (OperatorBlock or matrix) is diagonalized once;
-    a ScheduledHamiltonian is stepped with midpoint-rule unitaries, with
-    t read as the schedule parameter s.
+    a scheduled one is stepped as ``propagate`` steps it, with t read as
+    the schedule parameter s.
     """
     psi0 = np.asarray(initial, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -181,24 +283,25 @@ def autocorrelation(initial: np.ndarray,
         raise ValueError("need at least two samples")
     times = np.linspace(0.0, t_max, n_samples)
 
-    if isinstance(hamiltonian, ScheduledHamiltonian):
+    if isinstance(hamiltonian, (ScheduledHamiltonian, StructuredHamiltonian)):
         if t_max > hamiltonian.schedule.s1:
             raise ScheduleOutOfRange("t_max exceeds the schedule endpoint")
+        dt = times[1] - times[0]
+        mids = times[:-1] + 0.5 * dt
+        if isinstance(hamiltonian, StructuredHamiltonian):
+            states = _strang_steps(psi0, hamiltonian, mids, dt)
+        else:
+            states = _midpoint_states(psi0, hamiltonian, mids, dt)
         values = np.empty(n_samples, dtype=complex)
         values[0] = 1.0
-        psi = psi0.copy()
-        dt = times[1] - times[0]
-        for k in range(1, n_samples):
-            h = hamiltonian.evaluate(times[k - 1] + 0.5 * dt).matrix
-            _check_hermitian(h)
-            psi = step_unitary(h, dt) @ psi
+        for k, psi in enumerate(states, start=1):
             values[k] = np.vdot(psi0, psi)
         return times, values
 
     h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
         else np.asarray(hamiltonian, dtype=complex)
     _check_hermitian(h)
-    w, v = np.linalg.eigh(h)
+    w, v = hermitian_eigh(h)
     weights = np.abs(v.conj().T @ psi0) ** 2
     phases = np.exp(-1j * np.outer(times, w))
     return times, phases @ weights

@@ -172,6 +172,21 @@ class Basis:
     def size(self) -> int:
         return self.labels.shape[0]
 
+    @property
+    def tensor_shape(self) -> tuple[int, ...]:
+        """The mixed radices: a state vector reshaped to this shape has
+        one tensor axis per (register, lattice axis) and one spin axis
+        per register (of length 1 where the register has no spin)."""
+        return self._radices
+
+    def tensor_axis(self, register: int, axis: int) -> int:
+        """The tensor axis holding lattice axis ``axis`` of ``register``."""
+        if not (0 <= register < self.particles.n_particles
+                and 0 <= axis < self.grid.dims):
+            raise IndexError(f"no tensor axis for register {register}, "
+                             f"lattice axis {axis}")
+        return register * (self.grid.dims + 1) + axis
+
     def index(self, labels: np.ndarray, spins: np.ndarray) -> np.ndarray:
         """Indices of label rows (k, n_particles, dims) with spin rows
         (k, n_particles); a digit out of range raises, never wraps."""

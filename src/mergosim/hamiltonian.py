@@ -1,10 +1,14 @@
-"""Dense operator blocks and the scheduled total Hamiltonian H(s).
+"""Operator builders and the scheduled total Hamiltonian H(s).
 
 H(s) = H_A + H_B + f(s) * H_AB + g(s) * V_trap
 
 with f ramping the inter-fragment Coulomb coupling on (f(0) = 0,
 f(s >= s0) = 1) and g ramping the harmonic trap on and back off
-(g(0) = 0, g(s0) = 1, g(s1) = 0).
+(g(0) = 0, g(s0) = 1, g(s1) = 0). ``StructuredHamiltonian`` keeps it as
+a kinetic stencil plus three diagonal vectors; ``ScheduledHamiltonian``
+takes four arbitrary dense blocks. The diagonal builders have
+vector-returning cores (``coulomb_diagonal``, ``point_charge_diagonal``,
+``trap_diagonal``) that the dense block builders wrap.
 
 Discretization choices: 3-point finite-difference kinetic stencil with
 Dirichlet boundaries, and a softened Coulomb 1/sqrt(r^2 + a^2) so that
@@ -67,6 +71,29 @@ def zero_block(dim: int, tag: str = "external") -> OperatorBlock:
     return OperatorBlock(np.zeros((dim, dim), dtype=complex), tag)
 
 
+def _kinetic_coefficient(basis: Basis, register: int) -> float:
+    """Stencil coefficient c = 1/(2 m h^2) of one register."""
+    h = basis.grid.spacing
+    return 1.0 / (2.0 * basis.particles.mass(register) * h * h)
+
+
+def _kinetic_matrix(basis: Basis, registers: Sequence[int]) -> np.ndarray:
+    n = basis.size
+    mat = np.zeros((n, n), dtype=complex)
+    columns = np.arange(n)
+    for p in registers:
+        c = _kinetic_coefficient(basis, p)
+        mat[columns, columns] += 2.0 * c * basis.grid.dims
+        for axis in range(basis.grid.dims):
+            for step in (-1, 1):
+                moved = basis.labels.copy()
+                moved[:, p, axis] += step
+                inside = np.abs(moved[:, p, axis]) <= basis.grid.max_label
+                rows = basis.index(moved[inside], basis.spins[inside])
+                mat[rows, columns[inside]] -= c
+    return mat
+
+
 def build_kinetic(basis: Basis,
                   registers: Optional[Sequence[int]] = None) -> OperatorBlock:
     """Finite-difference kinetic energy, -(1/2m) Laplacian per particle.
@@ -75,24 +102,9 @@ def build_kinetic(basis: Basis,
     diagonal 2c per axis and -c to each in-lattice neighbor, c = 1/(2 m h^2).
     ``registers`` restricts the sum to a particle subset (H_A/H_B splits).
     """
-    grid, particles = basis.grid, basis.particles
     if registers is None:
-        registers = range(particles.n_particles)
-    h = grid.spacing
-    n = basis.size
-    mat = np.zeros((n, n), dtype=complex)
-    columns = np.arange(n)
-    for p in registers:
-        c = 1.0 / (2.0 * particles.mass(p) * h * h)
-        mat[columns, columns] += 2.0 * c * grid.dims
-        for axis in range(grid.dims):
-            for step in (-1, 1):
-                moved = basis.labels.copy()
-                moved[:, p, axis] += step
-                inside = np.abs(moved[:, p, axis]) <= grid.max_label
-                rows = basis.index(moved[inside], basis.spins[inside])
-                mat[rows, columns[inside]] -= c
-    return OperatorBlock(mat, "kinetic")
+        registers = range(basis.particles.n_particles)
+    return OperatorBlock(_kinetic_matrix(basis, registers), "kinetic")
 
 
 def _resolve_pairs(particles: ParticleSet, pairs) -> list[tuple[int, int]]:
@@ -163,6 +175,20 @@ def coulomb_energy(grid: GridSpec, particles: ParticleSet,
                               _resolve_pairs(particles, pairs))[0])
 
 
+def _diagonal_block(diag: np.ndarray, tag: str) -> OperatorBlock:
+    return OperatorBlock(np.diag(diag.astype(complex)), tag)
+
+
+def coulomb_diagonal(basis: Basis, softening: float,
+                     pairs="all") -> np.ndarray:
+    """Softened Coulomb energy of every configuration over the selected
+    particle pairs (see ``build_coulomb``)."""
+    if softening < 0:
+        raise ValueError("softening must be nonnegative")
+    return _coulomb_sum(basis.particles, basis.labels * basis.grid.spacing,
+                        softening, _resolve_pairs(basis.particles, pairs))
+
+
 def build_coulomb(basis: Basis, softening: float,
                   pairs="all", tag: Optional[str] = None) -> OperatorBlock:
     """Diagonal Coulomb block over the selected particle pairs.
@@ -170,14 +196,27 @@ def build_coulomb(basis: Basis, softening: float,
     ``pairs`` is "all", a species selector ("ee", "nn", "ne"), or an
     explicit list of register pairs (used for inter-fragment H_AB).
     """
-    if softening < 0:
-        raise ValueError("softening must be nonnegative")
-    pair_list = _resolve_pairs(basis.particles, pairs)
+    diag = coulomb_diagonal(basis, softening, pairs)
     if tag is None:
-        tag = _pair_tag(basis.particles, pair_list)
-    diag = _coulomb_sum(basis.particles, basis.labels * basis.grid.spacing,
-                        softening, pair_list)
-    return OperatorBlock(np.diag(diag.astype(complex)), tag)
+        tag = _pair_tag(basis.particles,
+                        _resolve_pairs(basis.particles, pairs))
+    return _diagonal_block(diag, tag)
+
+
+def point_charge_diagonal(basis: Basis, centers: Sequence[Sequence[float]],
+                          charges: Sequence[float],
+                          softening: float) -> np.ndarray:
+    """Energy of every configuration in the field of fixed point charges
+    (see ``build_point_charges``)."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    charges = np.asarray(charges, dtype=float)
+    particles = basis.particles
+    coords = basis.labels * basis.grid.spacing
+    return _softened_sum(basis.size, [
+        (particles.charge(p) * q, coords[:, p], c,
+         f"register {p} coincides with a fixed charge")
+        for p in range(particles.n_particles)
+        for c, q in zip(centers, charges)], softening, softening ** 2)
 
 
 def build_point_charges(basis: Basis, centers: Sequence[Sequence[float]],
@@ -188,16 +227,8 @@ def build_point_charges(basis: Basis, centers: Sequence[Sequence[float]],
     Models clamped nuclei (e.g. an H2-like toy where only the electron
     roams). Tagged "external".
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    charges = np.asarray(charges, dtype=float)
-    particles = basis.particles
-    coords = basis.labels * basis.grid.spacing
-    diag = _softened_sum(basis.size, [
-        (particles.charge(p) * q, coords[:, p], c,
-         f"register {p} coincides with a fixed charge")
-        for p in range(particles.n_particles)
-        for c, q in zip(centers, charges)], softening, softening ** 2)
-    return OperatorBlock(np.diag(diag.astype(complex)), "external")
+    return _diagonal_block(
+        point_charge_diagonal(basis, centers, charges, softening), "external")
 
 
 @dataclass(frozen=True)
@@ -235,8 +266,9 @@ class TrapSpec:
         return TrapSpec(self.centers, freqs, self.isotropic)
 
 
-def build_trap(basis: Basis, trap: TrapSpec) -> OperatorBlock:
-    """Diagonal harmonic-trap block acting on nuclear coordinates only:
+def trap_diagonal(basis: Basis, trap: TrapSpec) -> np.ndarray:
+    """Harmonic-trap energy of every configuration, on nuclear
+    coordinates only:
     sum_j (m_j/2) sum_w omega_{j,w}^2 (R_{j,w} - R_{0,j,w})^2."""
     grid, particles = basis.grid, basis.particles
     if len(trap.centers) != particles.n_nuc:
@@ -253,7 +285,12 @@ def build_trap(basis: Basis, trap: TrapSpec) -> OperatorBlock:
                                        trap.frequencies)):
         disp, w = coords[:, j] - np.asarray(r0), np.asarray(w)
         diag += 0.5 * m * np.sum(w * w * disp * disp, axis=-1)
-    return OperatorBlock(np.diag(diag.astype(complex)), "trap")
+    return diag
+
+
+def build_trap(basis: Basis, trap: TrapSpec) -> OperatorBlock:
+    """Diagonal harmonic-trap block (see ``trap_diagonal``)."""
+    return _diagonal_block(trap_diagonal(basis, trap), "trap")
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -333,6 +370,12 @@ class Schedule:
         out = np.where(s <= self.s0, up, down)
         return float(out) if out.ndim == 0 else out
 
+    def profiles(self, s: float) -> tuple[float, float]:
+        """(f(s), g(s)) for one s inside [0, s1]."""
+        if not 0.0 <= s <= self.s1:
+            raise ScheduleOutOfRange(f"s = {s} outside [0, {self.s1}]")
+        return self.f(s), self.g(s)
+
     def max_rate(self, n: int = 2001) -> float:
         """max_s of |df/ds| and |dg/ds| by dense finite differences.
 
@@ -391,11 +434,81 @@ class ScheduledHamiltonian:
         return self.h_a.dim
 
     def evaluate(self, s: float) -> OperatorBlock:
-        if not 0.0 <= s <= self.schedule.s1:
-            raise ScheduleOutOfRange(
-                f"s = {s} outside [0, {self.schedule.s1}]")
-        f = self.schedule.f(s)
-        g = self.schedule.g(s)
+        return self.combine(*self.schedule.profiles(s))
+
+    def combine(self, f: float, g: float) -> OperatorBlock:
+        """H_A + H_B + f H_AB + g V_trap at given profile values."""
         mat = (self.h_a.matrix + self.h_b.matrix
                + f * self.h_ab.matrix + g * self.v_trap.matrix)
         return OperatorBlock(mat, "total")
+
+    def norm_max(self, s: float) -> float:
+        """max |H(s)_ij|."""
+        return float(np.max(np.abs(self.evaluate(s).matrix)))
+
+
+@dataclass(frozen=True, eq=False)
+class StructuredHamiltonian:
+    """H(s) = T + diag(v_frag + f(s) v_ab + g(s) v_trap).
+
+    T is the finite-difference kinetic energy of ``kinetic_registers``
+    (see ``build_kinetic``): a sum of one 1D Dirichlet tridiagonal per
+    (register, lattice axis), each acting on one tensor axis of the
+    basis. The potential is diagonal: the intra-fragment Coulomb energy
+    ``v_frag``, the inter-fragment coupling ``v_ab`` ramped by f and the
+    trap ``v_trap`` ramped by g. ``evaluate(s)`` assembles the dense
+    block, the oracle for everything that uses this structure.
+    """
+
+    basis: Basis
+    kinetic_registers: tuple[int, ...]
+    v_frag: np.ndarray
+    v_ab: np.ndarray
+    v_trap: np.ndarray
+    schedule: Schedule
+
+    def __post_init__(self):
+        registers = tuple(int(p) for p in self.kinetic_registers)
+        if len(set(registers)) != len(registers) or not all(
+                0 <= p < self.basis.particles.n_particles for p in registers):
+            raise ValueError(f"invalid kinetic registers {registers}")
+        object.__setattr__(self, "kinetic_registers", registers)
+        for name in ("v_frag", "v_ab", "v_trap"):
+            vec = np.array(getattr(self, name), dtype=float)
+            if vec.shape != (self.basis.size,):
+                raise ValueError(f"{name} must have one entry per "
+                                 f"configuration, got shape {vec.shape}")
+            vec.setflags(write=False)
+            object.__setattr__(self, name, vec)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.size
+
+    def potential(self, s: float) -> np.ndarray:
+        """The diagonal of V(s)."""
+        f, g = self.schedule.profiles(s)
+        return self.v_frag + f * self.v_ab + g * self.v_trap
+
+    def kinetic_axes(self) -> list[tuple[int, float]]:
+        """(tensor axis, stencil coefficient c) per kinetic (register,
+        lattice axis): T acts there as c (2 - shift - shift^T)."""
+        return [(self.basis.tensor_axis(p, axis),
+                 _kinetic_coefficient(self.basis, p))
+                for p in self.kinetic_registers
+                for axis in range(self.basis.grid.dims)]
+
+    def evaluate(self, s: float) -> OperatorBlock:
+        mat = _kinetic_matrix(self.basis, self.kinetic_registers)
+        mat[np.diag_indices(self.dim)] += self.potential(s)
+        return OperatorBlock(mat, "total")
+
+    def norm_max(self, s: float) -> float:
+        """max |H(s)_ij| read from the stencil and the diagonals: the
+        diagonal is constant kinetic plus V(s), and a kinetic neighbour
+        entry is -c of the one register that moves."""
+        coefficients = [c for _, c in self.kinetic_axes()]
+        diagonal = 2.0 * sum(coefficients) + self.potential(s)
+        neighbour = max(coefficients) \
+            if coefficients and self.basis.grid.points_per_axis > 1 else 0.0
+        return float(max(np.max(np.abs(diagonal)), neighbour))

@@ -72,6 +72,13 @@ class TestConfigSchema:
                      "evolve", id="trap_center_outside_box"),
         pytest.param("evolve_salt_1d.json", (("evolve", "s_from"), 5.0),
                      "evolve", id="s_from_past_schedule_end"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve", "autocorrelation", "fixed_s"), 5.0),
+                     "evolve", id="fixed_s_past_schedule_end"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve", "autocorrelation"),
+                      {"t_max": 50.0, "n_samples": 64, "fixed_s": None}),
+                     "evolve", id="t_max_past_schedule_end"),
         pytest.param("tree_synthetic.json", (("tree", "nodes", "delta"), 3.0),
                      "tree", id="tree_delta_out_of_range"),
         pytest.param("lz_rbcs.json", (("lz", "mu", "unit"), "furlong"), "lz",

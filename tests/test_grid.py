@@ -117,6 +117,25 @@ def test_basis_arrays_are_read_only():
         basis.spins[0, 0] = 0
 
 
+def test_tensor_axes_carry_one_label_column_each():
+    particles = ParticleSet(n_el=1, nuclear_masses=(5.0,),
+                            nuclear_charges=(1.0,), electron_spin=True)
+    basis = enumerate_basis(GridSpec(3, 2, 3.0), particles)
+    shape = basis.tensor_shape
+    assert shape == (3, 3, 2, 3, 3, 1)
+    assert int(np.prod(shape)) == basis.size
+    for register in range(2):
+        for axis in range(2):
+            k = basis.tensor_axis(register, axis)
+            column = basis.labels[:, register, axis].reshape(shape)
+            # the label runs along its own tensor axis and nowhere else
+            along = np.arange(-1, 2).reshape(
+                [3 if i == k else 1 for i in range(len(shape))])
+            assert np.array_equal(column, np.broadcast_to(along, shape))
+    with pytest.raises(IndexError):
+        basis.tensor_axis(2, 0)
+
+
 def test_particle_accessors():
     p = ParticleSet(n_el=1, nuclear_masses=(1836.0,), nuclear_charges=(1.0,))
     assert p.mass(0) == 1.0 and p.charge(0) == -1.0

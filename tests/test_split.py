@@ -1,0 +1,216 @@
+"""The structured H(s) and its split-operator propagation, pinned to the
+dense oracle: the four dense blocks the command line used to assemble,
+dense exponentials of ``build_kinetic`` and the midpoint-rule path."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
+                          _typed)
+from mergosim.evolution import (DensityMatrix, default_step_count,
+                                hermitian_eigh, kinetic_propagator, propagate)
+from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
+from mergosim.hamiltonian import (Schedule, ScheduledHamiltonian,
+                                  StructuredHamiltonian, TrapSpec,
+                                  build_coulomb, build_kinetic, build_trap,
+                                  zero_block)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped(name):
+    return json.loads((CONFIG_DIR / name).read_text())
+
+
+def light_merge(m=11):
+    """Two light nuclei of opposite charge merging in a soft 1D trap."""
+    return {
+        "schema_version": 1,
+        "grid": {"points_per_axis": m, "dims": 1, "box_length": float(m)},
+        "particles": {"n_el": 0, "nuclear_masses": [4.7, 5.3],
+                      "nuclear_charges": [1.0, -1.0]},
+        "hamiltonian": {"subsystem_a": [0], "subsystem_b": [1],
+                        "softening": 1.1,
+                        "trap": {"centers": [[-2.0], [2.0]], "omega": 0.15}},
+        "schedule": {"s0": 4.0, "s1": 8.0, "f_shape": "smoothstep",
+                     "g_shape": "smoothstep"},
+    }
+
+
+def spinful_2d():
+    """A spin electron and a nucleus on a 2D lattice, anisotropic trap."""
+    return {
+        "schema_version": 1,
+        "grid": {"points_per_axis": 3, "dims": 2, "box_length": 4.0},
+        "particles": {"n_el": 1, "nuclear_masses": [30.0],
+                      "nuclear_charges": [1.0], "electron_spin": True},
+        "hamiltonian": {"subsystem_a": [1], "subsystem_b": [0],
+                        "trap": {"centers": [[0.5, -0.4]],
+                                 "frequencies": [[0.3, 0.2]]}},
+        "schedule": {"s0": 1.0, "s1": 3.0, "f_shape": "linear",
+                     "g_shape": "smoothstep"},
+    }
+
+
+CASES = {
+    "evolve_salt_1d": lambda: shipped("evolve_salt_1d.json"),
+    "evolve_flat": lambda: shipped("evolve_flat.json"),
+    "light_merge": light_merge,
+    "spinful_2d": spinful_2d,
+}
+
+
+def build(raw):
+    """The typed config, its basis and the structured H the CLI builds."""
+    cfg = _typed(raw, _CONFIG, "config")
+    basis = _build_basis(cfg)
+    return cfg, basis, _build_scheduled_hamiltonian(cfg, basis)
+
+
+def dense_assembly(cfg, basis, schedule):
+    """The four dense blocks summed from zero blocks, as the command line
+    built H(s) before it kept the structure."""
+    sec = cfg["hamiltonian"]
+    regs = list(range(basis.particles.n_particles))
+    sub_a = sec["subsystem_a"] if sec["subsystem_a"] is not None else regs
+    sub_b = sec["subsystem_b"]
+    softening = sec["softening"] if sec["softening"] is not None \
+        else basis.grid.spacing
+
+    def fragment(registers):
+        block = zero_block(basis.size)
+        if sec["include_kinetic"] and registers:
+            block = block + build_kinetic(basis, registers)
+        pairs = [(i, j) for i in registers for j in registers if i < j]
+        if sec["include_coulomb"] and pairs:
+            block = block + build_coulomb(basis, softening, pairs)
+        return block
+
+    cross = [(i, j) for i in sub_a for j in sub_b]
+    h_ab = build_coulomb(basis, softening, cross) \
+        if sec["include_coulomb"] and cross else zero_block(basis.size)
+    trap = sec["trap"]
+    if trap is None:
+        v_trap = zero_block(basis.size)
+    elif "omega" in trap:
+        v_trap = build_trap(basis, TrapSpec.isotropic_spec(**trap))
+    else:
+        v_trap = build_trap(basis, TrapSpec(**trap))
+    return ScheduledHamiltonian(fragment(sub_a), fragment(sub_b), h_ab,
+                                v_trap, schedule)
+
+
+def ground_state(sh, s=0.0):
+    return hermitian_eigh(sh.evaluate(s).matrix)[1][:, 0].astype(complex)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_structured_evaluate_matches_dense_assembly(case):
+    cfg, basis, sh = build(CASES[case]())
+    dense = dense_assembly(cfg, basis, sh.schedule)
+    s1 = sh.schedule.s1
+    for s in (0.0, 0.21 * s1, sh.schedule.s0, 0.77 * s1, s1):
+        diff = sh.evaluate(s).matrix - dense.evaluate(s).matrix
+        assert np.max(np.abs(diff)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_step_count_read_without_dense_builds(case):
+    cfg, basis, sh = build(CASES[case]())
+    dense = dense_assembly(cfg, basis, sh.schedule)
+    for s_from, s_to in ((0.0, sh.schedule.s1), (0.1, 0.6 * sh.schedule.s1)):
+        assert default_step_count(sh, s_from, s_to) == \
+            default_step_count(dense, s_from, s_to)
+
+
+@pytest.mark.parametrize("grid, particles, registers", [
+    pytest.param(GridSpec(7, 1, 5.0), ParticleSet(0, (3.0, 7.0), (1.0, 1.0)),
+                 (0, 1), id="1d_two_registers"),
+    pytest.param(GridSpec(5, 2, 4.0), ParticleSet(1), (0,), id="2d"),
+    pytest.param(GridSpec(3, 2, 3.0),
+                 ParticleSet(1, (20.0,), (1.0,), electron_spin=True,
+                             nuclear_spin=True),
+                 (1, 0), id="2d_spinful"),
+    pytest.param(GridSpec(5, 1, 4.0),
+                 ParticleSet(2, (9.0,), (1.0,), electron_spin=True),
+                 (2, 0), id="1d_spinful_subset"),
+])
+def test_kinetic_factor_matches_dense_exponential(grid, particles, registers):
+    basis = enumerate_basis(grid, particles)
+    zeros = np.zeros(basis.size)
+    sh = StructuredHamiltonian(basis, registers, zeros, zeros, zeros,
+                               Schedule(0.5, 1.0))
+    ds = 0.7
+    w, v = np.linalg.eigh(build_kinetic(basis, registers).matrix)
+    dense = (v * np.exp(-1j * w * ds)) @ v.conj().T
+    split = kinetic_propagator(sh, ds)(np.eye(basis.size, dtype=complex))
+    assert np.max(np.abs(split - dense)) <= 1e-12
+
+
+def test_split_agrees_with_dense_on_the_salt_config():
+    raw = shipped("evolve_salt_1d.json")
+    cfg, basis, sh = build(raw)
+    dense = dense_assembly(cfg, basis, sh.schedule)
+    state = DensityMatrix.from_pure(ground_state(sh))
+    n_steps = raw["evolve"]["n_steps"]
+    split = propagate(state, sh, 0.0, sh.schedule.s1, n_steps)
+    oracle = propagate(state, dense, 0.0, sh.schedule.s1, n_steps)
+    psi = split.final_state.vector
+    fidelity = np.vdot(psi, oracle.final_state.matrix @ psi).real
+    assert 1.0 - fidelity < 1e-8
+    assert np.allclose(split.final_state.matrix, np.outer(psi, psi.conj()))
+
+
+def test_split_error_is_second_order():
+    _, _, sh = build(light_merge())
+    state = DensityMatrix.from_pure(ground_state(sh))
+
+    def final(n_steps):
+        return propagate(state, sh, 0.0, sh.schedule.s1,
+                         n_steps).final_state.vector
+
+    reference = final(512)
+    errors = [np.linalg.norm(final(n) - reference) for n in (8, 16)]
+    assert 3.0 <= errors[0] / errors[1] <= 6.0
+
+
+@st.composite
+def structured_problems(draw):
+    dims = draw(st.integers(1, 2))
+    m = draw(st.sampled_from([1, 3, 5] if dims == 1 else [1, 3]))
+    n_el = draw(st.integers(0, 2 if dims == 1 else 1))
+    n_nuc = draw(st.integers(0 if n_el else 1, 2 - n_el))
+    masses = tuple(draw(st.lists(st.floats(0.5, 50.0), min_size=n_nuc,
+                                 max_size=n_nuc)))
+    particles = ParticleSet(n_el, masses, (1.0,) * len(masses),
+                            electron_spin=draw(st.booleans()),
+                            nuclear_spin=draw(st.booleans()))
+    basis = enumerate_basis(GridSpec(m, dims, float(m)), particles)
+    registers = draw(st.lists(st.integers(0, particles.n_particles - 1),
+                              unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v_frag, v_ab, v_trap = rng.normal(scale=2.0, size=(3, basis.size))
+    sh = StructuredHamiltonian(basis, registers, v_frag, v_ab, v_trap,
+                               Schedule(0.6, 1.0, "smoothstep", "linear"))
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    return sh, psi / np.linalg.norm(psi), draw(st.integers(1, 12))
+
+
+@settings(max_examples=60)
+@given(structured_problems())
+def test_split_keeps_the_norm_and_matches_on_both_sides(problem):
+    sh, psi, n_steps = problem
+    pure = propagate(DensityMatrix.from_pure(psi), sh, 0.0, 1.0, n_steps)
+    final = pure.final_state.vector
+    assert abs(np.linalg.norm(final) - 1.0) <= 1e-12
+    assert pure.norm_drift <= 1e-12
+    mixed = propagate(DensityMatrix.trusted(np.outer(psi, psi.conj())), sh,
+                      0.0, 1.0, n_steps)
+    assert mixed.final_state.vector is None
+    assert np.max(np.abs(mixed.final_state.matrix
+                         - np.outer(final, final.conj()))) <= 1e-12
