@@ -29,8 +29,9 @@ from . import io as out_io
 from . import lzcost, symmetry, tree, weakmeas
 from .errors import (CenterOutsideBox, ConfigError, NodeExhausted,
                      SimulationError, UnsupportedUnit)
-from .evolution import (DensityMatrix, autocorrelation, default_step_count,
-                        hermitian_eigh, propagate, spectrum)
+from .evolution import (WINDOWS, DensityMatrix, autocorrelation,
+                        default_step_count, hermitian_eigh, propagate,
+                        spectrum)
 from .grid import GridSpec, ParticleSet, enumerate_basis
 from .hamiltonian import (Schedule, StructuredHamiltonian, TrapSpec,
                           coulomb_diagonal, trap_diagonal)
@@ -81,7 +82,8 @@ _SECTIONS = {
     "evolve": {"s_from": (float, 0.0), "s_to": (float, None),
                "n_steps": (AtLeast(int, 0), 0), "initial": (_INITIAL, {}),
                "autocorrelation": ({"t_max": (float, REQUIRED),
-                                    "n_samples": (int, REQUIRED),
+                                    "n_samples": (AtLeast(int, 2),
+                                                  REQUIRED),
                                     "window": (str, "hann"),
                                     "fixed_s": (float, None)}, None)},
     "criteria": [{"id": (str, REQUIRED), "mode": (str, REQUIRED),
@@ -297,9 +299,15 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     if fixed_s is not None and not 0.0 <= fixed_s <= s1:
         raise ConfigError(f"evolve.autocorrelation.fixed_s must lie in "
                           f"[0, s1 = {s1}], got {fixed_s}")
+    if auto and auto["t_max"] <= 0.0:
+        raise ConfigError(f"evolve.autocorrelation.t_max must be positive, "
+                          f"got {auto['t_max']}")
     if auto and fixed_s is None and auto["t_max"] > s1:
         raise ConfigError(f"evolve.autocorrelation.t_max {auto['t_max']} "
                           f"runs past s1 = {s1}; set fixed_s or lower it")
+    if auto and auto["window"] not in WINDOWS:
+        raise ConfigError(f"evolve.autocorrelation.window must be one of "
+                          f"{sorted(WINDOWS)}, got {auto['window']!r}")
 
     basis = _build_basis(cfg)
     sh = _build_scheduled_hamiltonian(cfg, basis)

@@ -1,21 +1,23 @@
 """State propagation under H(s), autocorrelation functions and spectra.
 
-A ``StructuredHamiltonian`` (what the command line builds) is stepped
-with Strang splitting, exp(-i V ds/2) exp(-i T ds) exp(-i V ds/2), V
-taken at the step midpoint. The potential factors are phases; the
-kinetic factor is exact, applied along each (register, lattice axis)
-tensor axis in the closed-form DST-I eigenbasis of the 1D Dirichlet
-stencil, so a step calls no eigensolver and costs O(n m) on a state
-vector. A pure state built by ``DensityMatrix.from_pure`` is propagated
-as its vector; a mixed state gets the map on both sides,
-U rho U^dag = U (U rho)^dag.
+Propagation runs one loop over per-step maps x -> U_k x, which act on
+arrays whose first axis is the basis index. The Hamiltonian picks the
+map:
 
-Any other scheduled Hamiltonian (four dense ``OperatorBlock``s) takes
-the dense path: exact midpoint-rule propagators U_k = exp(-i H(s_mid,k)
-ds) from an eigendecomposition, applied as U rho U^dag.
+- a ``StructuredHamiltonian`` (what the command line builds) gets the
+  Strang split step exp(-i V ds/2) exp(-i T ds) exp(-i V ds/2), V taken
+  at the step midpoint. The potential factors are phases; the kinetic
+  factor is exact, applied along each (register, lattice axis) tensor
+  axis in the closed-form DST-I eigenbasis of the 1D Dirichlet stencil,
+  so a step calls no eigensolver and costs O(n m) on a state vector;
+- any other scheduled Hamiltonian (four dense ``OperatorBlock``s) gets
+  the exact midpoint-rule propagator U_k = exp(-i H(s_mid,k) ds) from
+  an eigendecomposition.
 
-Both integrators are unitary to machine precision and second order in
-the step size.
+The state picks how the map is applied: a pure state (one with a
+``vector``) is propagated as its vector, a mixed state on both sides,
+U rho U^dag = U (U rho)^dag. Both integrators are unitary to machine
+precision and second order in the step size.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .hamiltonian import (OperatorBlock, ScheduledHamiltonian,
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+
+# spectrum window name -> weights of length n
+WINDOWS = {"hann": np.hanning, "rect": np.ones, "none": np.ones}
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,47 +187,41 @@ def kinetic_propagator(sh: StructuredHamiltonian,
     return apply
 
 
-def _strang_steps(x: np.ndarray, sh: StructuredHamiltonian,
-                  mids: np.ndarray, ds: float) -> Iterator[np.ndarray]:
-    """x after each split step exp(-i V(s) ds/2) exp(-i T ds)
-    exp(-i V(s) ds/2), s running over ``mids``; x is a state vector or
-    a matrix whose columns are stepped."""
-    kinetic = kinetic_propagator(sh, ds)
-    for s in mids:
-        half = np.exp(-0.5j * ds * sh.potential(s))
-        half = half.reshape(half.shape + (1,) * (x.ndim - 1))
-        x = half * kinetic(half * x)
-        yield x
+def _step_maps(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
+               mids: np.ndarray, ds: float
+               ) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+    """One map x -> U_k x per step, s_k running over ``mids``, on arrays
+    whose first axis is the basis index: the split step exp(-i V ds/2)
+    exp(-i T ds) exp(-i V ds/2) for a StructuredHamiltonian, else
+    exp(-i H(s) ds) with the schedule evaluated once for all steps, a
+    step whose rounded (f, g) equal the previous step's reusing its
+    unitary (a flat stretch of the schedule costs one
+    eigendecomposition)."""
+    if isinstance(sh, StructuredHamiltonian):
+        kinetic = kinetic_propagator(sh, ds)
+        for s in mids:
+            half = np.exp(-0.5j * ds * sh.potential(s))
 
-
-def _midpoint_unitaries(sh: ScheduledHamiltonian, mids: np.ndarray,
-                        ds: float) -> Iterator[np.ndarray]:
-    """exp(-i H(s) ds) for s in ``mids``, the schedule evaluated once for
-    all steps; a step whose rounded (f, g) equal the previous step's
-    reuses its unitary, so a flat stretch of the schedule costs one
-    eigendecomposition."""
+            def split(x: np.ndarray, half=half) -> np.ndarray:
+                h = half.reshape(half.shape + (1,) * (x.ndim - 1))
+                return h * kinetic(h * x)
+            yield split
+        return
     key = u = None
     for f, g in zip(sh.schedule.f(mids).tolist(),
                     sh.schedule.g(mids).tolist()):
         rounded = (round(f, 15), round(g, 15))
         if rounded != key:
             key, u = rounded, step_unitary(sh.combine(f, g).matrix, ds)
-        yield u
-
-
-def _midpoint_states(psi: np.ndarray, sh: ScheduledHamiltonian,
-                     mids: np.ndarray, ds: float) -> Iterator[np.ndarray]:
-    for u in _midpoint_unitaries(sh, mids, ds):
-        psi = u @ psi
-        yield psi
+        yield u.__matmul__
 
 
 def propagate(state: DensityMatrix,
               sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
               s_from: float, s_to: float, n_steps: int) -> PropagationReport:
-    """Evolve rho across [s_from, s_to] in ``n_steps`` steps: split-operator
-    steps for a StructuredHamiltonian, dense midpoint exponentials for a
-    ScheduledHamiltonian (see the module docstring)."""
+    """Evolve rho across [s_from, s_to] in ``n_steps`` steps (see the
+    module docstring): a pure state steps its vector, a mixed state
+    both sides of rho."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not (0.0 <= s_from < s_to <= sh.schedule.s1):
@@ -230,26 +229,15 @@ def propagate(state: DensityMatrix,
             f"require 0 <= s_from < s_to <= s1, got [{s_from}, {s_to}]")
 
     ds = (s_to - s_from) / n_steps
-    mids = s_from + (np.arange(n_steps) + 0.5) * ds
+    pure = state.vector is not None
+    x = state.vector if pure else state.matrix
     drift = 0.0
-    if not isinstance(sh, StructuredHamiltonian):
-        rho = state.matrix
-        for u in _midpoint_unitaries(sh, mids, ds):
-            rho = u @ rho @ u.conj().T
-            drift = max(drift, abs(np.trace(rho).real - 1.0))
-        final = DensityMatrix.trusted(rho)
-    elif state.vector is not None:
-        psi = state.vector
-        for psi in _strang_steps(psi, sh, mids, ds):
-            drift = max(drift, abs(np.vdot(psi, psi).real - 1.0))
-        final = DensityMatrix.from_pure(psi)
-    else:
-        for u_rho in _strang_steps(state.matrix, sh, mids, ds):
-            pass
-        for rho in _strang_steps(u_rho.conj().T, sh, mids, ds):
-            pass
-        drift = abs(np.trace(rho).real - 1.0)
-        final = DensityMatrix.trusted(rho)
+    mids = s_from + (np.arange(n_steps) + 0.5) * ds
+    for step in _step_maps(sh, mids, ds):
+        x = step(x) if pure else step(step(x).conj().T)
+        weight = np.vdot(x, x) if pure else np.trace(x)
+        drift = max(drift, abs(weight.real - 1.0))
+    final = DensityMatrix.from_pure(x) if pure else DensityMatrix.trusted(x)
     return PropagationReport(final_state=final, norm_drift=drift,
                              steps=n_steps, s_grid=mids)
 
@@ -274,7 +262,7 @@ def autocorrelation(initial: np.ndarray,
 
     A fixed Hamiltonian (OperatorBlock or matrix) is diagonalized once;
     a scheduled one is stepped as ``propagate`` steps it, with t read as
-    the schedule parameter s.
+    the schedule parameter s, so it needs 0 < t_max <= s1.
     """
     psi0 = np.asarray(initial, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -284,19 +272,15 @@ def autocorrelation(initial: np.ndarray,
     times = np.linspace(0.0, t_max, n_samples)
 
     if isinstance(hamiltonian, (ScheduledHamiltonian, StructuredHamiltonian)):
-        if t_max > hamiltonian.schedule.s1:
-            raise ScheduleOutOfRange("t_max exceeds the schedule endpoint")
+        if not 0.0 < t_max <= hamiltonian.schedule.s1:
+            raise ScheduleOutOfRange(
+                f"require 0 < t_max <= s1, got {t_max}")
         dt = times[1] - times[0]
-        mids = times[:-1] + 0.5 * dt
-        if isinstance(hamiltonian, StructuredHamiltonian):
-            states = _strang_steps(psi0, hamiltonian, mids, dt)
-        else:
-            states = _midpoint_states(psi0, hamiltonian, mids, dt)
-        values = np.empty(n_samples, dtype=complex)
-        values[0] = 1.0
-        for k, psi in enumerate(states, start=1):
-            values[k] = np.vdot(psi0, psi)
-        return times, values
+        psi, values = psi0, [1.0]
+        for step in _step_maps(hamiltonian, times[:-1] + 0.5 * dt, dt):
+            psi = step(psi)
+            values.append(np.vdot(psi0, psi))
+        return times, np.array(values, dtype=complex)
 
     h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
         else np.asarray(hamiltonian, dtype=complex)
@@ -321,14 +305,10 @@ def spectrum(times: np.ndarray, values: np.ndarray,
     dt = times[1] - times[0]
     if dt <= 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(dt, 1.0):
         raise NonuniformGrid("time samples are not uniformly spaced")
-    n = times.size
-    if window == "hann":
-        win = np.hanning(n)
-    elif window in ("rect", "none"):
-        win = np.ones(n)
-    else:
+    if window not in WINDOWS:
         raise ValueError(f"unknown window {window!r}")
-    coeff = np.fft.ifft(values * win) * n
+    n = times.size
+    coeff = np.fft.ifft(values * WINDOWS[window](n)) * n
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
     order = np.argsort(freqs)
     return freqs[order], np.abs(coeff)[order]

@@ -79,6 +79,15 @@ class TestConfigSchema:
                      (("evolve", "autocorrelation"),
                       {"t_max": 50.0, "n_samples": 64, "fixed_s": None}),
                      "evolve", id="t_max_past_schedule_end"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve", "autocorrelation", "n_samples"), 1),
+                     "evolve", id="one_autocorrelation_sample"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve", "autocorrelation", "t_max"), -1.0),
+                     "evolve", id="t_max_not_positive"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve", "autocorrelation", "window"), "bogus"),
+                     "evolve", id="unknown_window"),
         pytest.param("tree_synthetic.json", (("tree", "nodes", "delta"), 3.0),
                      "tree", id="tree_delta_out_of_range"),
         pytest.param("lz_rbcs.json", (("lz", "mu", "unit"), "furlong"), "lz",
@@ -103,6 +112,7 @@ class TestConfigSchema:
         assert "Traceback" not in captured.out + captured.err
         record = json.loads(captured.out.strip().splitlines()[-1])
         assert record["status"] == "config_error"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_wrong_schema_version(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "evolve_flat.json").read_text())

@@ -185,6 +185,15 @@ class TestAutocorrelation:
         t2, v2 = autocorrelation(psi, h, 4.0, 65)
         assert np.allclose(v1, v2, atol=1e-10)
 
+    @pytest.mark.parametrize("t_max", [-2.0, 0.0, 4.5])
+    def test_scheduled_t_max_outside_the_schedule(self, t_max):
+        h = OperatorBlock(np.diag([0.0, 1.0]), "external")
+        zero = OperatorBlock(np.zeros((2, 2)), "external")
+        sh = ScheduledHamiltonian(h, zero, zero, zero,
+                                  Schedule(s0=0.5, s1=4.0))
+        with pytest.raises(ScheduleOutOfRange):
+            autocorrelation(np.array([1.0, 0.0]), sh, t_max, 5)
+
 
 class TestSpectrum:
     def test_pure_tone_peaks_at_omega(self):

@@ -15,7 +15,8 @@ from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
 from mergosim.evolution import (DensityMatrix, default_step_count,
                                 hermitian_eigh, kinetic_propagator, propagate)
 from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
-from mergosim.hamiltonian import (Schedule, ScheduledHamiltonian,
+from mergosim.hamiltonian import (OperatorBlock, Schedule,
+                                  ScheduledHamiltonian,
                                   StructuredHamiltonian, TrapSpec,
                                   build_coulomb, build_kinetic, build_trap,
                                   zero_block)
@@ -201,10 +202,23 @@ def structured_problems(draw):
     return sh, psi / np.linalg.norm(psi), draw(st.integers(1, 12))
 
 
-@settings(max_examples=60)
-@given(structured_problems())
-def test_split_keeps_the_norm_and_matches_on_both_sides(problem):
-    sh, psi, n_steps = problem
+@st.composite
+def dense_problems(draw):
+    """Four random Hermitian blocks under a smoothstep/linear schedule."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = (rng.normal(size=(4, dim, dim))
+            + 1j * rng.normal(size=(4, dim, dim)))
+    blocks = [OperatorBlock(m + m.conj().T, "external") for m in mats]
+    sh = ScheduledHamiltonian(*blocks,
+                              Schedule(0.6, 1.0, "smoothstep", "linear"))
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return sh, psi / np.linalg.norm(psi), draw(st.integers(1, 12))
+
+
+def check_both_sides(sh, psi, n_steps):
+    """A pure input comes back as a unit vector; the same state given as a
+    mixed one comes back as its projector."""
     pure = propagate(DensityMatrix.from_pure(psi), sh, 0.0, 1.0, n_steps)
     final = pure.final_state.vector
     assert abs(np.linalg.norm(final) - 1.0) <= 1e-12
@@ -214,3 +228,15 @@ def test_split_keeps_the_norm_and_matches_on_both_sides(problem):
     assert mixed.final_state.vector is None
     assert np.max(np.abs(mixed.final_state.matrix
                          - np.outer(final, final.conj()))) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(structured_problems())
+def test_split_keeps_the_norm_and_matches_on_both_sides(problem):
+    check_both_sides(*problem)
+
+
+@settings(max_examples=60)
+@given(dense_problems())
+def test_dense_keeps_the_norm_and_matches_on_both_sides(problem):
+    check_both_sides(*problem)
