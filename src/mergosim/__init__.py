@@ -12,7 +12,7 @@ from .criteria import (Bipartition, GeometricCriterion, SymmetrizedCriterion,
                        validate_symmetric)
 from .errors import SimulationError
 from .evolution import (DensityMatrix, PropagationReport, autocorrelation,
-                        propagate, spectrum)
+                        ground_state, propagate, spectrum)
 from .grid import (Basis, Configuration, GridSpec, ParticleSet,
                    enumerate_basis, label_to_coord)
 from .hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,

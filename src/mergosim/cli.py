@@ -30,8 +30,8 @@ from . import lzcost, symmetry, tree, weakmeas
 from .errors import (CenterOutsideBox, ConfigError, NodeExhausted,
                      SimulationError, UnsupportedUnit)
 from .evolution import (WINDOWS, DensityMatrix, autocorrelation,
-                        default_step_count, hermitian_eigh, propagate,
-                        spectrum)
+                        default_step_count, ground_state, hermitian_eigh,
+                        propagate, spectrum)
 from .grid import GridSpec, ParticleSet, enumerate_basis
 from .hamiltonian import (Schedule, StructuredHamiltonian, TrapSpec,
                           coulomb_diagonal, trap_diagonal)
@@ -267,7 +267,8 @@ def _build_scheduled_hamiltonian(cfg: dict, basis) -> StructuredHamiltonian:
         v_trap=v_trap, schedule=Schedule(**_section(cfg, "schedule")))
 
 
-def _initial_vector(spec: dict, dim: int, hamiltonian=None) -> np.ndarray:
+def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
+                    ) -> np.ndarray:
     kind, index = spec["kind"], spec["index"]
     if kind in ("basis_state", "eigenstate") and not 0 <= index < dim:
         raise ConfigError(f"initial state index {index} outside the "
@@ -279,10 +280,13 @@ def _initial_vector(spec: dict, dim: int, hamiltonian=None) -> np.ndarray:
     if kind == "uniform":
         return np.ones(dim, dtype=complex) / math.sqrt(dim)
     if kind == "eigenstate":
-        if hamiltonian is None:
+        if sh is None:
             raise ConfigError("eigenstate initial state needs a Hamiltonian")
-        _, vecs = hermitian_eigh(hamiltonian)
-        return vecs[:, index].astype(complex)
+        # Lanczos finds one vector; a level above a degenerate one
+        # needs the full spectrum
+        vec = ground_state(sh, s)[1] if index == 0 \
+            else hermitian_eigh(sh.dense(s))[1][:, index]
+        return vec.astype(complex)
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
@@ -312,9 +316,7 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     basis = _build_basis(cfg)
     sh = _build_scheduled_hamiltonian(cfg, basis)
     n_steps = sec["n_steps"] or default_step_count(sh, s_from, s_to)
-    h0 = sh.evaluate(s_from).matrix \
-        if sec["initial"]["kind"] == "eigenstate" else None
-    psi0 = _initial_vector(sec["initial"], basis.size, h0)
+    psi0 = _initial_vector(sec["initial"], basis.size, sh, s_from)
     report = propagate(DensityMatrix.from_pure(psi0), sh, s_from, s_to, n_steps)
 
     payload = {"status": "ok", "dim": basis.size, "steps": report.steps,
@@ -326,7 +328,7 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     artifacts = [path]
 
     if auto:
-        target = sh.evaluate(fixed_s) if fixed_s is not None else sh
+        target = sh.dense(fixed_s) if fixed_s is not None else sh
         times, values = autocorrelation(psi0, target, auto["t_max"],
                                         auto["n_samples"])
         corr_path = os.path.join(out_dir, "correlation.csv")

@@ -62,7 +62,8 @@ class Degenerate(SimulationError):
 
 
 class MaxItersExceeded(SimulationError):
-    """Repeat-until-success gave up before heralding success."""
+    """An iterative routine gave up: repeat-until-success before heralding
+    success, or a Lanczos ground state whose residual stayed too large."""
 
 
 class EmptySector(SimulationError):

@@ -17,19 +17,29 @@ map:
 The state picks how the map is applied: a pure state (one with a
 ``vector``) is propagated as its vector, a mixed state on both sides,
 U rho U^dag = U (U rho)^dag. Both integrators are unitary to machine
-precision and second order in the step size.
+precision and second order in the step size. A pure state builds its
+density matrix only when asked, so a pure run stays O(n m) to the end.
+
+The usual initial state, the ground state of a ``StructuredHamiltonian``,
+comes from ``ground_state``: Lanczos on the matrix-free product
+``StructuredHamiltonian.apply``, O(n) memory per Krylov vector and no
+n x n array. The dense ``evaluate``/``dense`` assembly stays as the
+oracle, the path to an excited eigenstate (a single-vector Lanczos
+cannot resolve a degenerate level below it) and the fixed-s
+autocorrelation, which diagonalizes the real symmetric H(s) once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import (NonHermitianHamiltonian, NonuniformGrid,
-                     ScheduleOutOfRange, UnnormalizedInput)
+from .errors import (MaxItersExceeded, NonHermitianHamiltonian,
+                     NonuniformGrid, ScheduleOutOfRange, UnnormalizedInput)
 from .hamiltonian import (OperatorBlock, ScheduledHamiltonian,
                           StructuredHamiltonian)
 
@@ -37,25 +47,38 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
+# Lanczos ground state: start-vector seed (fixed, so a run's initial
+# state does not depend on the config seed), Ritz residual estimate at
+# which to stop (Hartree, absolute), first convergence check and growth
+# of the check schedule, and Krylov rows allocated at a time.
+LANCZOS_SEED = 20240917
+RITZ_TOL = 1e-12
+FIRST_CHECK = 8
+CHECK_GROWTH = 1.5
+KRYLOV_CHUNK = 64
+
 # spectrum window name -> weights of length n
 WINDOWS = {"hann": np.hanning, "rect": np.ones, "none": np.ones}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state carrier.
 
     ``vector`` is the (read-only) state vector of a pure state built by
-    ``from_pure`` or propagated from one, and None otherwise.
+    ``from_pure`` or propagated from one, and None otherwise. A pure
+    state builds its ``matrix`` |v><v| only on first access, and reads
+    ``trace`` and ``purity`` from the vector.
     """
 
-    matrix: np.ndarray
-    vector: Optional[np.ndarray] = field(default=None, init=False,
-                                         repr=False)
+    vector: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __init__(self, matrix: np.ndarray):
+        object.__setattr__(self, "matrix", np.asarray(matrix, dtype=complex))
+        self.__post_init__()
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
+        mat = self.matrix
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
@@ -80,7 +103,6 @@ class DensityMatrix:
             raise ValueError("density matrix trace differs from one")
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", mat)
-        object.__setattr__(obj, "vector", None)
         return obj
 
     @classmethod
@@ -90,8 +112,8 @@ class DensityMatrix:
         norm = np.linalg.norm(v)
         if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
             raise UnnormalizedInput(f"vector norm {norm} differs from one")
-        obj = cls.trusted(np.outer(v, v.conj()))
         v.setflags(write=False)
+        obj = object.__new__(cls)
         object.__setattr__(obj, "vector", v)
         return obj
 
@@ -105,15 +127,27 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """rho; a mixed state sets it at construction, a pure state
+        builds |v><v| here on first access."""
+        return np.outer(self.vector, self.vector.conj())
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.vector) if self.vector is not None \
+            else self.matrix.shape[0]
 
     def trace(self) -> float:
+        if self.vector is not None:
+            return float(np.vdot(self.vector, self.vector).real)
         return float(np.trace(self.matrix).real)
 
     def purity(self) -> float:
-        """tr(rho^2) = sum |rho_ij|^2 for Hermitian rho, in O(n^2)."""
+        """tr(rho^2): (v^dag v)^2 for a pure state in O(n), else
+        sum |rho_ij|^2 for Hermitian rho in O(n^2)."""
+        if self.vector is not None:
+            return self.trace() ** 2
         return float(np.vdot(self.matrix, self.matrix).real)
 
     def expectation(self, operator: np.ndarray) -> float:
@@ -242,6 +276,105 @@ def propagate(state: DensityMatrix,
                              steps=n_steps, s_grid=mids)
 
 
+def _lowest_tridiagonal_pair(alpha: list, beta: list
+                             ) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the symmetric tridiagonal with diagonal
+    ``alpha`` and off-diagonal ``beta``, in O(k) per pass: bisection on
+    the Sturm count (the LDL^T pivots of T - x), then two inverse
+    iteration solves with T - lo, positive definite because every pivot
+    at lo is positive. Eigenvalue accuracy is 4 eps max(||T||, 1)."""
+    k = len(alpha)
+    off = [0.0] + [b * b for b in beta]
+    radius = np.abs(np.r_[beta, 0.0]) + np.abs(np.r_[0.0, beta])
+    lo = float(np.min(np.asarray(alpha) - radius))
+    hi = float(min(alpha))
+    tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+
+    def pivots(x: float) -> Optional[list]:
+        """The pivots of T - x, or None once one is not positive (an
+        eigenvalue lies at or below x)."""
+        d, out = 1.0, []
+        for a, b2 in zip(alpha, off):
+            d = a - x - b2 / d
+            if d <= 0.0:
+                return None
+            out.append(d)
+        return out
+
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pivots(mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    d = pivots(lo)
+    while d is None:  # lo sits on the eigenvalue to the last bit
+        lo -= tol
+        d = pivots(lo)
+    y = [1.0] * k
+    for _ in range(2):
+        for i in range(1, k):  # forward: L z = y
+            y[i] -= beta[i - 1] / d[i - 1] * y[i - 1]
+        y[k - 1] /= d[k - 1]
+        for i in range(k - 2, -1, -1):  # back: D L^T y = z
+            y[i] = (y[i] - beta[i] * y[i + 1]) / d[i]
+        y = (np.asarray(y) / np.linalg.norm(y)).tolist()
+    return hi, np.asarray(y)
+
+
+def ground_state(sh: StructuredHamiltonian,
+                 s: float) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (E0, v) of H(s) by Lanczos on ``sh.apply``.
+
+    Each step follows the three-term recurrence with one Gram-Schmidt
+    pass against the whole Krylov basis (full reorthogonalisation), from
+    a start vector drawn from LANCZOS_SEED. The basis grows by
+    KRYLOV_CHUNK rows and reaches n x n only if the run needs all n
+    iterations, where the Krylov space is the whole space and the answer
+    exact. The Ritz pair is checked on a geometric schedule and taken
+    once the residual estimate |beta_k y_k| is at most RITZ_TOL. It is accepted only when the true
+    residual ||H v - E0 v|| is at most max(RITZ_TOL, 64 eps ||H||),
+    with ||H|| bounded from the stencil and the diagonal; otherwise
+    ``MaxItersExceeded`` is raised. v is real, of unit norm, and its
+    largest-magnitude component is positive.
+    """
+    n = sh.dim
+    start = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    krylov = np.empty((min(n, KRYLOV_CHUNK), n))
+    krylov[0] = start / np.linalg.norm(start)
+    alpha, beta = [], []
+    check = FIRST_CHECK
+    for k in range(1, n + 1):
+        q = krylov[k - 1]
+        w = sh.apply(q, s)
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q
+        if beta:
+            w -= beta[-1] * krylov[k - 2]
+        w -= (krylov[:k] @ w) @ krylov[:k]
+        b = float(np.linalg.norm(w))
+        if k >= check or k == n or b <= RITZ_TOL:
+            energy, y = _lowest_tridiagonal_pair(alpha, beta)
+            if b * abs(y[-1]) <= RITZ_TOL or k == n:
+                break
+            check = max(k + 1, int(CHECK_GROWTH * check))
+        if k == len(krylov):
+            krylov = np.concatenate(
+                [krylov, np.empty((min(n - k, KRYLOV_CHUNK), n))])
+        beta.append(b)
+        krylov[k] = w / b
+    v = y @ krylov[:k]
+    v /= np.linalg.norm(v)
+    v *= np.sign(v[np.argmax(np.abs(v))])
+    residual = float(np.linalg.norm(sh.apply(v, s) - energy * v))
+    tol = max(RITZ_TOL, 64.0 * np.finfo(float).eps * sh.norm_bound(s))
+    if not residual <= tol:
+        raise MaxItersExceeded(
+            f"Lanczos ground state of H({s}) has residual {residual:.3e} "
+            f"above {tol:.3e} after {k} iterations")
+    return energy, v
+
+
 def default_step_count(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
                        s_from: float, s_to: float,
                        resolution: float = 0.1) -> int:
@@ -260,9 +393,10 @@ def autocorrelation(initial: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """C(t) = <psi0 | psi(t)> on a uniform t-grid including t = 0.
 
-    A fixed Hamiltonian (OperatorBlock or matrix) is diagonalized once;
-    a scheduled one is stepped as ``propagate`` steps it, with t read as
-    the schedule parameter s, so it needs 0 < t_max <= s1.
+    A fixed Hamiltonian (OperatorBlock or matrix) is diagonalized once,
+    in real arithmetic when it is a real matrix; a scheduled one is
+    stepped as ``propagate`` steps it, with t read as the schedule
+    parameter s, so it needs 0 < t_max <= s1.
     """
     psi0 = np.asarray(initial, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -283,10 +417,14 @@ def autocorrelation(initial: np.ndarray,
         return times, np.array(values, dtype=complex)
 
     h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
-        else np.asarray(hamiltonian, dtype=complex)
+        else np.asarray(hamiltonian)
     _check_hermitian(h)
     w, v = hermitian_eigh(h)
-    weights = np.abs(v.conj().T @ psi0) ** 2
+    if np.iscomplexobj(v):
+        weights = np.abs(v.conj().T @ psi0) ** 2
+    else:
+        overlaps = v.T @ np.column_stack([psi0.real, psi0.imag])
+        weights = np.sum(overlaps * overlaps, axis=1)
     phases = np.exp(-1j * np.outer(times, w))
     return times, phases @ weights
 

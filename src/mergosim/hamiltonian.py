@@ -17,6 +17,7 @@ coincident grid points stay finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -79,7 +80,7 @@ def _kinetic_coefficient(basis: Basis, register: int) -> float:
 
 def _kinetic_matrix(basis: Basis, registers: Sequence[int]) -> np.ndarray:
     n = basis.size
-    mat = np.zeros((n, n), dtype=complex)
+    mat = np.zeros((n, n))
     columns = np.arange(n)
     for p in registers:
         c = _kinetic_coefficient(basis, p)
@@ -456,8 +457,10 @@ class StructuredHamiltonian:
     (register, lattice axis), each acting on one tensor axis of the
     basis. The potential is diagonal: the intra-fragment Coulomb energy
     ``v_frag``, the inter-fragment coupling ``v_ab`` ramped by f and the
-    trap ``v_trap`` ramped by g. ``evaluate(s)`` assembles the dense
-    block, the oracle for everything that uses this structure.
+    trap ``v_trap`` ramped by g. ``apply(x, s)`` is H(s) x in O(n) per
+    kinetic axis with no n x n array; ``dense(s)`` assembles the real
+    symmetric matrix, and ``evaluate(s)`` wraps it as a checked block,
+    the oracle for everything that uses this structure.
     """
 
     basis: Basis
@@ -498,10 +501,29 @@ class StructuredHamiltonian:
                 for p in self.kinetic_registers
                 for axis in range(self.basis.grid.dims)]
 
-    def evaluate(self, s: float) -> OperatorBlock:
+    def apply(self, x: np.ndarray, s: float) -> np.ndarray:
+        """H(s) x for an array whose first axis is the basis index: V(s)
+        times x plus c (2 - shift - shift^T) along each kinetic tensor
+        axis, Dirichlet at the lattice ends."""
+        v = self.potential(s)
+        out = v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
+        shape = self.basis.tensor_shape
+        for axis, c in self.kinetic_axes():
+            xs = x.reshape(math.prod(shape[:axis]), shape[axis], -1)
+            stencil = 2.0 * xs
+            stencil[:, 1:] -= xs[:, :-1]
+            stencil[:, :-1] -= xs[:, 1:]
+            out += c * stencil.reshape(x.shape)
+        return out
+
+    def dense(self, s: float) -> np.ndarray:
+        """H(s) as a real symmetric float64 matrix."""
         mat = _kinetic_matrix(self.basis, self.kinetic_registers)
         mat[np.diag_indices(self.dim)] += self.potential(s)
-        return OperatorBlock(mat, "total")
+        return mat
+
+    def evaluate(self, s: float) -> OperatorBlock:
+        return OperatorBlock(self.dense(s), "total")
 
     def norm_max(self, s: float) -> float:
         """max |H(s)_ij| read from the stencil and the diagonals: the
@@ -512,3 +534,10 @@ class StructuredHamiltonian:
         neighbour = max(coefficients) \
             if coefficients and self.basis.grid.points_per_axis > 1 else 0.0
         return float(max(np.max(np.abs(diagonal)), neighbour))
+
+    def norm_bound(self, s: float) -> float:
+        """Gershgorin bound on ||H(s)||_2 read from the stencil and the
+        diagonals: max |diagonal| plus the kinetic neighbour row sum
+        2 sum c."""
+        kinetic = 2.0 * sum(c for _, c in self.kinetic_axes())
+        return float(np.max(np.abs(kinetic + self.potential(s))) + kinetic)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +153,24 @@ class TestEvolveCommand:
         assert report["norm_drift"] < 1e-9
         assert report["dim"] == 81
         assert (out / "spectrum.csv").exists()
+
+    def test_evolve_imports_numpy_but_not_scipy(self, tmp_path):
+        """numpy is the only numerical dependency: an evolve run (Lanczos
+        start, split steps, fixed-s autocorrelation) loads no scipy."""
+        script = (
+            "import sys\n"
+            "from mergosim.cli import main\n"
+            f"code = main(['evolve', '--config', "
+            f"{str(CONFIG_DIR / 'evolve_salt_1d.json')!r}, "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip().splitlines()[-1] == "0 []"
 
 
 class TestTreeCommand:

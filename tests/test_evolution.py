@@ -42,6 +42,16 @@ class TestDensityMatrix:
         with pytest.raises(UnnormalizedInput):
             DensityMatrix.from_pure(np.array([np.nan, 0.0]))
 
+    def test_pure_state_builds_its_matrix_on_first_access(self):
+        psi = np.array([0.6, 0.48j, 0.64])
+        rho = DensityMatrix.from_pure(psi)
+        assert rho.dim == 3
+        assert rho.trace() == pytest.approx(1.0, abs=1e-15)
+        assert rho.purity() == pytest.approx(1.0, abs=1e-15)
+        assert "matrix" not in vars(rho)
+        assert np.array_equal(rho.matrix, np.outer(psi, psi.conj()))
+        assert rho.matrix is rho.matrix
+
 
 class TestPropagate:
     def test_constant_diagonal_keeps_populations(self):

@@ -1,8 +1,10 @@
-"""The structured H(s) and its split-operator propagation, pinned to the
-dense oracle: the four dense blocks the command line used to assemble,
-dense exponentials of ``build_kinetic`` and the midpoint-rule path."""
+"""The structured H(s), its matrix-free product, Lanczos ground state and
+split-operator propagation, pinned to the dense oracle: the four dense
+blocks the command line used to assemble, dense eigendecompositions and
+exponentials of ``build_kinetic`` and the midpoint-rule path."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
-                          _typed)
-from mergosim.evolution import (DensityMatrix, default_step_count,
+                          _initial_vector, _typed, main)
+from mergosim.evolution import (DensityMatrix, _lowest_tridiagonal_pair,
+                                default_step_count, ground_state,
                                 hermitian_eigh, kinetic_propagator, propagate)
 from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
 from mergosim.hamiltonian import (OperatorBlock, Schedule,
@@ -106,7 +109,7 @@ def dense_assembly(cfg, basis, schedule):
                                 v_trap, schedule)
 
 
-def ground_state(sh, s=0.0):
+def dense_ground_state(sh, s=0.0):
     return hermitian_eigh(sh.evaluate(s).matrix)[1][:, 0].astype(complex)
 
 
@@ -157,7 +160,7 @@ def test_split_agrees_with_dense_on_the_salt_config():
     raw = shipped("evolve_salt_1d.json")
     cfg, basis, sh = build(raw)
     dense = dense_assembly(cfg, basis, sh.schedule)
-    state = DensityMatrix.from_pure(ground_state(sh))
+    state = DensityMatrix.from_pure(dense_ground_state(sh))
     n_steps = raw["evolve"]["n_steps"]
     split = propagate(state, sh, 0.0, sh.schedule.s1, n_steps)
     oracle = propagate(state, dense, 0.0, sh.schedule.s1, n_steps)
@@ -169,7 +172,7 @@ def test_split_agrees_with_dense_on_the_salt_config():
 
 def test_split_error_is_second_order():
     _, _, sh = build(light_merge())
-    state = DensityMatrix.from_pure(ground_state(sh))
+    state = DensityMatrix.from_pure(dense_ground_state(sh))
 
     def final(n_steps):
         return propagate(state, sh, 0.0, sh.schedule.s1,
@@ -240,3 +243,97 @@ def test_split_keeps_the_norm_and_matches_on_both_sides(problem):
 @given(dense_problems())
 def test_dense_keeps_the_norm_and_matches_on_both_sides(problem):
     check_both_sides(*problem)
+
+
+@settings(max_examples=60)
+@given(structured_problems(), st.floats(0.0, 1.0), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_apply_matches_the_dense_matrix(problem, s, columns, seed):
+    """apply is H(s) x on vectors and on matrices; dense is the real part
+    of the checked block, bit for bit."""
+    sh, psi, _ = problem
+    block = sh.evaluate(s).matrix
+    assert np.array_equal(sh.dense(s), block.real)
+    assert sh.dense(s).dtype == np.float64
+    x = psi if columns == 0 else np.random.default_rng(seed).normal(
+        size=(sh.dim, columns))
+    assert np.max(np.abs(sh.apply(x, s) - block @ x)) <= 1e-12
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 40), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_lowest_tridiagonal_pair_matches_eigh(k, scale, seed):
+    """The Ritz solve against LAPACK on unreduced tridiagonals (positive
+    off-diagonal, as Lanczos makes them) over six decades of scale."""
+    rng = np.random.default_rng(seed)
+    alpha = scale * rng.normal(size=k)
+    beta = scale * rng.uniform(1e-3, 1.0, size=k - 1)
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    w = np.linalg.eigvalsh(t)
+    energy, y = _lowest_tridiagonal_pair(alpha.tolist(), beta.tolist())
+    eps_norm = np.finfo(float).eps * max(1.0, np.linalg.norm(t, np.inf))
+    assert abs(energy - w[0]) <= 8 * eps_norm
+    assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+    assert np.linalg.norm(t @ y - energy * y) <= 64 * eps_norm
+
+
+# Cases whose H(0) has a degenerate ground level: Lanczos returns one
+# vector of it, so only its residual and energy are pinned.
+DEGENERATE = {"evolve_flat", "spinful_2d"}
+LANCZOS_CASES = dict(CASES, merge_21=lambda: light_merge(21))
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_lanczos_ground_state_matches_dense(case):
+    _, _, sh = build(LANCZOS_CASES[case]())
+    energy, v = ground_state(sh, 0.0)
+    w, vecs = np.linalg.eigh(sh.dense(0.0))
+    assert abs(energy - w[0]) <= 1e-12
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert v[np.argmax(np.abs(v))] > 0.0
+    assert np.linalg.norm(sh.apply(v, 0.0) - energy * v) <= 1e-12
+    degenerate = w[1] - w[0] <= 1e-10
+    assert degenerate == (case in DEGENERATE)
+    if not degenerate:
+        dense = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
+        assert np.linalg.norm(v - dense) <= 1e-10
+
+
+def test_excited_eigenstate_start_is_the_dense_column():
+    _, basis, sh = build(light_merge())
+    spec = {"kind": "eigenstate", "index": 1}
+    dense = hermitian_eigh(sh.evaluate(0.0).matrix)[1][:, 1]
+    assert np.array_equal(_initial_vector(spec, basis.size, sh, 0.0), dense)
+
+
+def test_lanczos_rejects_a_non_hermitian_apply(monkeypatch, tmp_path, capsys):
+    from mergosim.hamiltonian import StructuredHamiltonian as SH
+    hermitian = SH.apply
+    monkeypatch.setattr(SH, "apply", lambda self, x, s: hermitian(
+        self, x, s) + 1e-3 * np.roll(x, 1, axis=0))
+    code = main(["evolve", "--config", str(CONFIG_DIR / "evolve_salt_1d.json"),
+                 "--out", str(tmp_path)])
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 3
+    assert record["status"] == "runtime_error"
+    assert "Lanczos" in record["error"]
+
+
+def test_eigenstate_start_and_propagation_stay_small():
+    """n = 3969: the Lanczos start and an 8-step propagation of the pure
+    state never hold an n x n array (one real one is 126 MB)."""
+    _, _, sh = build(light_merge(63))
+    assert sh.dim == 3969
+    tracemalloc.start()
+    try:
+        _, v = ground_state(sh, 0.0)
+        report = propagate(DensityMatrix.from_pure(v), sh, 0.0,
+                           sh.schedule.s1, 8)
+        assert abs(report.final_state.purity() - 1.0) <= 1e-12
+        assert abs(report.final_state.trace() - 1.0) <= 1e-12
+        assert "matrix" not in vars(report.final_state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
