@@ -274,9 +274,7 @@ def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
         raise ConfigError(f"initial state index {index} outside the "
                           f"basis of size {dim}")
     if kind == "basis_state":
-        v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
-        return v
+        return DensityMatrix.basis_state(dim, index).vector
     if kind == "uniform":
         return np.ones(dim, dtype=complex) / math.sqrt(dim)
     if kind == "eigenstate":

@@ -18,9 +18,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import PairIndexOutOfRange
+from .evolution import DensityMatrix, row_scaling
 from .grid import Basis, Configuration, GridSpec, ParticleSet, label_to_coord
-from .symmetry import (Permutation, SymmetryDeclaration, generators,
-                       group_elements, permutation_indices)
+from .symmetry import (Permutation, SymmetryDeclaration, antisymmetrize,
+                       generators, group_elements, permutation_indices)
 from .units import unit_convert
 
 EXHAUSTIVE_LIMIT = 4096
@@ -215,23 +216,19 @@ def symmetry_breaking_witness(criterion: Criterion,
     """Constructive necessity witness for a non-symmetric criterion.
 
     From a violating configuration, build its (anti)symmetrized state,
-    project it onto the accepted block, and return the projected vector
-    (the caller scores its symmetry deviation). Returns None when the
-    criterion validates as symmetric.
+    project it onto the accepted block (the rejected one if A holds no
+    weight) and return the unit vector (the caller scores its symmetry
+    deviation). Returns None when the criterion validates as symmetric.
     """
-    from .symmetry import antisymmetrize
-
     result = validate_symmetric(criterion, declaration, basis, seed=seed)
     if result.symmetric:
         return None
     _, cfg = result.counterexample
     vec = np.zeros(basis.size, dtype=complex)
     vec[basis.index_of(cfg)] = 1.0
-    sym_vec = antisymmetrize(vec, declaration, basis)
+    state = DensityMatrix.from_pure(antisymmetrize(vec, declaration, basis))
     mask = bipartition(criterion, basis).mask
-    projected = np.where(mask, sym_vec, 0.0)
-    norm = np.linalg.norm(projected)
-    if norm == 0.0:
-        projected = np.where(~mask, sym_vec, 0.0)
-        norm = np.linalg.norm(projected)
-    return projected / norm
+    _, post = state.mapped(row_scaling(mask))
+    if post is None:
+        _, post = state.mapped(row_scaling(~mask))
+    return post.vector

@@ -14,8 +14,8 @@ map:
   the exact midpoint-rule propagator U_k = exp(-i H(s_mid,k) ds) from
   an eigendecomposition.
 
-The state picks how the map is applied: a pure state (one with a
-``vector``) is propagated as its vector, a mixed state on both sides,
+The state picks how the map is applied (``DensityMatrix.map_rows``): a
+pure state is propagated as its vector, a mixed state on both sides,
 U rho U^dag = U (U rho)^dag. Both integrators are unitary to machine
 precision and second order in the step size. A pure state builds its
 density matrix only when asked, so a pure run stays O(n m) to the end.
@@ -42,6 +42,7 @@ from .errors import (MaxItersExceeded, NonHermitianHamiltonian,
                      NonuniformGrid, ScheduleOutOfRange, UnnormalizedInput)
 from .hamiltonian import (OperatorBlock, ScheduledHamiltonian,
                           StructuredHamiltonian)
+from .io import write_matrix
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -63,13 +64,11 @@ WINDOWS = {"hann": np.hanning, "rect": np.ones, "none": np.ones}
 
 @dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state carrier.
-
-    ``vector`` is the (read-only) state vector of a pure state built by
-    ``from_pure`` or propagated from one, and None otherwise. A pure
-    state builds its ``matrix`` |v><v| only on first access, and reads
-    ``trace`` and ``purity`` from the vector.
-    """
+    """Hermitian, unit-trace, positive-semidefinite state carrier; the one
+    place that tells a pure state from a mixed one. ``array`` is the
+    read-only ``vector`` of a pure state (None otherwise), or the matrix of
+    a mixed one. Row maps act on it (``map_rows``, ``mapped``), so a pure
+    state stays a vector and builds ``matrix`` |v><v| only when asked."""
 
     vector: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -118,6 +117,11 @@ class DensityMatrix:
         return obj
 
     @classmethod
+    def of(cls, x: np.ndarray) -> "DensityMatrix":
+        """``from_pure`` of a vector, ``trusted`` of a matrix."""
+        return cls.from_pure(x) if x.ndim == 1 else cls.trusted(x)
+
+    @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityMatrix":
         v = np.zeros(dim, dtype=complex)
         v[index] = 1.0
@@ -127,6 +131,17 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
 
+    @staticmethod
+    def map_rows(x: np.ndarray, rows: Callable) -> np.ndarray:
+        """The row map x -> M x on a state's array: M v for a vector,
+        M (M rho)^dag = M rho M^dag for a Hermitian matrix."""
+        return rows(x) if x.ndim == 1 else rows(rows(x).conj().T)
+
+    @staticmethod
+    def weight(x: np.ndarray) -> float:
+        """The trace of a state's array: v^dag v, or tr rho."""
+        return float((np.vdot(x, x) if x.ndim == 1 else np.trace(x)).real)
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """rho; a mixed state sets it at construction, a pure state
@@ -134,14 +149,21 @@ class DensityMatrix:
         return np.outer(self.vector, self.vector.conj())
 
     @property
+    def array(self) -> np.ndarray:
+        return self.vector if self.vector is not None else self.matrix
+
+    @property
+    def populations(self) -> np.ndarray:
+        """diag(rho); conj(v_j) v_j equals diag(|v><v|) bit for bit."""
+        v = self.vector
+        return np.diag(self.matrix).real if v is None else (v.conj() * v).real
+
+    @property
     def dim(self) -> int:
-        return len(self.vector) if self.vector is not None \
-            else self.matrix.shape[0]
+        return self.array.shape[0]
 
     def trace(self) -> float:
-        if self.vector is not None:
-            return float(np.vdot(self.vector, self.vector).real)
-        return float(np.trace(self.matrix).real)
+        return self.weight(self.array)
 
     def purity(self) -> float:
         """tr(rho^2): (v^dag v)^2 for a pure state in O(n), else
@@ -150,17 +172,38 @@ class DensityMatrix:
             return self.trace() ** 2
         return float(np.vdot(self.matrix, self.matrix).real)
 
+    def mapped(self, rows: Callable
+               ) -> tuple[float, Optional["DensityMatrix"]]:
+        """(w, M rho M^dag / w) with w = tr(M rho M^dag), a vector being
+        divided by its norm sqrt(w); the state is None unless w > 0."""
+        x = self.map_rows(self.array, rows)
+        w = self.weight(x)
+        return w, self.of(x / (math.sqrt(w) if x.ndim == 1 else w)) \
+            if w > 0.0 else None
+
     def expectation(self, operator: np.ndarray) -> float:
-        return float(np.trace(operator @ self.matrix).real)
+        """tr(O rho) in O(n^2): <v|O v>, or sum_ij O_ij rho_ji."""
+        if self.vector is not None:
+            return float(np.vdot(self.vector, operator @ self.vector).real)
+        return float(np.sum(operator * self.matrix.T).real)
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        return DensityMatrix.trusted(np.kron(self.matrix, other.matrix))
+        """Two pure states give the kron of their vectors."""
+        if self.vector is not None and other.vector is not None:
+            return self.of(np.kron(self.vector, other.vector))
+        return self.of(np.kron(self.matrix, other.matrix))
 
     def export(self, path: str, tag: str = "state") -> None:
         """Snapshot to the same dense matrix file format operator blocks
         use."""
-        from .io import write_matrix
         write_matrix(path, self.matrix, tag)
+
+
+def row_scaling(scale: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> diag(scale) x on arrays whose first axis is the basis index."""
+    def rows(x: np.ndarray) -> np.ndarray:
+        return scale.reshape(scale.shape + (1,) * (x.ndim - 1)) * x
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +214,6 @@ class PropagationReport:
     norm_drift: float
     steps: int
     s_grid: np.ndarray
-
-
-def _check_hermitian(h: np.ndarray) -> None:
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise NonHermitianHamiltonian("H(s) is not Hermitian")
 
 
 def hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +272,8 @@ def _step_maps(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
     if isinstance(sh, StructuredHamiltonian):
         kinetic = kinetic_propagator(sh, ds)
         for s in mids:
-            half = np.exp(-0.5j * ds * sh.potential(s))
-
-            def split(x: np.ndarray, half=half) -> np.ndarray:
-                h = half.reshape(half.shape + (1,) * (x.ndim - 1))
-                return h * kinetic(h * x)
-            yield split
+            half = row_scaling(np.exp(-0.5j * ds * sh.potential(s)))
+            yield lambda x, half=half: half(kinetic(half(x)))
         return
     key = u = None
     for f, g in zip(sh.schedule.f(mids).tolist(),
@@ -254,8 +288,8 @@ def propagate(state: DensityMatrix,
               sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
               s_from: float, s_to: float, n_steps: int) -> PropagationReport:
     """Evolve rho across [s_from, s_to] in ``n_steps`` steps (see the
-    module docstring): a pure state steps its vector, a mixed state
-    both sides of rho."""
+    module docstring), never renormalizing, so ``norm_drift`` is the
+    largest accumulated deviation of the trace from one."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not (0.0 <= s_from < s_to <= sh.schedule.s1):
@@ -263,17 +297,14 @@ def propagate(state: DensityMatrix,
             f"require 0 <= s_from < s_to <= s1, got [{s_from}, {s_to}]")
 
     ds = (s_to - s_from) / n_steps
-    pure = state.vector is not None
-    x = state.vector if pure else state.matrix
+    x = state.array
     drift = 0.0
     mids = s_from + (np.arange(n_steps) + 0.5) * ds
     for step in _step_maps(sh, mids, ds):
-        x = step(x) if pure else step(step(x).conj().T)
-        weight = np.vdot(x, x) if pure else np.trace(x)
-        drift = max(drift, abs(weight.real - 1.0))
-    final = DensityMatrix.from_pure(x) if pure else DensityMatrix.trusted(x)
-    return PropagationReport(final_state=final, norm_drift=drift,
-                             steps=n_steps, s_grid=mids)
+        x = DensityMatrix.map_rows(x, step)
+        drift = max(drift, abs(DensityMatrix.weight(x) - 1.0))
+    return PropagationReport(final_state=DensityMatrix.of(x),
+                             norm_drift=drift, steps=n_steps, s_grid=mids)
 
 
 def _lowest_tridiagonal_pair(alpha: list, beta: list
@@ -324,7 +355,7 @@ def _lowest_tridiagonal_pair(alpha: list, beta: list
 
 def ground_state(sh: StructuredHamiltonian,
                  s: float) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair (E0, v) of H(s) by Lanczos on ``sh.apply``.
+    """Lowest eigenpair (E0, v) of H(s) by Lanczos on ``sh.product``.
 
     Each step follows the three-term recurrence with one Gram-Schmidt
     pass against the whole Krylov basis (full reorthogonalisation), from
@@ -332,13 +363,15 @@ def ground_state(sh: StructuredHamiltonian,
     KRYLOV_CHUNK rows and reaches n x n only if the run needs all n
     iterations, where the Krylov space is the whole space and the answer
     exact. The Ritz pair is checked on a geometric schedule and taken
-    once the residual estimate |beta_k y_k| is at most RITZ_TOL. It is accepted only when the true
-    residual ||H v - E0 v|| is at most max(RITZ_TOL, 64 eps ||H||),
-    with ||H|| bounded from the stencil and the diagonal; otherwise
-    ``MaxItersExceeded`` is raised. v is real, of unit norm, and its
-    largest-magnitude component is positive.
+    once the residual estimate |beta_k y_k| is at most RITZ_TOL. It is
+    accepted only when the true residual ||H v - E0 v|| is at most
+    max(RITZ_TOL, 64 eps ||H||), with ||H|| bounded from the stencil and
+    the diagonal; otherwise ``MaxItersExceeded`` is raised. V(s) is
+    evaluated once. v is real, of unit norm, and its largest-magnitude
+    component is positive.
     """
     n = sh.dim
+    potential = sh.potential(s)
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
     krylov = np.empty((min(n, KRYLOV_CHUNK), n))
     krylov[0] = start / np.linalg.norm(start)
@@ -346,7 +379,7 @@ def ground_state(sh: StructuredHamiltonian,
     check = FIRST_CHECK
     for k in range(1, n + 1):
         q = krylov[k - 1]
-        w = sh.apply(q, s)
+        w = sh.product(potential, q)
         alpha.append(float(q @ w))
         w -= alpha[-1] * q
         if beta:
@@ -366,7 +399,7 @@ def ground_state(sh: StructuredHamiltonian,
     v = y @ krylov[:k]
     v /= np.linalg.norm(v)
     v *= np.sign(v[np.argmax(np.abs(v))])
-    residual = float(np.linalg.norm(sh.apply(v, s) - energy * v))
+    residual = float(np.linalg.norm(sh.product(potential, v) - energy * v))
     tol = max(RITZ_TOL, 64.0 * np.finfo(float).eps * sh.norm_bound(s))
     if not residual <= tol:
         raise MaxItersExceeded(
@@ -418,7 +451,8 @@ def autocorrelation(initial: np.ndarray,
 
     h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
         else np.asarray(hamiltonian)
-    _check_hermitian(h)
+    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        raise NonHermitianHamiltonian("H(s) is not Hermitian")
     w, v = hermitian_eigh(h)
     if np.iscomplexobj(v):
         weights = np.abs(v.conj().T @ psi0) ** 2

@@ -17,16 +17,16 @@ coincident grid points stay finite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (CenterOutsideBox, NonpositiveDistance, ScheduleOutOfRange,
-                     SingularCoulomb)
+from .errors import (CenterOutsideBox, NonHermitianHamiltonian,
+                     NonpositiveDistance, ScheduleOutOfRange, SingularCoulomb)
 from .grid import Basis, Configuration, GridSpec, ParticleSet, label_to_coord
+from .io import write_matrix
 
 VALID_TAGS = ("kinetic", "coulomb_ee", "coulomb_nn", "coulomb_ne",
               "trap", "external", "total")
@@ -49,7 +49,6 @@ class OperatorBlock:
             raise ValueError(f"unknown operator tag {self.tag!r}")
         dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
         if dev > HERMITICITY_TOL:
-            from .errors import NonHermitianHamiltonian
             raise NonHermitianHamiltonian(
                 f"block {self.tag!r} deviates from Hermitian by {dev:.3e}")
 
@@ -65,7 +64,6 @@ class OperatorBlock:
 
     def export(self, path: str) -> None:
         """Write the block to the dense matrix file format."""
-        from .io import write_matrix
         write_matrix(path, self.matrix, self.tag)
 
 
@@ -372,11 +370,8 @@ class Schedule:
         out = np.where(s <= self.s0, up, down)
         return float(out) if out.ndim == 0 else out
 
-    @functools.lru_cache(maxsize=64)
     def profiles(self, s: float) -> tuple[float, float]:
-        """(f(s), g(s)) for one s inside [0, s1]. Memoized: a pure
-        function of this frozen schedule and s that costs ~28 us in
-        numpy scalar calls, which Lanczos would pay on every H(s) x."""
+        """(f(s), g(s)) for one s inside [0, s1]."""
         if not 0.0 <= s <= self.s1:
             raise ScheduleOutOfRange(f"s = {s} outside [0, {self.s1}]")
         return self.f(s), self.g(s)
@@ -506,10 +501,13 @@ class StructuredHamiltonian:
                 for axis in range(self.basis.grid.dims)]
 
     def apply(self, x: np.ndarray, s: float) -> np.ndarray:
-        """H(s) x for an array whose first axis is the basis index: V(s)
-        times x plus c (2 - shift - shift^T) along each kinetic tensor
-        axis, Dirichlet at the lattice ends."""
-        v = self.potential(s)
+        """H(s) x for an array whose first axis is the basis index."""
+        return self.product(self.potential(s), x)
+
+    def product(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(T + diag(v)) x: v x plus c (2 - shift - shift^T) along each
+        kinetic tensor axis, Dirichlet at the lattice ends; ``apply`` at
+        v = ``potential(s)``, for callers that stay at one s."""
         out = v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
         shape = self.basis.tensor_shape
         for axis, c in self.kinetic_axes():

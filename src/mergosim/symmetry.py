@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidPermutation, VanishingNorm
+from .evolution import DensityMatrix
 from .grid import Basis, Configuration, ParticleSet
 
 MAX_SET_SIZE = 5
@@ -201,21 +202,16 @@ def _apply_projector(declaration: SymmetryDeclaration, basis: Basis,
 def antisymmetrize(state, declaration: SymmetryDeclaration, basis: Basis):
     """Project onto the declared exchange sector and renormalize.
 
-    Accepts a state vector (returns a vector) or a DensityMatrix
-    (returns a DensityMatrix). Raises VanishingNorm when the input is
+    Accepts a state vector (returns a vector) or a DensityMatrix (returns
+    one, a pure one still pure). Raises VanishingNorm when the input is
     annihilated, e.g. two Fermions sharing label and spin.
     """
-    from .evolution import DensityMatrix
-
     if isinstance(state, DensityMatrix):
-        # P rho P^dag with Hermitian real P, applied row- then column-wise
-        half = _apply_projector(declaration, basis, state.matrix)
-        mat = _apply_projector(declaration, basis,
-                               half.conj().T).conj().T
-        weight = float(np.trace(mat).real)
+        weight, post = state.mapped(
+            lambda x: _apply_projector(declaration, basis, x))
         if weight < VANISHING_TOL:
             raise VanishingNorm("symmetrization annihilated the state")
-        return DensityMatrix.trusted(mat / weight)
+        return post
     vec = np.asarray(state, dtype=complex).ravel()
     out = _apply_projector(declaration, basis, vec)
     norm = np.linalg.norm(out)
@@ -243,8 +239,6 @@ def symmetry_check(state, declaration: SymmetryDeclaration,
     Density matrices are scored with the max-entry norm of
     U rho U^dag - rho; vectors with the 2-norm of U psi - sgn psi.
     """
-    from .evolution import DensityMatrix
-
     details = []
     worst = 0.0
     for gen in generators(declaration):

@@ -168,13 +168,10 @@ class ScatterTree:
     def node(self, node_id: str) -> ScatterNode:
         return self.nodes[node_id]
 
-    def with_node(self, node: ScatterNode) -> "ScatterTree":
-        nodes = dict(self.nodes)
-        nodes[node.node_id] = node
-        return ScatterTree(list(nodes.values()), self.root)
-
     def configure(self, node_id: str, **changes) -> "ScatterTree":
-        return self.with_node(replace(self.nodes[node_id], **changes))
+        nodes = dict(self.nodes)
+        nodes[node_id] = replace(nodes[node_id], **changes)
+        return ScatterTree(list(nodes.values()), self.root)
 
     def postorder(self) -> list[str]:
         order: list[str] = []
@@ -254,9 +251,12 @@ class TreeRunReport:
     """Per-node execution records; total repetitions is their sum."""
 
     records: dict[str, NodeRecord]
-    total_repetitions: int
     final_state: Optional[DensityMatrix]
     trace: TraceLog
+
+    @property
+    def total_repetitions(self) -> int:
+        return sum(r.iterations for r in self.records.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,11 +324,8 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
         except MaxItersExceeded as exc:
             records[node_id] = NodeRecord(node_id, node.retry.max_iters,
                                           wall_steps, p_initial, False)
-            partial = TreeRunReport(
-                records=records,
-                total_repetitions=sum(r.iterations for r in records.values()),
-                final_state=None, trace=trace)
-            raise NodeExhausted(node_id, partial) from exc
+            raise NodeExhausted(node_id, TreeRunReport(
+                records, final_state=None, trace=trace)) from exc
 
         if node.retry.renaturalize:
             post = node.channel.apply(post, 0, rng)
@@ -337,9 +334,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
         records[node_id] = NodeRecord(node_id, iterations, wall_steps,
                                       p_initial, True)
 
-    total = sum(r.iterations for r in records.values())
-    return TreeRunReport(records=records, total_repetitions=total,
-                         final_state=states[tree.root], trace=trace)
+    return TreeRunReport(records, final_state=states[tree.root], trace=trace)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +363,7 @@ def channel_decompose(state: DensityMatrix,
     p0 is the accepted-block weight, rho_suc / rho_nsuc the renormalized
     diagonal blocks, and the coherence matrix collects the off-blocks
     (Frobenius norm reported)."""
-    blocks = _ABBlocks(state.matrix, bipartition.mask)
+    blocks = _ABBlocks(state, bipartition.mask)
     block_a, block_b, cross = blocks.split()
     p0 = blocks.p_suc
     # dividing by each block's own weight keeps trace rounding harmless

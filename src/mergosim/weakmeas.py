@@ -11,7 +11,10 @@ over the A/B bipartition:
              + cos(delta) * (cross blocks)] / p_0,   p_0 = 1 - p_1
 
 where each post state is divided by its own trace, which is p_suc or
-p_0 for a unit-trace input.
+p_0 for a unit-trace input. A pure state stays a vector: success maps
+psi -> Pi_A psi / sqrt(p_suc) and failure psi -> D psi / ||D psi||, with
+D = cos(delta) on A and 1 on B. Both are row scalings that
+``DensityMatrix.mapped`` applies to the state's own array.
 
 The failure-branch disturbance decomposes through the coefficients
 Lambda_A, Lambda_B, Lambda_C, all of order delta^2 for weak rotations;
@@ -31,7 +34,7 @@ import numpy as np
 from .criteria import Bipartition
 from .errors import (Degenerate, EmptySector, MaxItersExceeded,
                      ZeroProbabilityBranch)
-from .evolution import DensityMatrix
+from .evolution import DensityMatrix, row_scaling
 from .grid import SPIN_UP, Basis
 
 DEGENERATE_TOL = 1e-15
@@ -52,59 +55,41 @@ class WeakMeasurementSpec:
 
 
 class _ABBlocks:
-    """A matrix seen through the A/B mask: the one home of the accepted
-    weight p_suc = sum_{j in A} rho_jj, the success projection
-    Pi_A rho Pi_A, the failure damping (cos^2 delta on A x A, cos delta
-    on the cross blocks, 1 on B x B) and the three-block split. Blocks
-    are indexed by the mask and the damping is a row and column scaling,
-    so no n x n factor array is built."""
+    """A state seen through the A/B mask: the one home of the accepted
+    weight p_suc = sum_{j in A} rho_jj, the success projection (rows
+    scaled by the mask) and failure damping (rows scaled by cos delta on
+    A), which the state applies to its own array and divides by its own
+    trace, and the three-block split of the density matrix."""
 
-    def __init__(self, mat: np.ndarray, mask: np.ndarray):
-        if mask.size != mat.shape[0]:
+    def __init__(self, state: DensityMatrix, mask: np.ndarray):
+        if mask.size != state.dim:
             raise ValueError("bipartition and state dimensions disagree")
-        self.mat, self.mask = mat, mask
-        self.p_suc = self.weight(np.diag(mat).real, mask)
+        self.state, self.mask = state, mask
+        self.p_suc = float(np.sum(state.populations[mask]))
 
-    @staticmethod
-    def weight(diag: np.ndarray, mask: np.ndarray) -> float:
-        return float(np.sum(diag[mask]))
+    def success(self) -> DensityMatrix:
+        return self.state.mapped(row_scaling(self.mask))[1]
 
-    def projected(self, norm: float = 1.0) -> np.ndarray:
-        """Pi_A rho Pi_A / norm."""
-        aa = np.ix_(self.mask, self.mask)
-        out = np.zeros_like(self.mat)
-        out[aa] = self.mat[aa] / norm
-        return out
-
-    def damped(self, delta: float) -> np.ndarray:
-        """The failure-branch state, divided by its own trace: the
-        closed-form p_0 = 1 - p_1 would magnify any trace drift of the
-        input when p_0 is small."""
+    def failure(self, delta: float) -> DensityMatrix:
+        """Divided by its own trace: the closed-form p_0 = 1 - p_1 would
+        magnify any trace drift of the input when p_0 is small."""
         damp = np.where(self.mask, math.cos(delta), 1.0)
-        out = self.mat * damp[:, None]
-        out *= damp
-        out /= np.trace(out).real
-        return out
+        return self.state.mapped(row_scaling(damp))[1]
 
     def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A block, B block, cross blocks), each embedded n x n."""
-        bb = np.ix_(~self.mask, ~self.mask)
-        block_a = self.projected()
-        block_b = np.zeros_like(self.mat)
-        block_b[bb] = self.mat[bb]
-        return block_a, block_b, self.mat - block_a - block_b
+        mat = self.state.matrix
+        block_a, block_b = (np.where(np.outer(m, m), mat, 0.0)
+                            for m in (self.mask, ~self.mask))
+        return block_a, block_b, mat - block_a - block_b
 
 
 def p_success_weight(state: Union[DensityMatrix, np.ndarray],
                      bipartition: Bipartition) -> float:
-    """p_suc = sum of diagonal weights over the accepted block.
-
-    Accepts a density matrix or a pure state vector (for which the
-    weight is sum_{j in A} |psi_j|^2).
-    """
-    diag = (np.diag(state.matrix).real if isinstance(state, DensityMatrix)
-            else np.abs(np.asarray(state).ravel()) ** 2)
-    return _ABBlocks.weight(diag, bipartition.mask)
+    """p_suc: the populations over A, of a state or of a unit vector."""
+    if not isinstance(state, DensityMatrix):
+        state = DensityMatrix.from_pure(state)
+    return _ABBlocks(state, bipartition.mask).p_suc
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,19 +107,19 @@ class MeasurementBranches:
     def rho1(self) -> DensityMatrix:
         if not self.p1 > 0.0:
             raise ZeroProbabilityBranch("success branch has probability zero")
-        return DensityMatrix.trusted(self._blocks.projected(self.p_suc))
+        return self._blocks.success()
 
     @cached_property
     def rho0(self) -> DensityMatrix:
         if not self.p0 > DEGENERATE_TOL:
             raise ZeroProbabilityBranch("failure branch has probability zero")
-        return DensityMatrix.trusted(self._blocks.damped(self.delta))
+        return self._blocks.failure(self.delta)
 
 
 def measurement_branches(state: DensityMatrix, bipartition: Bipartition,
                          delta: float) -> MeasurementBranches:
     """Closed-form (p_1, rho_1) and (p_0, rho_0) for one weak measurement."""
-    blocks = _ABBlocks(state.matrix, bipartition.mask)
+    blocks = _ABBlocks(state, bipartition.mask)
     p1 = math.sin(delta) ** 2 * blocks.p_suc
     return MeasurementBranches(p_suc=blocks.p_suc, p1=p1, p0=1.0 - p1,
                                delta=delta, _blocks=blocks)
@@ -199,11 +184,11 @@ def reconstruct_rho0(state: DensityMatrix, bipartition: Bipartition,
     Algebraically identical to the closed-form rho_0; exposed so the
     identity can be checked term by term.
     """
-    blocks = _ABBlocks(state.matrix, bipartition.mask)
+    blocks = _ABBlocks(state, bipartition.mask)
     block_a, block_b, cross = blocks.split()
     p_suc = blocks.p_suc
     lam_a, lam_b, lam_c = lambda_coefficients(delta, p_suc)
-    out = state.matrix.astype(complex).copy()
+    out = state.matrix.copy()
     if p_suc > 0.0:
         out -= lam_a * block_a / p_suc
     if p_suc < 1.0:
@@ -304,9 +289,7 @@ def spin_sector_project(state: DensityMatrix, basis: Basis, spin_registers,
     if not np.any(cols):
         raise EmptySector(f"no S^2 eigenspace at S = {s_value}")
     sel = v[:, cols]
-    projector = sel @ sel.conj().T
-    prob = float(np.trace(projector @ state.matrix).real)
+    prob, post = state.mapped(lambda x: sel @ (sel.conj().T @ x))
     if prob < 1e-14:
         raise EmptySector(f"state carries no weight in the S = {s_value} sector")
-    post = projector @ state.matrix @ projector / prob
-    return prob, DensityMatrix.trusted(post)
+    return prob, post

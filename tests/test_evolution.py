@@ -42,6 +42,23 @@ class TestDensityMatrix:
         with pytest.raises(UnnormalizedInput):
             DensityMatrix.from_pure(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_expectation_is_the_trace_formula(self, n):
+        """tr(O rho) read from the vector or entrywise from rho equals
+        trace(O @ rho), and a pure state builds no matrix for it."""
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        operator = a + a.conj().T
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pure = DensityMatrix.from_pure(psi / np.linalg.norm(psi))
+        value = pure.expectation(operator)
+        assert "matrix" not in vars(pure)
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mixed = DensityMatrix(b @ b.conj().T / np.trace(b @ b.conj().T))
+        for state, got in ((pure, value), (mixed, mixed.expectation(operator))):
+            oracle = float(np.trace(operator @ state.matrix).real)
+            assert abs(got - oracle) <= 1e-12
+
     def test_pure_state_builds_its_matrix_on_first_access(self):
         psi = np.array([0.6, 0.48j, 0.64])
         rho = DensityMatrix.from_pure(psi)

@@ -309,9 +309,9 @@ def test_excited_eigenstate_start_is_the_dense_column():
 
 def test_lanczos_rejects_a_non_hermitian_apply(monkeypatch, tmp_path, capsys):
     from mergosim.hamiltonian import StructuredHamiltonian as SH
-    hermitian = SH.apply
-    monkeypatch.setattr(SH, "apply", lambda self, x, s: hermitian(
-        self, x, s) + 1e-3 * np.roll(x, 1, axis=0))
+    hermitian = SH.product  # the H(s) x that Lanczos runs
+    monkeypatch.setattr(SH, "product", lambda self, v, x: hermitian(
+        self, v, x) + 1e-3 * np.roll(x, 1, axis=0))
     code = main(["evolve", "--config", str(CONFIG_DIR / "evolve_salt_1d.json"),
                  "--out", str(tmp_path)])
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -337,3 +337,29 @@ def test_eigenstate_start_and_propagation_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def test_lanczos_evaluates_the_schedule_a_fixed_number_of_times(monkeypatch):
+    """V(s) is evaluated once per start, not once per Krylov step: starts
+    that take different iteration counts read the schedule equally often."""
+    calls = {"profiles": 0, "product": 0}
+    profiles, product = Schedule.profiles, StructuredHamiltonian.product
+
+    def counted_profiles(self, s):
+        calls["profiles"] += 1
+        return profiles(self, s)
+
+    def counted_product(self, v, x):
+        calls["product"] += 1
+        return product(self, v, x)
+
+    monkeypatch.setattr(Schedule, "profiles", counted_profiles)
+    monkeypatch.setattr(StructuredHamiltonian, "product", counted_product)
+    counts = []
+    for m in (11, 31):
+        _, _, sh = build(light_merge(m))
+        calls.update(profiles=0, product=0)
+        ground_state(sh, 0.0)
+        counts.append(dict(calls))
+    assert counts[0]["product"] != counts[1]["product"]
+    assert counts[0]["profiles"] == counts[1]["profiles"] <= 2
