@@ -28,7 +28,7 @@ from . import criteria as crit
 from . import io as out_io
 from . import lzcost, symmetry, tree, weakmeas
 from .errors import (CenterOutsideBox, ConfigError, NodeExhausted,
-                     SimulationError, UnsupportedUnit)
+                     PairIndexOutOfRange, SimulationError, UnsupportedUnit)
 from .evolution import (WINDOWS, DensityMatrix, autocorrelation,
                         default_step_count, ground_state, hermitian_eigh,
                         propagate, spectrum)
@@ -186,11 +186,13 @@ def emit_config(cfg: dict) -> str:
 
 @contextlib.contextmanager
 def _config_values():
-    """Report a ValueError, unknown unit or trap center outside the box
-    raised while config values become objects as the config error."""
+    """Report a ValueError, unknown unit, trap center outside the box or
+    criterion pair naming a missing nucleus raised while config values
+    become objects as the config error."""
     try:
         yield
-    except (ValueError, CenterOutsideBox, UnsupportedUnit) as exc:
+    except (ValueError, CenterOutsideBox, UnsupportedUnit,
+            PairIndexOutOfRange) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -222,13 +224,16 @@ def _build_declaration(cfg: dict, particles) -> symmetry.SymmetryDeclaration:
 
 
 @_config_values()
-def _build_criteria(cfg: dict) -> dict[str, crit.GeometricCriterion]:
+def _build_criteria(cfg: dict, particles: ParticleSet
+                    ) -> dict[str, crit.GeometricCriterion]:
     table: dict[str, crit.GeometricCriterion] = {}
     for row in _section(cfg, "criteria"):
         if row["id"] in table:
             raise ConfigError(f"duplicate criterion id {row['id']!r}")
-        table[row["id"]] = crit.GeometricCriterion(row["mode"], row["pairs"],
-                                                   row["unit"])
+        criterion = crit.GeometricCriterion(row["mode"], row["pairs"],
+                                            row["unit"])
+        criterion.check_against(particles)
+        table[row["id"]] = criterion
     return table
 
 
@@ -341,7 +346,7 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
 
 def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     basis = _build_basis(cfg)
-    criteria_table = _build_criteria(cfg)
+    criteria_table = _build_criteria(cfg, basis.particles)
     sec = _section(cfg, "measure")
     cid = sec["criterion"]
     bip = crit.bipartition(
@@ -551,7 +556,7 @@ def cmd_cost(cfg: dict, out_dir: str, fmt: str) -> dict:
 def cmd_validate(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     basis = _build_basis(cfg)
     declaration = _build_declaration(cfg, basis.particles)
-    criteria_table = _build_criteria(cfg)
+    criteria_table = _build_criteria(cfg, basis.particles)
     sec = _section(cfg, "validate")
     cid = sec["criterion"]
     criterion = _resolve(criteria_table, cid, "validate.criterion")

@@ -2,12 +2,14 @@
 
 A geometric criterion tests internuclear distances, either against
 target bond lengths within a tolerance (equilibrium mode) or against
-proximity thresholds (proximity mode). Evaluating it over the whole
-basis induces the A/B bipartition that the weak-measurement heralding
-acts on. A criterion is safe to measure only if it is invariant under
-the declared exchange permutations; ``validate_symmetric`` checks that
-and ``symmetrize_criterion`` repairs a criterion by OR-ing it over the
-group images.
+proximity thresholds (proximity mode). Every accept mask comes from one
+array kernel, ``accepts``, over label rows (k, n_particles, dims): run
+on ``basis.labels`` it induces the A/B bipartition that the
+weak-measurement heralding acts on. A criterion is safe to measure only
+if it is invariant under the declared exchange permutations;
+``validate_symmetric`` checks that by running the kernel on label rows
+and on their generator images, and ``symmetrize_criterion`` repairs a
+criterion by OR-ing it over the group images.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import PairIndexOutOfRange
+from .errors import LabelOutOfRange, PairIndexOutOfRange
 from .evolution import DensityMatrix, row_scaling
-from .grid import Basis, Configuration, GridSpec, ParticleSet, label_to_coord
+from .grid import Basis, Configuration, GridSpec, ParticleSet
 from .symmetry import (Permutation, SymmetryDeclaration, antisymmetrize,
-                       generators, group_elements, permutation_indices)
+                       generators, group_elements)
 from .units import unit_convert
 
 EXHAUSTIVE_LIMIT = 4096
@@ -62,27 +64,43 @@ class GeometricCriterion:
     def _to_bohr(self, value: float) -> float:
         return unit_convert(value, self.unit, "bohr")
 
+    def check_against(self, particles: ParticleSet) -> None:
+        """Every constraint names nuclei that ``particles`` has."""
+        for row in self.constraints:
+            for j in row[:2]:
+                if not 0 <= j < particles.n_nuc:
+                    raise PairIndexOutOfRange(
+                        f"nucleus index {j} out of range")
+
+    def accepts(self, labels: np.ndarray, grid: GridSpec,
+                particles: ParticleSet) -> np.ndarray:
+        """Accept mask of label rows (k, n_particles, dims): a row is
+        accepted when every constraint holds on it."""
+        self.check_against(particles)
+        coords = labels * grid.spacing
+        mask = np.ones(len(labels), dtype=bool)
+        for j, k, *bounds in self.constraints:
+            diff = (coords[:, particles.n_el + j]
+                    - coords[:, particles.n_el + k])
+            # a row times itself runs the BLAS dot that np.linalg.norm
+            # runs on one difference vector, so distances agree bit for bit
+            dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+            limits = [self._to_bohr(b) for b in bounds]
+            if self.mode == "equilibrium":
+                mask &= ~(np.abs(dist - limits[0]) > limits[1])
+            else:
+                mask &= ~(dist > limits[0])
+        return mask
+
     def evaluate(self, config: Configuration, grid: GridSpec,
                  particles: ParticleSet) -> int:
-        coords = {}
-
-        def nucleus_coord(j: int) -> np.ndarray:
-            if not 0 <= j < particles.n_nuc:
-                raise PairIndexOutOfRange(f"nucleus index {j} out of range")
-            if j not in coords:
-                reg = particles.nucleus_register(j)
-                coords[j] = label_to_coord(grid, config.labels[reg])
-            return coords[j]
-
-        for row in self.constraints:
-            j, k = row[0], row[1]
-            dist = float(np.linalg.norm(nucleus_coord(j) - nucleus_coord(k)))
-            if self.mode == "equilibrium":
-                if abs(dist - self._to_bohr(row[2])) > self._to_bohr(row[3]):
-                    return 0
-            elif dist > self._to_bohr(row[2]):
-                return 0
-        return 1
+        """``accepts`` of one configuration's labels as a single row."""
+        for label in config.labels:
+            if not grid.contains_label(label):
+                raise LabelOutOfRange(
+                    f"label {label} outside lattice of {grid}")
+        return int(self.accepts(np.array([config.labels]), grid,
+                                particles)[0])
 
 
 @dataclass(frozen=True)
@@ -92,11 +110,15 @@ class SymmetrizedCriterion:
     base: GeometricCriterion
     permutations: tuple[Permutation, ...]
 
-    def evaluate(self, config: Configuration, grid: GridSpec,
-                 particles: ParticleSet) -> int:
-        return int(any(self.base.evaluate(perm.apply_to_configuration(config),
-                                          grid, particles)
-                       for perm in self.permutations))
+    def accepts(self, labels: np.ndarray, grid: GridSpec,
+                particles: ParticleSet) -> np.ndarray:
+        n_part = particles.n_particles
+        return np.logical_or.reduce(
+            [self.base.accepts(labels[:, perm.order(n_part)], grid,
+                               particles)
+             for perm in self.permutations])
+
+    evaluate = GeometricCriterion.evaluate
 
 
 Criterion = Union[GeometricCriterion, SymmetrizedCriterion]
@@ -130,14 +152,6 @@ class Bipartition:
     def dim(self) -> int:
         return self.mask.size
 
-    @property
-    def set_a(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.mask))
-
-    @property
-    def set_b(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(~self.mask))
-
     @classmethod
     def from_indices(cls, accepted: Sequence[int], dim: int) -> "Bipartition":
         mask = np.zeros(dim, dtype=bool)
@@ -149,18 +163,9 @@ class Bipartition:
 
 
 def bipartition(criterion: Criterion, basis: Basis) -> Bipartition:
-    """Exhaustively classify every basis configuration; a symmetrized
-    criterion ORs its base criterion's mask over the group images."""
-    if isinstance(criterion, SymmetrizedCriterion):
-        base = bipartition(criterion.base, basis).mask
-        mask = np.zeros(basis.size, dtype=bool)
-        for perm in criterion.permutations:
-            mask |= base[permutation_indices(perm, basis)]
-        return Bipartition(mask)
-    mask = np.fromiter(
-        (bool(criterion.evaluate(cfg, basis.grid, basis.particles))
-         for cfg in basis.configurations), dtype=bool, count=basis.size)
-    return Bipartition(mask)
+    """Classify every basis configuration with the criterion's kernel."""
+    return Bipartition(criterion.accepts(basis.labels, basis.grid,
+                                         basis.particles))
 
 
 @dataclass(frozen=True)
@@ -180,33 +185,32 @@ def validate_symmetric(criterion: Criterion,
 
     Invariance under the generators implies invariance under the whole
     group. Bases up to ``exhaustive_limit`` configurations are checked
-    exhaustively; larger ones by seeded uniform sampling, returning the
-    first violating (permutation, configuration) found.
+    exhaustively; larger ones on ``n_samples`` seeded uniform draws. The
+    kernel classifies the checked label rows and each generator's image
+    rows; the counterexample is the earliest row a generator moves across
+    the split (the first such generator on a tie), and ``checked`` counts
+    rows up to it.
     """
     gens = generators(declaration)
-    if basis.size <= exhaustive_limit:
-        mask = bipartition(criterion, basis).mask
-        first, culprit = basis.size, None
-        for gen in gens:
-            pi = permutation_indices(gen, basis)
-            moved = np.flatnonzero(mask[pi] != mask)
-            if moved.size and moved[0] < first:
-                first, culprit = int(moved[0]), gen
-        if culprit is None:
-            return CriterionSymmetryResult(True, None, basis.size, False)
-        return CriterionSymmetryResult(
-            False, (culprit, basis.configuration_at(first)), first + 1, False)
-    rng = np.random.default_rng(seed)
-    for checked, i in enumerate(rng.integers(0, basis.size, size=n_samples),
-                                start=1):
-        cfg = basis.configuration_at(int(i))
-        ref = criterion.evaluate(cfg, basis.grid, basis.particles)
-        for gen in gens:
-            image = gen.apply_to_configuration(cfg)
-            if criterion.evaluate(image, basis.grid, basis.particles) != ref:
-                return CriterionSymmetryResult(False, (gen, cfg),
-                                               checked, True)
-    return CriterionSymmetryResult(True, None, n_samples, True)
+    sampled = basis.size > exhaustive_limit
+    rows = (np.random.default_rng(seed).integers(0, basis.size,
+                                                 size=n_samples)
+            if sampled else np.arange(basis.size))
+    labels = basis.labels[rows]
+    grid, particles = basis.grid, basis.particles
+    ref = criterion.accepts(labels, grid, particles)
+    first, culprit = rows.size, None
+    for gen in gens:
+        image = labels[:, gen.order(particles.n_particles)]
+        moved = np.flatnonzero(
+            criterion.accepts(image, grid, particles) != ref)
+        if moved.size and moved[0] < first:
+            first, culprit = int(moved[0]), gen
+    if culprit is None:
+        return CriterionSymmetryResult(True, None, rows.size, sampled)
+    return CriterionSymmetryResult(
+        False, (culprit, basis.configuration_at(int(rows[first]))),
+        first + 1, sampled)
 
 
 def symmetry_breaking_witness(criterion: Criterion,

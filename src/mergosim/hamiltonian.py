@@ -31,6 +31,18 @@ from .io import write_matrix
 VALID_TAGS = ("kinetic", "coulomb_ee", "coulomb_nn", "coulomb_ne",
               "trap", "external", "total")
 HERMITICITY_TOL = 1e-12
+# bytes of one row block of the Hermiticity check's temporaries
+_CHECK_BLOCK_BYTES = 1 << 22
+
+
+def hermiticity_deviation(mat: np.ndarray) -> float:
+    """max |M - M^dag| of a nonempty square complex matrix, taken over
+    row blocks M[a:b] - M[:, a:b]^dag so no n x n temporary is built."""
+    n = mat.shape[0]
+    rows = max(1, _CHECK_BLOCK_BYTES // (mat.itemsize * n))
+    return np.max([np.max(np.abs(mat[a:a + rows]
+                                 - mat[:, a:a + rows].conj().T))
+                   for a in range(0, n, rows)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +59,7 @@ class OperatorBlock:
             raise ValueError("operator matrix must be square")
         if self.tag not in VALID_TAGS:
             raise ValueError(f"unknown operator tag {self.tag!r}")
-        dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+        dev = hermiticity_deviation(mat) if mat.size else 0.0
         if dev > HERMITICITY_TOL:
             raise NonHermitianHamiltonian(
                 f"block {self.tag!r} deviates from Hermitian by {dev:.3e}")

@@ -111,6 +111,14 @@ class Permutation:
                       if other(self(r)) != r)
         return Permutation(moves, self.sign * other.sign)
 
+    def order(self, n_registers: int) -> list[int]:
+        """Slot k of an image receives slot order[k]; a move outside
+        the ``n_registers`` registers raises."""
+        for a, _ in self.moves:
+            if not 0 <= a < n_registers:
+                raise InvalidPermutation(f"register {a} out of range")
+        return [self(k) for k in range(n_registers)]
+
     def apply_to_configuration(self, config: Configuration) -> Configuration:
         labels = tuple(config.labels[self(k)] for k in range(len(config.labels)))
         spins = tuple(config.spins[self(k)] for k in range(len(config.spins)))
@@ -156,11 +164,7 @@ def generators(declaration: SymmetryDeclaration) -> list[Permutation]:
 def permutation_indices(perm: Permutation, basis: Basis) -> np.ndarray:
     """Index array pi with U_sigma e_i = e_{pi[i]}; applying U to a
     vector is the scatter out[pi] = vec."""
-    n_part = basis.particles.n_particles
-    for a, _ in perm.moves:
-        if not 0 <= a < n_part:
-            raise InvalidPermutation(f"register {a} out of range")
-    order = [perm(k) for k in range(n_part)]
+    order = perm.order(basis.particles.n_particles)
     return basis.index(basis.labels[:, order], basis.spins[:, order])
 
 

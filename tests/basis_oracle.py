@@ -12,7 +12,9 @@ import itertools
 
 import numpy as np
 
+from mergosim.criteria import SymmetrizedCriterion
 from mergosim.grid import SPIN_DOWN, SPIN_UP
+from mergosim.units import unit_convert
 
 
 def enumerate_configurations(grid, particles):
@@ -135,6 +137,29 @@ def spin_squared(configs, index, regs):
                     table[key] = table.get(key, 0.0) + 1.0
         table[idx, idx] = diag
     return _entries(table)
+
+
+def accepts(criterion, grid, particles, cfg):
+    """Whether one configuration meets the criterion: constraint rows in
+    turn, each distance the norm of one coordinate difference; a
+    symmetrized criterion tries its base on every group image."""
+    if isinstance(criterion, SymmetrizedCriterion):
+        n_part = particles.n_particles
+        return any(accepts(criterion.base, grid, particles,
+                           permute(cfg, [perm(k) for k in range(n_part)]))
+                   for perm in criterion.permutations)
+    labels, _ = cfg
+    for j, k, *bounds in criterion.constraints:
+        a = np.array(labels[particles.n_el + j], dtype=float) * grid.spacing
+        b = np.array(labels[particles.n_el + k], dtype=float) * grid.spacing
+        dist = float(np.linalg.norm(a - b))
+        limits = [unit_convert(x, criterion.unit, "bohr") for x in bounds]
+        if criterion.mode == "equilibrium":
+            if abs(dist - limits[0]) > limits[1]:
+                return False
+        elif dist > limits[0]:
+            return False
+    return True
 
 
 def first_violation(evaluate, configs, orders):

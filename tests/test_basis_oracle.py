@@ -118,10 +118,10 @@ def test_array_basis_matches_per_configuration_oracle(name):
         orders = [[g(k) for k in range(n_part)] for g in gens]
         for crit in (criterion, symmetrize_criterion(criterion, declaration)):
             def evaluate(cfg):
-                return crit.evaluate(Configuration(*cfg), grid, particles)
+                return oracle.accepts(crit, grid, particles, cfg)
 
             assert np.array_equal(bipartition(crit, basis).mask,
-                                  [bool(evaluate(cfg)) for cfg in configs])
+                                  [evaluate(cfg) for cfg in configs])
             result = validate_symmetric(crit, declaration, basis)
             first = oracle.first_violation(evaluate, configs, orders)
             if first is None:

@@ -97,6 +97,18 @@ class TestConfigSchema:
                      id="unknown_unit"),
         pytest.param("measure_bond.json", (("criteria", 0, "unit"), "furlong"),
                      "measure", id="unknown_criterion_unit"),
+        pytest.param("measure_bond.json",
+                     (("criteria", 0, "pairs"), [[0, 9, 200.0]]), "measure",
+                     id="criterion_pair_names_missing_nucleus"),
+        pytest.param("measure_bond.json",
+                     (("criteria", 0),
+                      {"id": "bond", "mode": "equilibrium",
+                       "pairs": [[0, 1, 1000.0, 1.0], [0, 9, 2.0, 1.0]]}),
+                     "measure",
+                     id="missing_nucleus_after_a_pair_rejecting_all"),
+        pytest.param("validate_h2o2.json",
+                     (("criteria", 0, "pairs"), [[0, 4, 95.0, 13.23]]),
+                     "validate", id="validated_pair_names_missing_nucleus"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())

@@ -88,14 +88,13 @@ class TestBipartition:
         basis = two_nuclei_basis()
         crit = GeometricCriterion("proximity", ((0, 1, 100.0),))
         bip = bipartition(crit, basis)
-        assert len(bip.set_b) == 0
-        assert len(bip.set_a) == basis.size
+        assert bip.mask.all() and bip.mask.size == basis.size
 
     def test_reject_everything(self):
         basis = two_nuclei_basis()
         crit = GeometricCriterion("equilibrium", ((0, 1, 50.0, 0.01),))
         bip = bipartition(crit, basis)
-        assert len(bip.set_a) == 0
+        assert not bip.mask.any()
 
     def test_matches_brute_force_double_loop(self):
         basis = two_nuclei_basis(m=7, length=7.0)
@@ -109,13 +108,12 @@ class TestBipartition:
             x2 = cfg.labels[1][0] * basis.grid.spacing
             if abs(x1 - x2) <= threshold:
                 expected.add(i)
-        assert set(bip.set_a) == expected
-        assert set(bip.set_a) | set(bip.set_b) == set(range(basis.size))
-        assert not set(bip.set_a) & set(bip.set_b)
+        assert set(np.flatnonzero(bip.mask)) == expected
+        assert bip.mask.size == basis.size
 
     def test_mask_construction(self):
         bip = Bipartition.from_indices([0, 2], 4)
-        assert bip.set_a == (0, 2) and bip.set_b == (1, 3)
+        assert bip.mask.tolist() == [True, False, True, False]
         assert np.allclose(np.diag(bip.projector()), [1.0, 0.0, 1.0, 0.0])
 
 

@@ -9,7 +9,7 @@ from mergosim.hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,
                                   TrapSpec, build_coulomb, build_kinetic,
                                   build_point_charges, build_trap,
                                   coulomb_energy, coulomb_mimicking_f,
-                                  zero_block)
+                                  hermiticity_deviation, zero_block)
 
 
 def single_particle_basis(m=3, length=3.0):
@@ -268,6 +268,19 @@ class TestOperatorBlock:
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError):
             OperatorBlock(np.eye(2), "bogus")
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 700, 1100])
+    def test_blocked_deviation_equals_the_whole_matrix_formula(self, n):
+        """The row-blocked check reads the same max |M - M^dag| bit for
+        bit; n = 700 and 1100 span two and five row blocks."""
+        rng = np.random.default_rng(n)
+        general = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        hermitian = (general + general.conj().T) / 2
+        nearly = hermitian.copy()
+        nearly[n // 2, n - 1] += 3e-13j
+        for mat in (general, hermitian, nearly):
+            assert hermiticity_deviation(mat) == \
+                np.max(np.abs(mat - mat.conj().T))
 
     def test_addition_and_scaling(self):
         a = OperatorBlock(np.eye(2), "kinetic")
