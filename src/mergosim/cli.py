@@ -331,9 +331,8 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     artifacts = [path]
 
     if auto:
-        target = sh.dense(fixed_s) if fixed_s is not None else sh
-        times, values = autocorrelation(psi0, target, auto["t_max"],
-                                        auto["n_samples"])
+        times, values = autocorrelation(psi0, sh, auto["t_max"],
+                                        auto["n_samples"], fixed_s)
         corr_path = os.path.join(out_dir, "correlation.csv")
         out_io.write_correlation_csv(corr_path, times, values)
         freqs, intensity = spectrum(times, values, window=auto["window"])

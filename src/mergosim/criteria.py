@@ -52,6 +52,9 @@ class GeometricCriterion:
             if len(row) != width:
                 raise ValueError(
                     f"{self.mode} constraints need {width} entries per row")
+            if not all(float(x).is_integer() for x in row[:2]):
+                raise ValueError(f"nucleus indices must be integers, got "
+                                 f"{row[0]}, {row[1]}")
             j, k = int(row[0]), int(row[1])
             values = tuple(float(x) for x in row[2:])
             if any(v <= 0 for v in values):

@@ -23,10 +23,14 @@ density matrix only when asked, so a pure run stays O(n m) to the end.
 The usual initial state, the ground state of a ``StructuredHamiltonian``,
 comes from ``ground_state``: Lanczos on the matrix-free product
 ``StructuredHamiltonian.apply``, O(n) memory per Krylov vector and no
-n x n array. The dense ``evaluate``/``dense`` assembly stays as the
-oracle, the path to an excited eigenstate (a single-vector Lanczos
-cannot resolve a degenerate level below it) and the fixed-s
-autocorrelation, which diagonalizes the real symmetric H(s) once.
+n x n array. The fixed-s autocorrelation C(t) of a
+``StructuredHamiltonian`` comes from Chebyshev moments of the same
+product, summed against Bessel functions for every sample at once, when
+a work estimate puts that below one dense eigh; otherwise, as for any
+fixed dense Hamiltonian, it diagonalizes the real symmetric H(s) once.
+The dense ``evaluate``/``dense`` assembly stays as the oracle, the path
+to an excited eigenstate (a single-vector Lanczos cannot resolve a
+degenerate level below it) and that fallback.
 """
 
 from __future__ import annotations
@@ -57,6 +61,26 @@ RITZ_TOL = 1e-12
 FIRST_CHECK = 8
 CHECK_GROWTH = 1.5
 KRYLOV_CHUNK = 64
+
+# Fixed-s autocorrelation from Chebyshev moments: relative pad of the
+# spectral interval, Kapteyn bound on the Bessel tail J_m(a t) at which
+# the series stops, and Bessel orders summed per matrix product.
+SPECTRAL_PAD = 1e-12
+BESSEL_TOL = 1e-18
+BESSEL_BLOCK = 64
+# Work estimate that picks Chebyshev moments or a dense eigh for a
+# fixed-s autocorrelation, in seconds (fit to both paths at n = 5 ...
+# 1681 on one Intel Xeon core, one BLAS thread, numpy 2.4). Dense:
+# DENSE_S_PER_N3 n^3 for the eigh plus DENSE_S_PER_PHASE per entry of
+# the n_samples x n phase matrix. Chebyshev with M Bessel orders:
+# CHEB_S_SETUP plus, per order, CHEB_S_PER_ORDER (half a stencil product
+# and one recurrence step, mostly call overhead) and CHEB_S_PER_ENTRY
+# per basis entry and per sample.
+DENSE_S_PER_N3 = 2.0e-10
+DENSE_S_PER_PHASE = 8.0e-8
+CHEB_S_SETUP = 3.0e-4
+CHEB_S_PER_ORDER = 1.7e-5
+CHEB_S_PER_ENTRY = 5.0e-9
 
 # spectrum window name -> weights of length n
 WINDOWS = {"hann": np.hanning, "rect": np.ones, "none": np.ones}
@@ -243,7 +267,7 @@ def kinetic_propagator(sh: StructuredHamiltonian,
     """
     shape = sh.basis.tensor_shape
     factors = []
-    for axis, c in sh.kinetic_axes():
+    for axis, c in sh.kinetic_axes:
         m = shape[axis]
         j = np.arange(1, m + 1)
         dst = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * math.pi
@@ -365,9 +389,9 @@ def ground_state(sh: StructuredHamiltonian,
     exact. The Ritz pair is checked on a geometric schedule and taken
     once the residual estimate |beta_k y_k| is at most RITZ_TOL. It is
     accepted only when the true residual ||H v - E0 v|| is at most
-    max(RITZ_TOL, 64 eps ||H||), with ||H|| bounded from the stencil and
-    the diagonal; otherwise ``MaxItersExceeded`` is raised. V(s) is
-    evaluated once. v is real, of unit norm, and its largest-magnitude
+    max(RITZ_TOL, 64 eps ||H||), with ||H|| bounded by the ends of
+    ``spectral_bounds``; otherwise ``MaxItersExceeded`` is raised. V(s)
+    is evaluated once. v is real, of unit norm, and its largest-magnitude
     component is positive.
     """
     n = sh.dim
@@ -400,7 +424,8 @@ def ground_state(sh: StructuredHamiltonian,
     v /= np.linalg.norm(v)
     v *= np.sign(v[np.argmax(np.abs(v))])
     residual = float(np.linalg.norm(sh.product(potential, v) - energy * v))
-    tol = max(RITZ_TOL, 64.0 * np.finfo(float).eps * sh.norm_bound(s))
+    tol = max(RITZ_TOL, 64.0 * np.finfo(float).eps
+              * max(np.abs(sh.spectral_bounds(s))))
     if not residual <= tol:
         raise MaxItersExceeded(
             f"Lanczos ground state of H({s}) has residual {residual:.3e} "
@@ -418,18 +443,184 @@ def default_step_count(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
     return max(1, int(np.ceil((s_to - s_from) * h_norm / resolution)))
 
 
+def _bessel_orders(x: np.ndarray) -> np.ndarray:
+    """Per x > 0, the smallest order m > x at which Kapteyn's bound
+    |J_m(x)| <= exp(m (tanh u - u)), cosh u = m / x (Watson 8.7), is at
+    most BESSEL_TOL. The bound falls with m, by a factor exp(-u) per
+    order, so the terms past it sum to a few BESSEL_TOL. Integer
+    bisection on m in (floor(x), 2 ceil(x) - ln(BESSEL_TOL) / 0.45]: at
+    m >= 2x the exponent is below -0.45 m, so the upper end fits."""
+    def fits(m):
+        u = np.arccosh(np.maximum(m / x, 1.0))
+        return m * (np.tanh(u) - u) <= math.log(BESSEL_TOL)
+
+    lo = np.floor(x)
+    hi = 2.0 * np.ceil(x) + math.ceil(-math.log(BESSEL_TOL) / 0.45)
+    while np.any(hi - lo > 1.0):
+        mid = np.floor(0.5 * (lo + hi))
+        ok = fits(mid)
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    return hi.astype(int)
+
+
+def _spectral_interval(sh: StructuredHamiltonian,
+                       s: float) -> tuple[float, float]:
+    """Center b and half-width a of H(s)'s spectral interval, padded by
+    SPECTRAL_PAD of its largest end, so (H - b) / a lies in [-1, 1]."""
+    lo, hi = sh.spectral_bounds(s)
+    pad = SPECTRAL_PAD * max(abs(lo), abs(hi))
+    return 0.5 * (lo + hi), 0.5 * (hi - lo) + pad
+
+
+def _real_columns(psi: np.ndarray) -> np.ndarray:
+    """psi as real columns, (Re psi, Im psi), or Re psi when it is real."""
+    return psi.real if not np.any(psi.imag) \
+        else np.column_stack([psi.real, psi.imag])
+
+
+def _chebyshev_moments(sh: StructuredHamiltonian, s: float, center: float,
+                       half: float, psi0: np.ndarray,
+                       n_products: int) -> np.ndarray:
+    """mu_0 ... mu_2K of H~ = (H(s) - b) / a at psi0, from K products.
+
+    phi_k = T_k(H~) psi0 follows phi_k+1 = 2 H~ phi_k - phi_k-1, and the
+    doubling identities mu_2k = 2 <phi_k|phi_k> - mu_0 and
+    mu_2k-1 = 2 <phi_k|phi_k-1> - mu_1 read two moments per product. H~
+    is real symmetric, so a complex psi0 runs as the real columns
+    (Re psi0, Im psi0) and every moment is real.
+    """
+    shifted = sh.potential(s) - center
+    prev = _real_columns(psi0)
+    cur = sh.product(shifted, prev) / half
+    mu = np.empty(2 * n_products + 1)
+    mu[0], mu[1] = np.vdot(prev, prev), np.vdot(cur, prev)
+    mu[2] = 2.0 * np.vdot(cur, cur) - mu[0]
+    for k in range(2, n_products + 1):
+        nxt = sh.product(shifted, cur)
+        nxt *= 2.0 / half
+        nxt -= prev
+        mu[2 * k - 1] = 2.0 * np.vdot(nxt, cur) - mu[1]
+        mu[2 * k] = 2.0 * np.vdot(nxt, nxt) - mu[0]
+        prev, cur = cur, nxt
+    return mu
+
+
+def _bessel_series(x: np.ndarray, orders: np.ndarray,
+                   moments: np.ndarray) -> np.ndarray:
+    """sum_m (2 - delta_m0) (-i)^m J_m(x_j) mu_m for every x_j != 0.
+
+    J_m comes from Miller's backward recurrence
+    J_m = (2 (m + 1) / x) J_m+1 - J_m+2, run for all x at once. Sample j
+    starts at its own order N_j = ``orders[j]`` (nondecreasing) with
+    J_N+1 = 0 and J_N = 1: the true J_N is below BESSEL_TOL, so the
+    unnormalised values stay near 1 / BESSEL_TOL (no overflow) and the
+    start error is below BESSEL_TOL too. The sums are normalised by
+    J_0 + 2 sum_k J_2k = 1. Orders are summed BESSEL_BLOCK rows per
+    matrix product, so the J table is never held whole.
+    """
+    top = int(orders[-1])
+    m = np.arange(top + 1)
+    scale = np.where(m == 0, 1.0, 2.0)  # 2 - delta_m0
+    coeff = scale * np.array([1, -1j, -1, 1j])[m % 4] * moments[:top + 1]
+    # rows: Re and Im of the series, then J_0 + 2 sum_k J_2k
+    weights = np.stack([coeff.real, coeff.imag, scale * (m % 2 == 0)])
+    starts = np.searchsorted(orders, np.arange(top + 2)).tolist()
+    buf = np.zeros((BESSEL_BLOCK + 2, len(x)))  # J_m+2, J_m+1, block rows
+    sums = np.zeros((3, len(x)))
+    for high in range(top, -1, -BESSEL_BLOCK):
+        block = range(high, max(high - BESSEL_BLOCK, -1), -1)
+        ratios = np.multiply.outer(np.arange(high + 1, block.stop + 1, -1),
+                                   2.0 / x)
+        for i, order in enumerate(block, start=2):
+            row = np.multiply(ratios[i - 2], buf[i - 1], out=buf[i])
+            row -= buf[i - 2]
+            row[starts[order]:starts[order + 1]] = 1.0
+        rows = len(block)
+        sums += weights[:, block.stop + 1:high + 1][:, ::-1] @ buf[2:rows + 2]
+        buf[:2] = buf[rows:rows + 2]
+    return (sums[0] + 1j * sums[1]) / sums[2]
+
+
+def _chebyshev_autocorrelation(sh: StructuredHamiltonian, s: float,
+                               psi0: np.ndarray,
+                               times: np.ndarray) -> np.ndarray:
+    """C(t) = <psi0| exp(-i H(s) t) |psi0> from Chebyshev moments of the
+    stencil product, with no n x n array.
+
+    With H~ = (H - b) / a spanning [-1, 1] (``_spectral_interval``),
+    exp(-i H t) = exp(-i b t) sum_m (2 - delta_m0) (-i)^m J_m(a t) T_m(H~)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), so C(t) needs
+    only the moments mu_m = <psi0|T_m(H~)|psi0> (Weisse et al.,
+    Rev. Mod. Phys. 78, 275 (2006)). One moment series, M / 2 products
+    long with M the Bessel order of the last sample, serves every
+    sample; the t = 0 sample is mu_0. A zero-width spectrum (or
+    t_max = 0) gives mu_0 exp(-i b t).
+    """
+    center, half = _spectral_interval(sh, s)
+    phase = np.exp(-1j * center * times)
+    if half * abs(times[-1]) == 0.0:
+        columns = _real_columns(psi0)
+        return np.vdot(columns, columns) * phase
+    x = half * times[1:]
+    orders = np.maximum.accumulate(_bessel_orders(np.abs(x)))
+    moments = _chebyshev_moments(sh, s, center, half, psi0,
+                                 (int(orders[-1]) + 1) // 2)
+    values = np.empty(len(times), dtype=complex)
+    values[0] = moments[0]
+    values[1:] = _bessel_series(x, orders, moments)
+    return phase * values
+
+
+def _prefers_chebyshev(sh: StructuredHamiltonian, s: float,
+                       times: np.ndarray) -> bool:
+    """Whether the work estimate (the DENSE_* and CHEB_* constants) puts
+    Chebyshev moments below one dense eigh for C(t) at H(s)."""
+    n, n_samples = sh.dim, len(times)
+    x_max = _spectral_interval(sh, s)[1] * abs(times[-1])
+    dense = DENSE_S_PER_N3 * n ** 3 + DENSE_S_PER_PHASE * n * n_samples
+
+    def chebyshev(order: float) -> float:
+        return CHEB_S_SETUP + order * (
+            CHEB_S_PER_ORDER + CHEB_S_PER_ENTRY * (n + n_samples))
+
+    # M > x_max: a series dearer than dense at x_max orders needs no M
+    return chebyshev(x_max) < dense and (x_max == 0.0 or chebyshev(
+        int(_bessel_orders(np.array([x_max]))[0])) < dense)
+
+
+def _dense_autocorrelation(h: np.ndarray, psi0: np.ndarray,
+                           times: np.ndarray) -> np.ndarray:
+    """C(t) from one eigendecomposition of a fixed Hermitian matrix, in
+    real arithmetic when h is real."""
+    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        raise NonHermitianHamiltonian("H(s) is not Hermitian")
+    w, v = hermitian_eigh(h)
+    if np.iscomplexobj(v):
+        weights = np.abs(v.conj().T @ psi0) ** 2
+    else:
+        overlaps = v.T @ np.column_stack([psi0.real, psi0.imag])
+        weights = np.sum(overlaps * overlaps, axis=1)
+    phases = np.exp(-1j * np.outer(times, w))
+    return phases @ weights
+
+
 def autocorrelation(initial: np.ndarray,
                     hamiltonian: Union[OperatorBlock, np.ndarray,
                                        ScheduledHamiltonian,
                                        StructuredHamiltonian],
-                    t_max: float, n_samples: int
+                    t_max: float, n_samples: int,
+                    fixed_s: Optional[float] = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """C(t) = <psi0 | psi(t)> on a uniform t-grid including t = 0.
 
     A fixed Hamiltonian (OperatorBlock or matrix) is diagonalized once,
-    in real arithmetic when it is a real matrix; a scheduled one is
-    stepped as ``propagate`` steps it, with t read as the schedule
-    parameter s, so it needs 0 < t_max <= s1.
+    in real arithmetic when it is a real matrix. A StructuredHamiltonian
+    with ``fixed_s`` is read at that s: C(t) comes from Chebyshev moments
+    of its stencil product (``_chebyshev_autocorrelation``) or from a
+    dense eigh of ``dense(fixed_s)``, whichever the work estimate
+    (``_prefers_chebyshev``) puts lower. A scheduled Hamiltonian without
+    ``fixed_s`` is stepped as ``propagate`` steps it, with t read as the
+    schedule parameter s, so it needs 0 < t_max <= s1.
     """
     psi0 = np.asarray(initial, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -438,7 +629,13 @@ def autocorrelation(initial: np.ndarray,
         raise ValueError("need at least two samples")
     times = np.linspace(0.0, t_max, n_samples)
 
-    if isinstance(hamiltonian, (ScheduledHamiltonian, StructuredHamiltonian)):
+    if fixed_s is not None:
+        if _prefers_chebyshev(hamiltonian, fixed_s, times):
+            return times, _chebyshev_autocorrelation(hamiltonian, fixed_s,
+                                                     psi0, times)
+        hamiltonian = hamiltonian.dense(fixed_s)
+    elif isinstance(hamiltonian, (ScheduledHamiltonian,
+                                  StructuredHamiltonian)):
         if not 0.0 < t_max <= hamiltonian.schedule.s1:
             raise ScheduleOutOfRange(
                 f"require 0 < t_max <= s1, got {t_max}")
@@ -451,16 +648,7 @@ def autocorrelation(initial: np.ndarray,
 
     h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
         else np.asarray(hamiltonian)
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise NonHermitianHamiltonian("H(s) is not Hermitian")
-    w, v = hermitian_eigh(h)
-    if np.iscomplexobj(v):
-        weights = np.abs(v.conj().T @ psi0) ** 2
-    else:
-        overlaps = v.T @ np.column_stack([psi0.real, psi0.imag])
-        weights = np.sum(overlaps * overlaps, axis=1)
-    phases = np.exp(-1j * np.outer(times, w))
-    return times, phases @ weights
+    return times, _dense_autocorrelation(h, psi0, times)
 
 
 def spectrum(times: np.ndarray, values: np.ndarray,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -469,9 +470,10 @@ class StructuredHamiltonian:
     basis. The potential is diagonal: the intra-fragment Coulomb energy
     ``v_frag``, the inter-fragment coupling ``v_ab`` ramped by f and the
     trap ``v_trap`` ramped by g. ``apply(x, s)`` is H(s) x in O(n) per
-    kinetic axis with no n x n array; ``dense(s)`` assembles the real
-    symmetric matrix, and ``evaluate(s)`` wraps it as a checked block,
-    the oracle for everything that uses this structure.
+    kinetic axis with no n x n array and ``spectral_bounds(s)`` encloses
+    its spectrum; ``dense(s)`` assembles the real symmetric matrix, and
+    ``evaluate(s)`` wraps it as a checked block, the oracle for
+    everything that uses this structure.
     """
 
     basis: Basis
@@ -504,13 +506,14 @@ class StructuredHamiltonian:
         f, g = self.schedule.profiles(s)
         return self.v_frag + f * self.v_ab + g * self.v_trap
 
-    def kinetic_axes(self) -> list[tuple[int, float]]:
+    @cached_property
+    def kinetic_axes(self) -> tuple[tuple[int, float], ...]:
         """(tensor axis, stencil coefficient c) per kinetic (register,
         lattice axis): T acts there as c (2 - shift - shift^T)."""
-        return [(self.basis.tensor_axis(p, axis),
-                 _kinetic_coefficient(self.basis, p))
-                for p in self.kinetic_registers
-                for axis in range(self.basis.grid.dims)]
+        return tuple((self.basis.tensor_axis(p, axis),
+                      _kinetic_coefficient(self.basis, p))
+                     for p in self.kinetic_registers
+                     for axis in range(self.basis.grid.dims))
 
     def apply(self, x: np.ndarray, s: float) -> np.ndarray:
         """H(s) x for an array whose first axis is the basis index."""
@@ -522,7 +525,7 @@ class StructuredHamiltonian:
         v = ``potential(s)``, for callers that stay at one s."""
         out = v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
         shape = self.basis.tensor_shape
-        for axis, c in self.kinetic_axes():
+        for axis, c in self.kinetic_axes:
             xs = x.reshape(math.prod(shape[:axis]), shape[axis], -1)
             stencil = 2.0 * xs
             stencil[:, 1:] -= xs[:, :-1]
@@ -543,15 +546,18 @@ class StructuredHamiltonian:
         """max |H(s)_ij| read from the stencil and the diagonals: the
         diagonal is constant kinetic plus V(s), and a kinetic neighbour
         entry is -c of the one register that moves."""
-        coefficients = [c for _, c in self.kinetic_axes()]
+        coefficients = [c for _, c in self.kinetic_axes]
         diagonal = 2.0 * sum(coefficients) + self.potential(s)
         neighbour = max(coefficients) \
             if coefficients and self.basis.grid.points_per_axis > 1 else 0.0
         return float(max(np.max(np.abs(diagonal)), neighbour))
 
-    def norm_bound(self, s: float) -> float:
-        """Gershgorin bound on ||H(s)||_2 read from the stencil and the
-        diagonals: max |diagonal| plus the kinetic neighbour row sum
-        2 sum c."""
-        kinetic = 2.0 * sum(c for _, c in self.kinetic_axes())
-        return float(np.max(np.abs(kinetic + self.potential(s))) + kinetic)
+    def spectral_bounds(self, s: float) -> tuple[float, float]:
+        """(lo, hi) enclosing the spectrum of H(s), read from the stencil
+        and the diagonal: each stencil c (2 - shift - shift^T) has its
+        eigenvalues in [0, 4c], so T lies in [0, 4 sum c] and, by Weyl,
+        H(s) in [min V(s), max V(s) + 4 sum c]. max(|lo|, |hi|) bounds
+        ||H(s)||_2."""
+        potential = self.potential(s)
+        kinetic = 4.0 * sum(c for _, c in self.kinetic_axes)
+        return float(np.min(potential)), float(np.max(potential)) + kinetic

@@ -109,6 +109,9 @@ class TestConfigSchema:
         pytest.param("validate_h2o2.json",
                      (("criteria", 0, "pairs"), [[0, 4, 95.0, 13.23]]),
                      "validate", id="validated_pair_names_missing_nucleus"),
+        pytest.param("measure_bond.json",
+                     (("criteria", 0, "pairs"), [[0.7, 1.9, 1.5]]),
+                     "measure", id="fractional_pair_index"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())

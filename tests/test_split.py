@@ -1,7 +1,8 @@
-"""The structured H(s), its matrix-free product, Lanczos ground state and
-split-operator propagation, pinned to the dense oracle: the four dense
-blocks the command line used to assemble, dense eigendecompositions and
-exponentials of ``build_kinetic`` and the midpoint-rule path."""
+"""The structured H(s), its matrix-free product, Lanczos ground state,
+split-operator propagation and Chebyshev fixed-s autocorrelation, pinned
+to the dense oracle: the four dense blocks the command line used to
+assemble, dense eigendecompositions and exponentials of ``build_kinetic``,
+the midpoint-rule path and the dense-eigh autocorrelation."""
 
 import json
 import tracemalloc
@@ -14,9 +15,13 @@ from hypothesis import strategies as st
 
 from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
                           _initial_vector, _typed, main)
-from mergosim.evolution import (DensityMatrix, _lowest_tridiagonal_pair,
-                                default_step_count, ground_state,
-                                hermitian_eigh, kinetic_propagator, propagate)
+from mergosim.evolution import (DensityMatrix, _bessel_orders,
+                                _bessel_series, _chebyshev_autocorrelation,
+                                _chebyshev_moments, _dense_autocorrelation,
+                                _lowest_tridiagonal_pair, _prefers_chebyshev,
+                                _spectral_interval, default_step_count,
+                                ground_state, hermitian_eigh,
+                                kinetic_propagator, propagate)
 from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
 from mergosim.hamiltonian import (OperatorBlock, Schedule,
                                   ScheduledHamiltonian,
@@ -363,3 +368,141 @@ def test_lanczos_evaluates_the_schedule_a_fixed_number_of_times(monkeypatch):
         counts.append(dict(calls))
     assert counts[0]["product"] != counts[1]["product"]
     assert counts[0]["profiles"] == counts[1]["profiles"] <= 2
+
+
+def bench_merge(seed, m=21):
+    """The evolve_merge benchmark geometry at one workload seed: the
+    light-nuclei merge with masses, softening, trap separation and
+    frequency drawn as the benchmark draws them."""
+    rng = np.random.default_rng([seed, 1])
+    d = round(float(rng.uniform(1.5, 2.5)), 6)
+    rng.integers(2 ** 31)  # the config seed, unused here
+    masses = [round(float(x), 6) for x in rng.uniform(4.0, 6.0, 2)]
+    softening = round(float(rng.uniform(0.8, 1.2)), 6)
+    omega = round(float(rng.uniform(0.1, 0.2)), 6)
+    raw = light_merge(m)
+    raw["particles"]["nuclear_masses"] = masses
+    raw["hamiltonian"].update(softening=softening,
+                              trap={"centers": [[-d], [d]], "omega": omega})
+    raw["evolve"] = {"s_from": 0.0, "s_to": 8.0, "n_steps": 8,
+                     "initial": {"kind": "eigenstate", "index": 0},
+                     "autocorrelation": {"t_max": 40.0, "n_samples": 512,
+                                         "fixed_s": 4.0}}
+    return raw
+
+
+def fixed_s_problem(raw):
+    """(sh, fixed_s, Lanczos ground state of H(0), sample times): the
+    config's autocorrelation section, else s0 and 512 samples to 40."""
+    _, _, sh = build(raw)
+    auto = raw.get("evolve", {}).get("autocorrelation") or {
+        "fixed_s": sh.schedule.s0, "t_max": 40.0, "n_samples": 512}
+    psi0 = ground_state(sh, 0.0)[1].astype(complex)
+    return (sh, auto["fixed_s"], psi0,
+            np.linspace(0.0, auto["t_max"], auto["n_samples"]))
+
+
+def check_chebyshev(sh, s, psi0, times):
+    """Chebyshev C(t) within 1e-10 of the dense eigh, and C(0) exactly
+    mu_0."""
+    cheb = _chebyshev_autocorrelation(sh, s, psi0, times)
+    dense = _dense_autocorrelation(sh.dense(s), psi0, times)
+    assert np.max(np.abs(cheb - dense)) <= 1e-10
+    center, half = _spectral_interval(sh, s)
+    if half:
+        assert cheb[0] == _chebyshev_moments(sh, s, center, half, psi0, 1)[0]
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_spectral_bounds_enclose_the_spectrum(case):
+    _, _, sh = build(LANCZOS_CASES[case]())
+    assert sh.kinetic_axes is sh.kinetic_axes  # computed once
+    for s in (0.0, sh.schedule.s0, sh.schedule.s1):
+        lo, hi = sh.spectral_bounds(s)
+        w = np.linalg.eigvalsh(sh.dense(s))
+        assert lo <= w[0] and w[-1] <= hi
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_chebyshev_autocorrelation_matches_dense(case):
+    sh, s, psi0, times = fixed_s_problem(LANCZOS_CASES[case]())
+    if case == "evolve_flat":  # H = 0: the zero-width branch
+        assert _spectral_interval(sh, s) == (0.0, 0.0)
+    check_chebyshev(sh, s, psi0, times)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chebyshev_matches_dense_on_the_benchmark_merge(seed):
+    check_chebyshev(*fixed_s_problem(bench_merge(seed)))
+
+
+def test_chebyshev_takes_a_complex_state():
+    sh, s, _, times = fixed_s_problem(bench_merge(0))
+    rng = np.random.default_rng(5)
+    psi0 = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
+    check_chebyshev(sh, s, psi0 / np.linalg.norm(psi0), times)
+
+
+@settings(max_examples=40)
+@given(structured_problems(), st.floats(0.0, 1.0), st.floats(-50.0, 50.0),
+       st.integers(2, 80))
+def test_chebyshev_matches_dense_on_random_problems(problem, s, t_max,
+                                                    n_samples):
+    sh, psi0, _ = problem
+    check_chebyshev(sh, s, psi0, np.linspace(0.0, t_max, n_samples))
+
+
+@pytest.mark.parametrize("x_max", [1e-9, 0.3, 40.0, 3000.0])
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
+def test_bessel_series_matches_the_bessel_integral(x_max, order):
+    """One unit moment at ``order`` gives (2 - delta_m0) (-i)^m J_m(x);
+    the oracle is J_m(x) = mean over tau of cos(m tau - x sin tau) on an
+    equispaced periodic grid, exact once it has more points than
+    x + m + 60."""
+    x = np.linspace(0.0, x_max, 33)[1:]
+    top = int(x_max + 10 * x_max ** (1 / 3) + 60)
+    moments = np.zeros(top + 1)
+    moments[order] = 1.0
+    tau = 2 * np.pi * np.arange(2 * top + 1) / (2 * top + 1)
+    j = np.cos(order * tau - np.outer(x, np.sin(tau))).mean(axis=1)
+    expected = (1 if order == 0 else 2) * (-1j) ** order * j
+    orders = np.maximum.accumulate(_bessel_orders(x))
+    assert orders[-1] <= top
+    assert np.max(np.abs(_bessel_series(x, orders, moments)
+                         - expected)) <= 1e-13
+
+
+def test_the_work_estimate_picks_the_path():
+    """Dense where its eigh is cheap (the shipped evolve configs keep
+    their bytes), Chebyshev on the evolve_merge benchmark geometry."""
+    for name in ("evolve_salt_1d.json", "evolve_flat.json"):
+        sh, s, _, times = fixed_s_problem(shipped(name))
+        assert not _prefers_chebyshev(sh, s, times)
+    for seed in range(12):
+        sh, s, _, times = fixed_s_problem(bench_merge(seed))
+        assert _prefers_chebyshev(sh, s, times)
+
+
+def test_merge_evolve_runs_no_eigensolver(monkeypatch, tmp_path, capsys):
+    """A whole evolve run on the evolve_merge geometry (Lanczos start,
+    split steps, fixed-s autocorrelation) calls neither eigh nor
+    eigvalsh; the shipped salt run, which takes the dense path, calls
+    eigh once, so the counter sees them."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    config = tmp_path / "merge.json"
+    config.write_text(json.dumps(dict(bench_merge(0), seed=3)))
+    assert main(["evolve", "--config", str(config),
+                 "--out", str(tmp_path / "merge")]) == 0
+    assert (tmp_path / "merge" / "correlation.csv").exists()
+    assert calls == []
+    assert main(["evolve", "--config",
+                 str(CONFIG_DIR / "evolve_salt_1d.json"),
+                 "--out", str(tmp_path / "salt")]) == 0
+    assert calls == ["eigh"]
+    capsys.readouterr()
