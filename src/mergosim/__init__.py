@@ -8,8 +8,7 @@ chain together with the block-encoding cost scalings.
 """
 
 from .criteria import (Bipartition, GeometricCriterion, SymmetrizedCriterion,
-                       bipartition, evaluate_criterion, symmetrize_criterion,
-                       validate_symmetric)
+                       bipartition, symmetrize_criterion, validate_symmetric)
 from .errors import SimulationError
 from .evolution import (DensityMatrix, PropagationReport, autocorrelation,
                         ground_state, propagate, spectrum)

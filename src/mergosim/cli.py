@@ -50,7 +50,7 @@ Map = namedtuple("Map", "item")
 OneOf = namedtuple("OneOf", "options")
 AtLeast = namedtuple("AtLeast", "kind low")
 
-_INITIAL = {"kind": (str, "basis_state"), "index": (int, 0), "s": (float, None)}
+_INITIAL = {"kind": (str, "basis_state"), "index": (int, 0)}
 _NODE = {"success_weight": (float, 1.0), "delta": (float, math.pi / 2.0),
          "max_iters": (AtLeast(int, 1), 64), "delta_ramp": (float, 1.0),
          "renaturalize": (bool, False)}
@@ -177,11 +177,6 @@ def load_config(path: str) -> dict:
     if _typed(cfg, _CONFIG, "config")["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     return cfg
-
-
-def emit_config(cfg: dict) -> str:
-    """Canonical serialization; parse(emit(cfg)) round-trips."""
-    return json.dumps(cfg, sort_keys=True, indent=2) + "\n"
 
 
 @contextlib.contextmanager
@@ -489,7 +484,11 @@ def cmd_lz(cfg: dict, out_dir: str, fmt: str) -> dict:
     if "values" in v_sec:
         v_values = v_sec["values"]
     else:
-        space = np.geomspace if v_sec["scale"] == "log" else np.linspace
+        space = {"log": np.geomspace,
+                 "linear": np.linspace}.get(v_sec["scale"])
+        if space is None:
+            raise ConfigError(f"lz.v.scale must be 'log' or 'linear', got "
+                              f"{v_sec['scale']!r}")
         v_values = list(space(v_sec["min"], v_sec["max"], v_sec["points"]))
 
     rows = [(v, result.gamma, result.p_lz, result.p_lz_bound, result.p_suc)

@@ -20,10 +20,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import LabelOutOfRange, PairIndexOutOfRange
-from .evolution import DensityMatrix, row_scaling
 from .grid import Basis, Configuration, GridSpec, ParticleSet
-from .symmetry import (Permutation, SymmetryDeclaration, antisymmetrize,
-                       generators, group_elements)
+from .symmetry import (Permutation, SymmetryDeclaration, generators,
+                       group_elements)
 from .units import unit_convert
 
 EXHAUSTIVE_LIMIT = 4096
@@ -127,11 +126,6 @@ class SymmetrizedCriterion:
 Criterion = Union[GeometricCriterion, SymmetrizedCriterion]
 
 
-def evaluate_criterion(criterion: Criterion, config: Configuration,
-                       grid: GridSpec, particles: ParticleSet) -> int:
-    return criterion.evaluate(config, grid, particles)
-
-
 def symmetrize_criterion(criterion: GeometricCriterion,
                          declaration: SymmetryDeclaration
                          ) -> SymmetrizedCriterion:
@@ -214,28 +208,3 @@ def validate_symmetric(criterion: Criterion,
     return CriterionSymmetryResult(
         False, (culprit, basis.configuration_at(int(rows[first]))),
         first + 1, sampled)
-
-
-def symmetry_breaking_witness(criterion: Criterion,
-                              declaration: SymmetryDeclaration,
-                              basis: Basis,
-                              seed: int = 0):
-    """Constructive necessity witness for a non-symmetric criterion.
-
-    From a violating configuration, build its (anti)symmetrized state,
-    project it onto the accepted block (the rejected one if A holds no
-    weight) and return the unit vector (the caller scores its symmetry
-    deviation). Returns None when the criterion validates as symmetric.
-    """
-    result = validate_symmetric(criterion, declaration, basis, seed=seed)
-    if result.symmetric:
-        return None
-    _, cfg = result.counterexample
-    vec = np.zeros(basis.size, dtype=complex)
-    vec[basis.index_of(cfg)] = 1.0
-    state = DensityMatrix.from_pure(antisymmetrize(vec, declaration, basis))
-    mask = bipartition(criterion, basis).mask
-    _, post = state.mapped(row_scaling(mask))
-    if post is None:
-        _, post = state.mapped(row_scaling(~mask))
-    return post.vector

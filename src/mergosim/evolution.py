@@ -46,7 +46,6 @@ from .errors import (MaxItersExceeded, NonHermitianHamiltonian,
                      NonuniformGrid, ScheduleOutOfRange, UnnormalizedInput)
 from .hamiltonian import (OperatorBlock, ScheduledHamiltonian,
                           StructuredHamiltonian)
-from .io import write_matrix
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -216,11 +215,6 @@ class DensityMatrix:
         if self.vector is not None and other.vector is not None:
             return self.of(np.kron(self.vector, other.vector))
         return self.of(np.kron(self.matrix, other.matrix))
-
-    def export(self, path: str, tag: str = "state") -> None:
-        """Snapshot to the same dense matrix file format operator blocks
-        use."""
-        write_matrix(path, self.matrix, tag)
 
 
 def row_scaling(scale: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -620,8 +614,13 @@ def autocorrelation(initial: np.ndarray,
     dense eigh of ``dense(fixed_s)``, whichever the work estimate
     (``_prefers_chebyshev``) puts lower. A scheduled Hamiltonian without
     ``fixed_s`` is stepped as ``propagate`` steps it, with t read as the
-    schedule parameter s, so it needs 0 < t_max <= s1.
+    schedule parameter s, so it needs 0 < t_max <= s1. ``fixed_s`` with
+    any other Hamiltonian raises ValueError.
     """
+    if fixed_s is not None and not isinstance(hamiltonian,
+                                              StructuredHamiltonian):
+        raise ValueError(f"fixed_s needs a StructuredHamiltonian, got "
+                         f"{type(hamiltonian).__name__}")
     psi0 = np.asarray(initial, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise UnnormalizedInput("initial state must be normalized")

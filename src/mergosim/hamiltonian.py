@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import (CenterOutsideBox, NonHermitianHamiltonian,
                      NonpositiveDistance, ScheduleOutOfRange, SingularCoulomb)
-from .grid import Basis, Configuration, GridSpec, ParticleSet, label_to_coord
-from .io import write_matrix
+from .grid import Basis, ParticleSet
 
 VALID_TAGS = ("kinetic", "coulomb_ee", "coulomb_nn", "coulomb_ne",
               "trap", "external", "total")
@@ -72,12 +71,11 @@ class OperatorBlock:
     def scaled(self, factor: float) -> "OperatorBlock":
         return OperatorBlock(self.matrix * float(factor), self.tag)
 
+    def __rmul__(self, factor: float) -> "OperatorBlock":
+        return self.scaled(factor)
+
     def __add__(self, other: "OperatorBlock") -> "OperatorBlock":
         return OperatorBlock(self.matrix + other.matrix, "total")
-
-    def export(self, path: str) -> None:
-        """Write the block to the dense matrix file format."""
-        write_matrix(path, self.matrix, self.tag)
 
 
 def zero_block(dim: int, tag: str = "external") -> OperatorBlock:
@@ -169,25 +167,6 @@ def _softened_sum(n: int, terms, softening: float,
     return total
 
 
-def _coulomb_sum(particles: ParticleSet, coords: np.ndarray,
-                 softening: float, pair_list) -> np.ndarray:
-    """Softened pairwise Coulomb sum per configuration row of ``coords``
-    (configurations, n_particles, dims)."""
-    return _softened_sum(coords.shape[0], [
-        (particles.charge(i) * particles.charge(j), coords[:, i], coords[:, j],
-         f"registers {i} and {j} coincide with zero softening")
-        for i, j in pair_list], softening, softening * softening)
-
-
-def coulomb_energy(grid: GridSpec, particles: ParticleSet,
-                   config: Configuration, softening: float,
-                   pairs="all") -> float:
-    """Softened pairwise Coulomb sum for a single configuration."""
-    coords = np.array([label_to_coord(grid, lab) for lab in config.labels])
-    return float(_coulomb_sum(particles, coords[None], softening,
-                              _resolve_pairs(particles, pairs))[0])
-
-
 def _diagonal_block(diag: np.ndarray, tag: str) -> OperatorBlock:
     return OperatorBlock(np.diag(diag.astype(complex)), tag)
 
@@ -198,8 +177,13 @@ def coulomb_diagonal(basis: Basis, softening: float,
     particle pairs (see ``build_coulomb``)."""
     if softening < 0:
         raise ValueError("softening must be nonnegative")
-    return _coulomb_sum(basis.particles, basis.labels * basis.grid.spacing,
-                        softening, _resolve_pairs(basis.particles, pairs))
+    particles = basis.particles
+    coords = basis.labels * basis.grid.spacing
+    return _softened_sum(basis.size, [
+        (particles.charge(i) * particles.charge(j), coords[:, i], coords[:, j],
+         f"registers {i} and {j} coincide with zero softening")
+        for i, j in _resolve_pairs(particles, pairs)],
+        softening, softening * softening)
 
 
 def build_coulomb(basis: Basis, softening: float,

@@ -1,4 +1,4 @@
-"""File export: dense matrix files, CSV series, JSON and JSONL records.
+"""File export: CSV series, JSON and JSONL records.
 
 Every writer goes through an atomic write-temp-then-rename so partial
 files never appear under the target name. Numeric formatting uses
@@ -27,34 +27,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_matrix(path: str, matrix: np.ndarray, tag: str) -> None:
-    """Dense complex matrix as rows of "re im" pairs under a
-    "dim <n> tag <tag>" header."""
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    lines = [f"dim {mat.shape[0]} tag {tag}"]
-    for row in mat:
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_matrix(path: str) -> tuple[np.ndarray, str]:
-    with open(path) as handle:
-        header = handle.readline().split()
-        if len(header) != 4 or header[0] != "dim" or header[2] != "tag":
-            raise ValueError(f"malformed matrix header in {path}")
-        n = int(header[1])
-        tag = header[3]
-        mat = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            parts = [float(x) for x in handle.readline().split()]
-            if len(parts) != 2 * n:
-                raise ValueError(f"row {i} of {path} has wrong width")
-            mat[i] = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
-    return mat, tag
 
 
 def write_csv(path: str, header: Sequence[str],

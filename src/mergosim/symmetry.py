@@ -103,14 +103,6 @@ class Permutation:
                 return b
         return register
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Composition with ``other`` acting first on configurations,
-        so permutation_matrix(compose) = U_self @ U_other."""
-        regs = {a for a, _ in self.moves} | {a for a, _ in other.moves}
-        moves = tuple((r, other(self(r))) for r in sorted(regs)
-                      if other(self(r)) != r)
-        return Permutation(moves, self.sign * other.sign)
-
     def order(self, n_registers: int) -> list[int]:
         """Slot k of an image receives slot order[k]; a move outside
         the ``n_registers`` registers raises."""
@@ -240,19 +232,18 @@ def symmetry_check(state, declaration: SymmetryDeclaration,
                    basis: Basis) -> SymmetryReport:
     """Deviation under every generator permutation.
 
-    Density matrices are scored with the max-entry norm of
-    U rho U^dag - rho; vectors with the 2-norm of U psi - sgn psi.
+    A vector (raw, or a pure state's) is scored with the 2-norm of
+    U psi - sgn psi, so the exchange sign counts; a mixed state's matrix
+    with the max-entry norm of U rho U^dag - rho.
     """
+    x = state.array if isinstance(state, DensityMatrix) \
+        else np.asarray(state, dtype=complex).ravel()
     details = []
     worst = 0.0
     for gen in generators(declaration):
-        if isinstance(state, DensityMatrix):
-            moved = apply_permutation(gen, basis, state.matrix)
-            dev = float(np.max(np.abs(moved - state.matrix)))
-        else:
-            vec = np.asarray(state, dtype=complex).ravel()
-            moved = apply_permutation(gen, basis, vec)
-            dev = float(np.linalg.norm(moved - gen.sign * vec))
+        moved = apply_permutation(gen, basis, x)
+        dev = float(np.linalg.norm(moved - gen.sign * x) if x.ndim == 1
+                    else np.max(np.abs(moved - x)))
         details.append((gen, dev))
         worst = max(worst, dev)
     return SymmetryReport(worst, tuple(details))

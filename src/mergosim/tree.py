@@ -19,7 +19,6 @@ import numpy as np
 from .criteria import Bipartition
 from .errors import MaxItersExceeded, NodeExhausted
 from .evolution import DensityMatrix, PropagationReport, propagate
-from .hamiltonian import ScheduledHamiltonian
 from .weakmeas import (TraceLog, WeakMeasurementSpec, _ABBlocks,
                        p_success_weight, repeat_until_success)
 
@@ -57,14 +56,15 @@ class PumpChannel:
 
 
 class PropagationChannel:
-    """Merge evolution under a scheduled Hamiltonian.
+    """Merge evolution under a scheduled Hamiltonian, structured or dense
+    (anything ``propagate`` steps).
 
-    Retries escalate the confinement: attempt k scales the trap block by
-    escalation_factor^k before propagating, the desk-scale version of
-    "stronger confinement" for the modified channel.
+    Retries escalate the confinement: attempt k scales the trap term
+    ``v_trap`` by escalation_factor^k before propagating, the desk-scale
+    version of "stronger confinement" for the modified channel.
     """
 
-    def __init__(self, sh: ScheduledHamiltonian, s_from: float, s_to: float,
+    def __init__(self, sh, s_from: float, s_to: float,
                  n_steps: int, escalation_factor: float = 1.0):
         self.sh = sh
         self.s_from = s_from
@@ -73,11 +73,11 @@ class PropagationChannel:
         self.escalation_factor = escalation_factor
         self.last_report: Optional[PropagationReport] = None
 
-    def _escalated(self, iteration: int) -> ScheduledHamiltonian:
+    def _escalated(self, iteration: int):
         if iteration <= 0 or self.escalation_factor == 1.0:
             return self.sh
         factor = self.escalation_factor ** iteration
-        return replace(self.sh, v_trap=self.sh.v_trap.scaled(factor))
+        return replace(self.sh, v_trap=factor * self.sh.v_trap)
 
     def apply(self, state: DensityMatrix, iteration: int,
               rng: Optional[np.random.Generator] = None) -> DensityMatrix:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergosim.cli import emit_config, load_config, main
+from mergosim.cli import load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DELETE = object()
@@ -39,7 +39,7 @@ class TestConfigSchema:
     def test_round_trip_shipped_configs(self, name, tmp_path):
         cfg = load_config(str(CONFIG_DIR / name))
         echoed = tmp_path / name
-        echoed.write_text(emit_config(cfg))
+        echoed.write_text(json.dumps(cfg, sort_keys=True, indent=2))
         assert load_config(str(echoed)) == cfg
 
     @pytest.mark.parametrize("base, mutation, command", [
@@ -112,6 +112,10 @@ class TestConfigSchema:
         pytest.param("measure_bond.json",
                      (("criteria", 0, "pairs"), [[0.7, 1.9, 1.5]]),
                      "measure", id="fractional_pair_index"),
+        pytest.param("evolve_salt_1d.json", (("evolve", "initial", "s"), 1.5),
+                     "evolve", id="initial_s_not_a_key"),
+        pytest.param("lz_rbcs.json", (("lz", "v", "scale"), "lgo"), "lz",
+                     id="unknown_velocity_scale"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from mergosim.criteria import (Bipartition, GeometricCriterion, bipartition,
-                               evaluate_criterion, symmetrize_criterion,
-                               symmetry_breaking_witness, validate_symmetric)
+                               symmetrize_criterion, validate_symmetric)
 from mergosim.errors import PairIndexOutOfRange
 from mergosim.grid import Configuration, GridSpec, ParticleSet, enumerate_basis
-from mergosim.symmetry import (SymmetryDeclaration, generators,
-                               permutation_matrix, symmetry_check)
+from mergosim.symmetry import (SymmetryDeclaration, antisymmetrize,
+                               generators, permutation_matrix, symmetry_check)
 from mergosim.units import BOHR_PM
 
 
@@ -54,7 +53,7 @@ class TestEvaluate:
         basis = two_nuclei_basis()
         crit = GeometricCriterion("proximity", ((0, 1, 2.0),))
         cfg = Configuration(((0,), (1,)), (None, None))  # distance 1.0
-        assert evaluate_criterion(crit, cfg, basis.grid, basis.particles) == 1
+        assert crit.evaluate(cfg, basis.grid, basis.particles) == 1
 
     def test_equilibrium_rejects_off_target(self):
         basis = two_nuclei_basis()
@@ -62,25 +61,24 @@ class TestEvaluate:
         crit = GeometricCriterion("equilibrium", ((0, 1, 95.0, 1.0),),
                                   unit="pm")
         cfg = Configuration(((-1,), (1,)), (None, None))  # distance 2.0 Bohr
-        assert evaluate_criterion(crit, cfg, basis.grid, basis.particles) == 0
+        assert crit.evaluate(cfg, basis.grid, basis.particles) == 0
 
     def test_pair_index_out_of_range(self):
         basis = two_nuclei_basis()
         crit = GeometricCriterion("proximity", ((0, 5, 2.0),))
         cfg = basis.configuration_at(0)
         with pytest.raises(PairIndexOutOfRange):
-            evaluate_criterion(crit, cfg, basis.grid, basis.particles)
+            crit.evaluate(cfg, basis.grid, basis.particles)
 
     def test_h2o2_register_ordered_criterion(self):
         basis = h2o2_basis()
         crit = naive_h2o2_criterion()
         cfg = h2o2_equilibrium_config()
-        assert evaluate_criterion(crit, cfg, basis.grid, basis.particles) == 1
+        assert crit.evaluate(cfg, basis.grid, basis.particles) == 1
         o_swapped = Configuration((cfg.labels[1], cfg.labels[0],
                                    cfg.labels[2], cfg.labels[3]),
                                   cfg.spins)
-        assert evaluate_criterion(crit, o_swapped, basis.grid,
-                                  basis.particles) == 0
+        assert crit.evaluate(o_swapped, basis.grid, basis.particles) == 0
 
 
 class TestBipartition:
@@ -132,9 +130,9 @@ class TestValidateSymmetric:
         assert not result.symmetric
         perm, cfg = result.counterexample
         crit = naive_h2o2_criterion()
-        assert evaluate_criterion(crit, cfg, basis.grid, basis.particles) != \
-            evaluate_criterion(crit, perm.apply_to_configuration(cfg),
-                               basis.grid, basis.particles)
+        assert crit.evaluate(cfg, basis.grid, basis.particles) != \
+            crit.evaluate(perm.apply_to_configuration(cfg), basis.grid,
+                          basis.particles)
 
     def test_symmetrized_variant_passes(self):
         basis = h2o2_basis()
@@ -166,19 +164,22 @@ class TestSymmetryTheorem:
             assert np.max(np.abs(proj @ u - u @ proj)) < 1e-12
 
     def test_necessity_witness_breaks_symmetry(self):
+        # the (anti)symmetrized counterexample, projected onto the block
+        # that holds its weight, leaves the exchange sector
         basis = h2o2_basis()
         decl = h2o2_declaration()
         crit = naive_h2o2_criterion()
-        witness = symmetry_breaking_witness(crit, decl, basis)
-        assert witness is not None
+        _, cfg = validate_symmetric(crit, decl, basis).counterexample
+        vec = np.zeros(basis.size, dtype=complex)
+        vec[basis.index_of(cfg)] = 1.0
+        sym = antisymmetrize(vec, decl, basis)
+        mask = bipartition(crit, basis).mask
+        if not np.any(sym[mask]):
+            mask = ~mask
+        witness = np.where(mask, sym, 0.0)
+        witness /= np.linalg.norm(witness)
         report = symmetry_check(witness, decl, basis)
         assert report.max_deviation > 0.1
-
-    def test_witness_none_for_symmetric_criterion(self):
-        basis = two_nuclei_basis()
-        decl = SymmetryDeclaration(bosonic_sets=((0, 1),))
-        crit = GeometricCriterion("proximity", ((0, 1, 1.5),))
-        assert symmetry_breaking_witness(crit, decl, basis) is None
 
 
 class TestUnits:
@@ -188,5 +189,5 @@ class TestUnits:
         in_bohr = GeometricCriterion("proximity", ((0, 1, 2.5),), unit="bohr")
         in_pm = GeometricCriterion("proximity", ((0, 1, 2.5 * BOHR_PM),),
                                    unit="pm")
-        assert evaluate_criterion(in_bohr, cfg, basis.grid, basis.particles) \
-            == evaluate_criterion(in_pm, cfg, basis.grid, basis.particles) == 1
+        assert in_bohr.evaluate(cfg, basis.grid, basis.particles) \
+            == in_pm.evaluate(cfg, basis.grid, basis.particles) == 1

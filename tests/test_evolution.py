@@ -221,6 +221,15 @@ class TestAutocorrelation:
         with pytest.raises(ScheduleOutOfRange):
             autocorrelation(np.array([1.0, 0.0]), sh, t_max, 5)
 
+    @pytest.mark.parametrize("form", ["block", "array", "scheduled"])
+    def test_fixed_s_needs_the_structured_form(self, form):
+        sh = constant_hamiltonian([0.0, 1.0])
+        hamiltonian = {"block": sh.h_a, "array": sh.h_a.matrix,
+                       "scheduled": sh}[form]
+        with pytest.raises(ValueError, match="StructuredHamiltonian"):
+            autocorrelation(np.array([1.0, 0.0]), hamiltonian, 1.0, 8,
+                            fixed_s=0.5)
+
 
 class TestSpectrum:
     def test_pure_tone_peaks_at_omega(self):

@@ -8,7 +8,7 @@ from mergosim.grid import Configuration, GridSpec, ParticleSet, enumerate_basis
 from mergosim.hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,
                                   TrapSpec, build_coulomb, build_kinetic,
                                   build_point_charges, build_trap,
-                                  coulomb_energy, coulomb_mimicking_f,
+                                  coulomb_diagonal, coulomb_mimicking_f,
                                   hermiticity_deviation, zero_block)
 
 
@@ -65,15 +65,16 @@ class TestCoulomb:
     def test_single_pair_value(self):
         basis = self.electron_nucleus_basis()
         cfg = Configuration(((1,), (-1,)), (None, None))
-        # distance 2 Bohr, charges -1 and +1
-        assert coulomb_energy(basis.grid, basis.particles, cfg, 0.0) == \
-            pytest.approx(-0.5)
+        # distance 2 Bohr, charges -1 and +1; the basis also holds
+        # coincident configurations, which zero softening rejects, and a
+        # softening of 1e-9 Bohr leaves 1/sqrt(4 + a^2) at 1/2 exactly
+        assert coulomb_diagonal(basis, 1e-9)[basis.index_of(cfg)] == -0.5
 
     def test_coincident_electrons_softened(self):
         grid = GridSpec(3, 1, 3.0)
         basis = enumerate_basis(grid, ParticleSet(n_el=2))
         cfg = Configuration(((0,), (0,)), (None, None))
-        assert coulomb_energy(grid, basis.particles, cfg, 0.1) == \
+        assert coulomb_diagonal(basis, 0.1)[basis.index_of(cfg)] == \
             pytest.approx(10.0)
 
     def test_singular_coulomb_raises(self):
@@ -107,13 +108,12 @@ class TestCoulomb:
 
     def test_swap_identical_particles_leaves_diagonal_unchanged(self):
         basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=2))
-        soft = 0.2
+        diag = coulomb_diagonal(basis, 0.2)
         for cfg in basis.configurations:
             swapped = Configuration((cfg.labels[1], cfg.labels[0]),
                                     cfg.spins)
-            assert coulomb_energy(basis.grid, basis.particles, cfg, soft) == \
-                pytest.approx(coulomb_energy(basis.grid, basis.particles,
-                                             swapped, soft), abs=1e-14)
+            assert diag[basis.index_of(cfg)] == \
+                pytest.approx(diag[basis.index_of(swapped)], abs=1e-14)
 
 
 class TestTrap:

@@ -1,32 +1,7 @@
 import numpy as np
-import pytest
 
-from mergosim.io import (read_matrix, write_correlation_csv, write_csv,
-                         write_json, write_jsonl, write_matrix)
-
-
-def test_matrix_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    path = str(tmp_path / "block.mat")
-    write_matrix(path, mat, "kinetic")
-    back, tag = read_matrix(path)
-    assert tag == "kinetic"
-    assert np.array_equal(back, mat)  # 17 significant digits round-trip
-
-
-def test_matrix_header(tmp_path):
-    path = str(tmp_path / "block.mat")
-    write_matrix(path, np.eye(3), "trap")
-    first = open(path).readline().strip()
-    assert first == "dim 3 tag trap"
-
-
-def test_malformed_header_rejected(tmp_path):
-    path = tmp_path / "bad.mat"
-    path.write_text("not a header\n")
-    with pytest.raises(ValueError):
-        read_matrix(str(path))
+from mergosim.io import (write_correlation_csv, write_csv, write_json,
+                         write_jsonl)
 
 
 def test_csv_and_json_writers_deterministic(tmp_path):
@@ -48,23 +23,6 @@ def test_jsonl(tmp_path):
     assert len(lines) == 2
     write_jsonl(path, [])
     assert open(path).read() == ""
-
-
-def test_block_and_state_export(tmp_path):
-    from mergosim.evolution import DensityMatrix
-    from mergosim.hamiltonian import OperatorBlock
-
-    block = OperatorBlock(np.diag([1.0, 2.0]).astype(complex), "trap")
-    path = str(tmp_path / "trap.mat")
-    block.export(path)
-    mat, tag = read_matrix(path)
-    assert tag == "trap" and np.array_equal(mat, block.matrix)
-
-    rho = DensityMatrix.maximally_mixed(2)
-    spath = str(tmp_path / "state.mat")
-    rho.export(spath)
-    mat, tag = read_matrix(spath)
-    assert tag == "state" and np.array_equal(mat, rho.matrix)
 
 
 def test_correlation_csv(tmp_path):

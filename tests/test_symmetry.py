@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -50,17 +48,6 @@ class TestPermutation:
             perm = elements[rng.integers(len(elements))]
             u = permutation_matrix(perm, basis)
             assert np.allclose(u @ u.conj().T, np.eye(basis.size))
-
-    def test_compose_matches_matrix_product(self):
-        basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=3),
-                                cap=64)
-        decl = SymmetryDeclaration(fermionic_sets=((0, 1, 2),))
-        for p, q in itertools.product(group_elements(decl), repeat=2):
-            combined = p.compose(q)
-            u = permutation_matrix(combined, basis)
-            assert np.allclose(
-                u, permutation_matrix(p, basis) @ permutation_matrix(q, basis))
-            assert combined.sign == p.sign * q.sign
 
     def test_invalid_mapping_rejected(self):
         with pytest.raises(InvalidPermutation):
@@ -132,6 +119,21 @@ class TestSymmetryCheck:
         vec, _ = pair_state(basis, -1, 1)
         report = symmetry_check(vec, decl, basis)
         assert report.max_deviation > 0.5
+
+    def test_pure_state_keeps_its_exchange_sign(self):
+        # a symmetric pair state under a fermionic declaration: U psi = psi
+        # while the sign asks for -psi, which |v><v| alone cannot show
+        basis = two_particle_basis()
+        vec, _ = pair_state(basis, -1, 1)
+        sym = antisymmetrize(vec, SymmetryDeclaration(bosonic_sets=((0, 1),)),
+                             basis)
+        state = DensityMatrix.from_pure(sym)
+        fermionic = SymmetryDeclaration(fermionic_sets=((0, 1),))
+        deviation = symmetry_check(state, fermionic, basis).max_deviation
+        assert deviation == pytest.approx(2.0)
+        assert deviation == symmetry_check(sym, fermionic,
+                                           basis).max_deviation
+        assert "matrix" not in vars(state)
 
     def test_generator_sufficiency(self):
         # invariance under adjacent transpositions implies invariance

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mergosim.criteria import Bipartition
 from mergosim.errors import NodeExhausted
-from mergosim.evolution import DensityMatrix
+from mergosim.evolution import DensityMatrix, propagate
 from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
-from mergosim.hamiltonian import (Schedule, ScheduledHamiltonian, TrapSpec,
-                                  build_kinetic, build_trap, zero_block)
+from mergosim.hamiltonian import (Schedule, ScheduledHamiltonian,
+                                  StructuredHamiltonian, TrapSpec,
+                                  build_kinetic, build_trap, coulomb_diagonal,
+                                  trap_diagonal, zero_block)
 from mergosim.tree import (PropagationChannel, PumpChannel, RetryPolicy,
                            ScatterNode, ScatterTree, channel_decompose,
                            derive_seed, plan_tree, run_tree)
@@ -226,6 +229,25 @@ class TestPropagationChannel:
                            sh.v_trap.matrix)
         assert np.allclose(channel._escalated(2).v_trap.matrix,
                            4.0 * sh.v_trap.matrix)
+
+    def test_escalation_of_the_structured_hamiltonian(self):
+        basis, dense = self.two_nuclei_system()
+        trap = TrapSpec.isotropic_spec([(-1.0,), (1.0,)], omega=0.05)
+        sh = StructuredHamiltonian(basis, (0, 1), np.zeros(basis.size),
+                                   coulomb_diagonal(basis, 0.5, [(0, 1)]),
+                                   trap_diagonal(basis, trap), dense.schedule)
+        channel = PropagationChannel(sh, 0.0, 1.0, n_steps=20,
+                                     escalation_factor=2.0)
+        assert channel._escalated(0) is sh
+        for k in (1, 2):
+            escalated = channel._escalated(k)
+            assert np.array_equal(escalated.v_trap, 2.0 ** k * sh.v_trap)
+            assert np.array_equal(escalated.v_ab, sh.v_ab)
+        state = DensityMatrix.from_pure(
+            np.full(basis.size, basis.size ** -0.5, dtype=complex))
+        expected = propagate(state, replace(sh, v_trap=4.0 * sh.v_trap),
+                             0.0, 1.0, 20).final_state
+        assert np.array_equal(channel.apply(state, 2).vector, expected.vector)
 
     def test_apply_preserves_trace(self):
         basis, sh = self.two_nuclei_system()
