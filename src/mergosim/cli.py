@@ -481,8 +481,15 @@ def cmd_lz(cfg: dict, out_dir: str, fmt: str) -> dict:
                                  omega_a=_unit_value(sec["omega_a"], "au"),
                                  v=1.0)
     v_sec = sec["v"]
+    # the listed velocities, or the ends of the range (positive ends
+    # give a positive log or linear range)
+    given = v_sec["values"] if "values" in v_sec \
+        else [v_sec["min"], v_sec["max"]]
+    if not given or not all(v > 0.0 for v in given):
+        raise ConfigError(f"lz.v must give at least one velocity, all "
+                          f"strictly positive, got {given}")
     if "values" in v_sec:
-        v_values = v_sec["values"]
+        v_values = given
     else:
         space = {"log": np.geomspace,
                  "linear": np.linspace}.get(v_sec["scale"])

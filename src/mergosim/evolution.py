@@ -23,7 +23,15 @@ density matrix only when asked, so a pure run stays O(n m) to the end.
 The usual initial state, the ground state of a ``StructuredHamiltonian``,
 comes from ``ground_state``: Lanczos on the matrix-free product
 ``StructuredHamiltonian.apply``, O(n) memory per Krylov vector and no
-n x n array. The fixed-s autocorrelation C(t) of a
+n x n array. It starts from the closed-form ground state of the kinetic
+stencil T, the outer product of the lowest DST-I mode of every kinetic
+tensor axis (uniform on the others), so where H(s) = T (the free start
+of a merge of one-particle fragments) one step finds it. The start is
+positive and H = T + diag(V) has nonpositive off-diagonals, so by
+Perron-Frobenius its ground level holds a nonnegative vector that the
+start overlaps with no cancellation: Lanczos cannot settle on an excited
+level, and on a degenerate one it returns the level's projection of the
+start, the same vector on every run. The fixed-s autocorrelation C(t) of a
 ``StructuredHamiltonian`` comes from Chebyshev moments of the same
 product, summed against Bessel functions for every sample at once, when
 a work estimate puts that below one dense eigh; otherwise, as for any
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -51,11 +59,9 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
-# Lanczos ground state: start-vector seed (fixed, so a run's initial
-# state does not depend on the config seed), Ritz residual estimate at
-# which to stop (Hartree, absolute), first convergence check and growth
-# of the check schedule, and Krylov rows allocated at a time.
-LANCZOS_SEED = 20240917
+# Lanczos ground state: Ritz residual estimate at which to stop
+# (Hartree, absolute), first convergence check and growth of the check
+# schedule, and Krylov rows allocated at a time.
 RITZ_TOL = 1e-12
 FIRST_CHECK = 8
 CHECK_GROWTH = 1.5
@@ -249,24 +255,32 @@ def step_unitary(h: np.ndarray, ds: float) -> np.ndarray:
     return (v * np.exp(-1j * w * ds)) @ v.conj().T
 
 
+def _dst_modes(m: int, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvectors of the length-m Dirichlet stencil
+    2 - shift - shift^T, as rows: the DST-I basis
+    S_jk = sqrt(2/(m+1)) sin(j k pi/(m+1)), j = 1 ... count, k = 1 ... m.
+    S is symmetric and orthogonal; row j has eigenvalue
+    2 - 2 cos(j pi/(m+1)), and row 1 is positive."""
+    k = np.arange(1, m + 1)
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k[:count], k) * math.pi
+                                             / (m + 1))
+
+
 def kinetic_propagator(sh: StructuredHamiltonian,
                        ds: float) -> Callable[[np.ndarray], np.ndarray]:
     """exp(-i T ds) as a map on arrays whose first axis is the basis index.
 
     Along the tensor axis (length m) of each kinetic (register, lattice
-    axis) it applies S diag(exp(-i c lam_j ds)) S, where
-    S_kj = sqrt(2/(m+1)) sin(j k pi/(m+1)) is the DST-I eigenbasis and
-    lam_j = 2 - 2 cos(j pi/(m+1)) the eigenvalues of the Dirichlet
-    stencil 2 - shift - shift^T.
+    axis) it applies S diag(exp(-i c lam_j ds)) S, where S is the DST-I
+    eigenbasis (``_dst_modes``) and lam_j = 2 - 2 cos(j pi/(m+1)) the
+    eigenvalues of the Dirichlet stencil 2 - shift - shift^T.
     """
     shape = sh.basis.tensor_shape
     factors = []
     for axis, c in sh.kinetic_axes:
         m = shape[axis]
-        j = np.arange(1, m + 1)
-        dst = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * math.pi
-                                                / (m + 1))
-        lam = 2.0 - 2.0 * np.cos(j * math.pi / (m + 1))
+        dst = _dst_modes(m, m)
+        lam = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * math.pi / (m + 1))
         factors.append((math.prod(shape[:axis]),
                         (dst * np.exp(-1j * c * ds * lam)) @ dst))
 
@@ -331,7 +345,13 @@ def _lowest_tridiagonal_pair(alpha: list, beta: list
     ``alpha`` and off-diagonal ``beta``, in O(k) per pass: bisection on
     the Sturm count (the LDL^T pivots of T - x), then two inverse
     iteration solves with T - lo, positive definite because every pivot
-    at lo is positive. Eigenvalue accuracy is 4 eps max(||T||, 1)."""
+    at lo is positive. Eigenvalue accuracy is 4 eps max(||T||, 1).
+
+    The solves start from y_i = (-1)^i. With positive ``beta`` (Lanczos
+    makes it so) the lowest eigenvector alternates in sign strictly
+    (Perron-Frobenius on D T D, D = diag((-1)^i)), so the start overlaps
+    it with no cancellation; an all-ones start can be orthogonal to it,
+    as on the 2 x 2 diag(x, y) from a uniform Lanczos start."""
     k = len(alpha)
     off = [0.0] + [b * b for b in beta]
     radius = np.abs(np.r_[beta, 0.0]) + np.abs(np.r_[0.0, beta])
@@ -360,7 +380,7 @@ def _lowest_tridiagonal_pair(alpha: list, beta: list
     while d is None:  # lo sits on the eigenvalue to the last bit
         lo -= tol
         d = pivots(lo)
-    y = [1.0] * k
+    y = [(-1.0) ** i for i in range(k)]
     for _ in range(2):
         for i in range(1, k):  # forward: L z = y
             y[i] -= beta[i - 1] / d[i - 1] * y[i - 1]
@@ -375,24 +395,37 @@ def ground_state(sh: StructuredHamiltonian,
                  s: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair (E0, v) of H(s) by Lanczos on ``sh.product``.
 
+    The start is the ground state of the kinetic stencil T: the lowest
+    DST-I mode sin(j pi/(m+1)) (``_dst_modes``) along each kinetic tensor
+    axis, uniform along the others (spin axes, and every axis when there
+    is no kinetic term), normalised. It is positive, and H(s) has
+    nonpositive off-diagonals (-c), so by Perron-Frobenius the ground
+    level holds a nonnegative vector with a strictly positive overlap
+    with the start: the iteration cannot settle on an excited level, on
+    a degenerate level it returns the level's projection of the start
+    (deterministic), and where H(s) = T it stops after one step.
+
     Each step follows the three-term recurrence with one Gram-Schmidt
-    pass against the whole Krylov basis (full reorthogonalisation), from
-    a start vector drawn from LANCZOS_SEED. The basis grows by
-    KRYLOV_CHUNK rows and reaches n x n only if the run needs all n
-    iterations, where the Krylov space is the whole space and the answer
-    exact. The Ritz pair is checked on a geometric schedule and taken
-    once the residual estimate |beta_k y_k| is at most RITZ_TOL. It is
-    accepted only when the true residual ||H v - E0 v|| is at most
-    max(RITZ_TOL, 64 eps ||H||), with ||H|| bounded by the ends of
-    ``spectral_bounds``; otherwise ``MaxItersExceeded`` is raised. V(s)
-    is evaluated once. v is real, of unit norm, and its largest-magnitude
-    component is positive.
+    pass against the whole Krylov basis (full reorthogonalisation). The
+    basis grows by KRYLOV_CHUNK rows and reaches n x n only if the run
+    needs all n iterations, where the Krylov space is the whole space and
+    the answer exact. The Ritz pair is checked on a geometric schedule
+    and taken once the residual estimate |beta_k y_k| is at most
+    RITZ_TOL. It is accepted only when the true residual ||H v - E0 v||
+    is at most max(RITZ_TOL, 64 eps ||H||), with ||H|| bounded by the
+    ends of ``spectral_bounds``; otherwise ``MaxItersExceeded`` is
+    raised. V(s) is evaluated once. v is real, of unit norm, and its
+    largest-magnitude component is positive.
     """
     n = sh.dim
     potential = sh.potential(s)
-    start = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    shape = sh.basis.tensor_shape
+    modes = {axis: _dst_modes(shape[axis], 1)[0]
+             for axis, _ in sh.kinetic_axes}
+    start = reduce(np.multiply.outer, [modes.get(axis, np.ones(size))
+                                       for axis, size in enumerate(shape)])
     krylov = np.empty((min(n, KRYLOV_CHUNK), n))
-    krylov[0] = start / np.linalg.norm(start)
+    krylov[0] = start.ravel() / np.linalg.norm(start)
     alpha, beta = [], []
     check = FIRST_CHECK
     for k in range(1, n + 1):

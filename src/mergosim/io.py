@@ -47,17 +47,27 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_float_columns(path: str, header: Sequence[str],
+                         columns: Sequence[np.ndarray]) -> None:
+    """``write_csv`` of float columns, read in one ``tolist`` per column:
+    each value is written as the repr of its Python float, as
+    ``write_csv`` writes a float cell."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def write_correlation_csv(path: str, times: np.ndarray,
                           values: np.ndarray) -> None:
-    rows = [(float(t), float(c.real), float(c.imag))
-            for t, c in zip(times, values)]
-    write_csv(path, ["t_au", "re", "im"], rows)
+    values = np.asarray(values)
+    _write_float_columns(path, ["t_au", "re", "im"],
+                         [times, values.real, values.imag])
 
 
 def write_spectrum_csv(path: str, freqs: np.ndarray,
                        intensity: np.ndarray) -> None:
-    rows = [(float(f), float(i)) for f, i in zip(freqs, intensity)]
-    write_csv(path, ["freq_au", "intensity"], rows)
+    _write_float_columns(path, ["freq_au", "intensity"], [freqs, intensity])
 
 
 def write_json(path: str, payload) -> None:

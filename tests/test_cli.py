@@ -116,6 +116,16 @@ class TestConfigSchema:
                      "evolve", id="initial_s_not_a_key"),
         pytest.param("lz_rbcs.json", (("lz", "v", "scale"), "lgo"), "lz",
                      id="unknown_velocity_scale"),
+        pytest.param("lz_rbcs.json", (("lz", "v"), {"values": []}), "lz",
+                     id="empty_velocity_list"),
+        pytest.param("lz_rbcs.json", (("lz", "v"), {"values": [1e-8, 0.0]}),
+                     "lz", id="zero_velocity_in_list"),
+        pytest.param("lz_rbcs.json", (("lz", "v", "min"), 0.0), "lz",
+                     id="zero_velocity_min_on_log_scale"),
+        pytest.param("lz_rbcs.json",
+                     (("lz", "v"), {"min": -1.0, "max": 1e-6, "points": 20,
+                                    "scale": "linear"}),
+                     "lz", id="negative_velocity_min_on_linear_scale"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())

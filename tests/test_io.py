@@ -1,7 +1,7 @@
 import numpy as np
 
 from mergosim.io import (write_correlation_csv, write_csv, write_json,
-                         write_jsonl)
+                         write_jsonl, write_spectrum_csv)
 
 
 def test_csv_and_json_writers_deterministic(tmp_path):
@@ -32,3 +32,30 @@ def test_correlation_csv(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "t_au,re,im"
     assert lines[2] == "1.0,0.5,-0.5"
+
+
+def test_float_column_writers_keep_the_row_writer_bytes(tmp_path):
+    """The column writers give the bytes of ``write_csv`` over rows of
+    Python floats, on random values and on the edge cases of repr."""
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 1.7e308,
+                        0.1 + 0.2, np.inf, -np.inf, np.nan, 1e16, 123456.0])
+    times = np.concatenate([np.linspace(0.0, 400.0, 499), special])
+    values = np.concatenate([rng.normal(size=499), special[::-1]]) \
+        .astype(complex)
+    values.imag = np.concatenate([rng.normal(size=499) * 1e-9, special])
+    intensity = np.concatenate([np.abs(rng.normal(size=508)),
+                                [0.0, np.inf, np.nan, 1e-45, 3e38]]) \
+        .astype(np.float32)
+    cases = [
+        (write_correlation_csv, (times, values), ["t_au", "re", "im"],
+         [(float(t), float(c.real), float(c.imag))
+          for t, c in zip(times, values)]),
+        (write_spectrum_csv, (times, intensity), ["freq_au", "intensity"],
+         [(float(f), float(i)) for f, i in zip(times, intensity)]),
+    ]
+    for writer, args, header, rows in cases:
+        new, old = str(tmp_path / "new.csv"), str(tmp_path / "old.csv")
+        writer(new, *args)
+        write_csv(old, header, rows)
+        assert open(new, "rb").read() == open(old, "rb").read()

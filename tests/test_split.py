@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
@@ -202,12 +202,20 @@ def structured_problems(draw):
     basis = enumerate_basis(GridSpec(m, dims, float(m)), particles)
     registers = draw(st.lists(st.integers(0, particles.n_particles - 1),
                               unique=True))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sh, psi = random_structured(basis, registers,
+                                draw(st.integers(0, 2 ** 32 - 1)))
+    return sh, psi, draw(st.integers(1, 12))
+
+
+def random_structured(basis, registers, seed):
+    """H(s) with normal random potentials on ``basis`` and a random unit
+    complex vector."""
+    rng = np.random.default_rng(seed)
     v_frag, v_ab, v_trap = rng.normal(scale=2.0, size=(3, basis.size))
     sh = StructuredHamiltonian(basis, registers, v_frag, v_ab, v_trap,
                                Schedule(0.6, 1.0, "smoothstep", "linear"))
     psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    return sh, psi / np.linalg.norm(psi), draw(st.integers(1, 12))
+    return sh, psi / np.linalg.norm(psi)
 
 
 @st.composite
@@ -283,26 +291,128 @@ def test_lowest_tridiagonal_pair_matches_eigh(k, scale, seed):
     assert np.linalg.norm(t @ y - energy * y) <= 64 * eps_norm
 
 
-# Cases whose H(0) has a degenerate ground level: Lanczos returns one
-# vector of it, so only its residual and energy are pinned.
+def test_lowest_tridiagonal_pair_on_equal_diagonals():
+    """Lanczos from a uniform start on diag(x, y) makes
+    T = [[a, b], [b, a]], whose all-ones vector is the upper eigenvector:
+    the inverse iteration must not start there."""
+    a, b = 0.993625355, 0.257835085
+    energy, y = _lowest_tridiagonal_pair([a, a], [b])
+    t = np.array([[a, b], [b, a]])
+    assert abs(energy - (a - b)) <= 4 * np.finfo(float).eps
+    assert np.linalg.norm(t @ y - energy * y) <= 8 * np.finfo(float).eps
+
+
+# Ground levels whose gap is at most DEGENERATE_GAP are degenerate:
+# Lanczos returns one vector of the level. The listed cases are
+# degenerate at every pinned s (evolve_flat has H = 0, spinful_2d's H
+# ignores the spin); the others nowhere.
+DEGENERATE_GAP = 1e-10
 DEGENERATE = {"evolve_flat", "spinful_2d"}
 LANCZOS_CASES = dict(CASES, merge_21=lambda: light_merge(21))
 
 
+def lanczos_points(schedule):
+    """The free start, the merge point, a point of the ramp and the end."""
+    return (0.0, schedule.s0, 0.77 * schedule.s1, schedule.s1)
+
+
 @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
 def test_lanczos_ground_state_matches_dense(case):
+    """At each pinned s: E0 to 1e-12, a unit eigenvector with positive
+    largest component. On a degenerate level v lies in the level; else v
+    is the dense column to 1e-10, or to the Davis-Kahan bound (twice the
+    sum of both residuals over the gap) where that is larger: the salt
+    geometry's lowest nine levels at s1 span 2e-6, its gap there is
+    1.8e-7."""
     _, _, sh = build(LANCZOS_CASES[case]())
+    degenerate = set()
+    for s in lanczos_points(sh.schedule):
+        energy, v = ground_state(sh, s)
+        h = sh.dense(s)
+        w, vecs = np.linalg.eigh(h)
+        assert abs(energy - w[0]) <= 1e-12
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert v[np.argmax(np.abs(v))] > 0.0
+        residual = np.linalg.norm(h @ v - energy * v)
+        assert residual <= 1e-12
+        level = vecs[:, w - w[0] <= DEGENERATE_GAP]
+        if level.shape[1] > 1:
+            degenerate.add(s)
+            assert abs(np.linalg.norm(level.T @ v) - 1.0) <= 1e-12
+            continue
+        dense = level[:, 0] * np.sign(level[np.argmax(np.abs(level)), 0])
+        residual += np.linalg.norm(h @ dense - w[0] * dense)
+        assert np.linalg.norm(v - dense) <= \
+            max(1e-10, 2.0 * residual / (w[1] - w[0]))
+    assert degenerate == (set(lanczos_points(sh.schedule))
+                          if case in DEGENERATE else set())
+
+
+def test_lanczos_returns_the_start_projection_on_a_degenerate_level():
+    """The start is positive and symmetric, so a degenerate level gives
+    one fixed vector: evolve_flat (H = 0) the uniform vector, spinful_2d
+    at s = 0 equal spin-up and spin-down components."""
+    _, _, sh = build(shipped("evolve_flat.json"))
     energy, v = ground_state(sh, 0.0)
-    w, vecs = np.linalg.eigh(sh.dense(0.0))
-    assert abs(energy - w[0]) <= 1e-12
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    assert v[np.argmax(np.abs(v))] > 0.0
-    assert np.linalg.norm(sh.apply(v, 0.0) - energy * v) <= 1e-12
-    degenerate = w[1] - w[0] <= 1e-10
-    assert degenerate == (case in DEGENERATE)
-    if not degenerate:
-        dense = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
-        assert np.linalg.norm(v - dense) <= 1e-10
+    assert energy == 0.0
+    assert np.max(np.abs(v - 1.0 / np.sqrt(sh.dim))) <= 1e-15
+    _, basis, sh = build(spinful_2d())
+    _, v = ground_state(sh, 0.0)
+    spin_axis = basis.tensor_axis(0, 0) + basis.grid.dims  # the electron
+    up, down = np.moveaxis(v.reshape(basis.tensor_shape), spin_axis, 0)
+    assert np.max(np.abs(up - down)) <= 1e-15
+    assert abs(np.linalg.norm(up) ** 2 - 0.5) <= 1e-12
+
+
+SPIN_AND_FREE = (
+    enumerate_basis(GridSpec(3, 2, 3.0),
+                    ParticleSet(1, (20.0,), (1.0,), electron_spin=True)),
+    enumerate_basis(GridSpec(5, 1, 5.0), ParticleSet(1, (7.0,), (1.0,),
+                                                     nuclear_spin=True)))
+
+
+@settings(max_examples=60)
+@given(structured_problems(), st.floats(0.0, 1.0))
+@example(random_structured(SPIN_AND_FREE[0], (1, 0), 3) + (1,), 0.4)
+@example(random_structured(SPIN_AND_FREE[1], (), 4) + (1,), 0.7)
+def test_lanczos_matches_eigvalsh_on_random_problems(problem, s):
+    """E0 to 1e-12 on random potentials, with spin axes (the first
+    example) and without a kinetic term (the second)."""
+    sh = problem[0]
+    energy, _ = ground_state(sh, s)
+    assert abs(energy - np.linalg.eigvalsh(sh.dense(s))[0]) <= 1e-12
+
+
+def test_free_start_takes_one_lanczos_step(monkeypatch, tmp_path, capsys):
+    """H(0) is the free stencil on evolve_salt_1d and on the merge
+    geometry, so the start is the eigenvector: through a whole evolve run
+    ground_state calls product twice, one Lanczos step and the residual
+    check."""
+    import mergosim.cli as cli
+    inside, calls = [False], []
+    product, ground = StructuredHamiltonian.product, cli.ground_state
+
+    def counted_product(self, v, x):
+        calls.append(inside[0])
+        return product(self, v, x)
+
+    def marked_ground_state(sh, s):
+        inside[0] = True
+        try:
+            return ground(sh, s)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(StructuredHamiltonian, "product", counted_product)
+    monkeypatch.setattr(cli, "ground_state", marked_ground_state)
+    merge = tmp_path / "merge.json"
+    merge.write_text(json.dumps(dict(bench_merge(0), seed=3)))
+    for config in (merge, CONFIG_DIR / "evolve_salt_1d.json"):
+        calls.clear()
+        assert main(["evolve", "--config", str(config),
+                     "--out", str(tmp_path / config.stem)]) == 0
+        assert calls.count(True) == 2
+    capsys.readouterr()
 
 
 def test_excited_eigenstate_start_is_the_dense_column():
@@ -364,7 +474,7 @@ def test_lanczos_evaluates_the_schedule_a_fixed_number_of_times(monkeypatch):
     for m in (11, 31):
         _, _, sh = build(light_merge(m))
         calls.update(profiles=0, product=0)
-        ground_state(sh, 0.0)
+        ground_state(sh, sh.schedule.s0)
         counts.append(dict(calls))
     assert counts[0]["product"] != counts[1]["product"]
     assert counts[0]["profiles"] == counts[1]["profiles"] <= 2
