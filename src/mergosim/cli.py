@@ -107,7 +107,7 @@ _SECTIONS = {
     "cost": {"n_el": (int, REQUIRED), "n_nuc": (int, REQUIRED),
              "grid_points": (int, REQUIRED), "box_volume": (float, REQUIRED),
              "trap_volume": (float, REQUIRED), "omega_max": (float, REQUIRED),
-             "m_max": (float, 1.0), "bits": (AtLeast(int, 1), 32),
+             "bits": (AtLeast(int, 1), 32),
              "doublings": ([str], [])},
     "validate": {"criterion": (str, REQUIRED), "symmetrize": (bool, False)},
 }
@@ -158,15 +158,20 @@ def _typed(value, spec, where: str):
             raise ConfigError(f"{where} must be at least {spec.low}")
         return number
     if isinstance(value, bool) == (spec is bool):
+        if spec is float and isinstance(value, (int, float)):
+            # json.load reads NaN, Infinity and 1e400 (as inf) too
+            if abs(value) <= sys.float_info.max:
+                return float(value)
+            raise ConfigError(f"{where} must be a finite number, "
+                              f"got {value!r}")
         if isinstance(value, spec):
             return value
-        if spec is float and isinstance(value, int):
-            return float(value)
     raise ConfigError(f"{where} must be {spec.__name__}, got {value!r}")
 
 
 def load_config(path: str) -> dict:
-    """Read and schema-check a run config; returns it as written."""
+    """Read and schema-check a run config; returns it typed, with every
+    default filled in (typing a typed config changes nothing)."""
     try:
         with open(path) as handle:
             cfg = json.load(handle)
@@ -174,7 +179,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if _typed(cfg, _CONFIG, "config")["schema_version"] != SCHEMA_VERSION:
+    cfg = _typed(cfg, _CONFIG, "config")
+    if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     return cfg
 
@@ -462,7 +468,7 @@ def _write_table(payload: dict, out_dir: str, stem: str, fmt: str,
         out_io.write_json(path, payload)
     else:
         path = os.path.join(out_dir, f"{stem}.csv")
-        out_io.write_csv(path, columns, rows)
+        out_io.write_csv(path, columns, list(zip(*rows)))
     payload["artifacts"] = [path]
     return payload
 
@@ -525,7 +531,7 @@ def _cost_row(name: str, params: lzcost.CostParams, bits: int) -> list:
 
 
 _COST_FIELDS = ("n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
-                "omega_max", "m_max")
+                "omega_max")
 
 
 @_config_values()
@@ -538,7 +544,7 @@ def _cost_rows(sec: dict) -> list:
         if name == "bits":
             rows.append(_cost_row("2x bits", base, 2 * bits))
             continue
-        if name == "m_max" or name not in _COST_FIELDS:
+        if name not in _COST_FIELDS:
             raise ConfigError(f"cannot double unknown parameter {name!r}")
         kwargs = {k: getattr(base, k) for k in _COST_FIELDS}
         kwargs[name] *= 2
@@ -608,7 +614,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
 
     try:
-        cfg = _typed(load_config(args.config), _CONFIG, "config")
+        cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg["seed"]
         os.makedirs(args.out, exist_ok=True)
         seeded = args.command in ("measure", "tree", "validate")

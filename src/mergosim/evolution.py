@@ -53,7 +53,7 @@ import numpy as np
 from .errors import (MaxItersExceeded, NonHermitianHamiltonian,
                      NonuniformGrid, ScheduleOutOfRange, UnnormalizedInput)
 from .hamiltonian import (OperatorBlock, ScheduledHamiltonian,
-                          StructuredHamiltonian)
+                          StructuredHamiltonian, hermiticity_deviation)
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -109,7 +109,7 @@ class DensityMatrix:
         mat = self.matrix
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        if not hermiticity_deviation(mat) <= HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL or \
                 abs(np.trace(mat).imag) > TRACE_TOL:
@@ -297,23 +297,16 @@ def _step_maps(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
     """One map x -> U_k x per step, s_k running over ``mids``, on arrays
     whose first axis is the basis index: the split step exp(-i V ds/2)
     exp(-i T ds) exp(-i V ds/2) for a StructuredHamiltonian, else
-    exp(-i H(s) ds) with the schedule evaluated once for all steps, a
-    step whose rounded (f, g) equal the previous step's reusing its
-    unitary (a flat stretch of the schedule costs one
-    eigendecomposition)."""
+    exp(-i H(s_k) ds), one eigendecomposition of ``evaluate(s_k)`` per
+    step."""
     if isinstance(sh, StructuredHamiltonian):
         kinetic = kinetic_propagator(sh, ds)
         for s in mids:
             half = row_scaling(np.exp(-0.5j * ds * sh.potential(s)))
             yield lambda x, half=half: half(kinetic(half(x)))
         return
-    key = u = None
-    for f, g in zip(sh.schedule.f(mids).tolist(),
-                    sh.schedule.g(mids).tolist()):
-        rounded = (round(f, 15), round(g, 15))
-        if rounded != key:
-            key, u = rounded, step_unitary(sh.combine(f, g).matrix, ds)
-        yield u.__matmul__
+    for s in mids:
+        yield step_unitary(sh.evaluate(s).matrix, ds).__matmul__
 
 
 def propagate(state: DensityMatrix,
@@ -619,7 +612,7 @@ def _dense_autocorrelation(h: np.ndarray, psi0: np.ndarray,
                            times: np.ndarray) -> np.ndarray:
     """C(t) from one eigendecomposition of a fixed Hermitian matrix, in
     real arithmetic when h is real."""
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+    if not hermiticity_deviation(h) <= HERMITIAN_TOL:
         raise NonHermitianHamiltonian("H(s) is not Hermitian")
     w, v = hermitian_eigh(h)
     if np.iscomplexobj(v):

@@ -36,13 +36,14 @@ _CHECK_BLOCK_BYTES = 1 << 22
 
 
 def hermiticity_deviation(mat: np.ndarray) -> float:
-    """max |M - M^dag| of a nonempty square complex matrix, taken over
+    """max |M - M^dag| of a square matrix, 0 when it is empty and NaN
+    when an entry is NaN (so compare as ``not dev <= tol``), taken over
     row blocks M[a:b] - M[:, a:b]^dag so no n x n temporary is built."""
     n = mat.shape[0]
-    rows = max(1, _CHECK_BLOCK_BYTES // (mat.itemsize * n))
-    return np.max([np.max(np.abs(mat[a:a + rows]
-                                 - mat[:, a:a + rows].conj().T))
-                   for a in range(0, n, rows)])
+    rows = max(1, _CHECK_BLOCK_BYTES // (mat.itemsize * max(n, 1)))
+    return float(np.max([np.max(np.abs(mat[a:a + rows]
+                                       - mat[:, a:a + rows].conj().T))
+                         for a in range(0, n, rows)], initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +60,8 @@ class OperatorBlock:
             raise ValueError("operator matrix must be square")
         if self.tag not in VALID_TAGS:
             raise ValueError(f"unknown operator tag {self.tag!r}")
-        dev = hermiticity_deviation(mat) if mat.size else 0.0
-        if dev > HERMITICITY_TOL:
+        dev = hermiticity_deviation(mat)
+        if not dev <= HERMITICITY_TOL:
             raise NonHermitianHamiltonian(
                 f"block {self.tag!r} deviates from Hermitian by {dev:.3e}")
 
@@ -258,9 +259,6 @@ class TrapSpec:
         freqs = tuple((float(omega),) * len(c) for c in centers)
         return cls(centers, freqs, isotropic=True)
 
-    def scaled(self, factor: float) -> "TrapSpec":
-        freqs = tuple(tuple(w * factor for w in row) for row in self.frequencies)
-        return TrapSpec(self.centers, freqs, self.isotropic)
 
 
 def trap_diagonal(basis: Basis, trap: TrapSpec) -> np.ndarray:
@@ -431,10 +429,8 @@ class ScheduledHamiltonian:
         return self.h_a.dim
 
     def evaluate(self, s: float) -> OperatorBlock:
-        return self.combine(*self.schedule.profiles(s))
-
-    def combine(self, f: float, g: float) -> OperatorBlock:
-        """H_A + H_B + f H_AB + g V_trap at given profile values."""
+        """H_A + H_B + f(s) H_AB + g(s) V_trap."""
+        f, g = self.schedule.profiles(s)
         mat = (self.h_a.matrix + self.h_b.matrix
                + f * self.h_ab.matrix + g * self.v_trap.matrix)
         return OperatorBlock(mat, "total")

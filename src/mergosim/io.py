@@ -30,44 +30,26 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str],
-              rows: Iterable[Sequence]) -> None:
+              columns: Sequence[Sequence]) -> None:
+    """One line per row of equal-length ``columns``. Each column is read
+    with one ``tolist`` into Python values, so a float cell is its
+    shortest round-trip repr and an int or a name its str; a column
+    holds one kind of value."""
+    rows = zip(*(map(str, np.asarray(c).tolist()) for c in columns))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(x) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
-
-
-def _write_float_columns(path: str, header: Sequence[str],
-                         columns: Sequence[np.ndarray]) -> None:
-    """``write_csv`` of float columns, read in one ``tolist`` per column:
-    each value is written as the repr of its Python float, as
-    ``write_csv`` writes a float cell."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(map(",".join, rows))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_correlation_csv(path: str, times: np.ndarray,
                           values: np.ndarray) -> None:
     values = np.asarray(values)
-    _write_float_columns(path, ["t_au", "re", "im"],
-                         [times, values.real, values.imag])
+    write_csv(path, ["t_au", "re", "im"], [times, values.real, values.imag])
 
 
 def write_spectrum_csv(path: str, freqs: np.ndarray,
                        intensity: np.ndarray) -> None:
-    _write_float_columns(path, ["freq_au", "intensity"], [freqs, intensity])
+    write_csv(path, ["freq_au", "intensity"], [freqs, intensity])
 
 
 def write_json(path: str, payload) -> None:

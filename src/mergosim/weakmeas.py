@@ -20,10 +20,26 @@ The failure-branch disturbance decomposes through the coefficients
 Lambda_A, Lambda_B, Lambda_C, all of order delta^2 for weak rotations;
 that trade-off (detection probability versus state damage) is what the
 angle delta tunes.
+
+A spin sector is projected out in closed form too. Over k spin-1/2
+registers the total spin takes S' = k/2, k/2 - 1, ..., and Löwdin's
+projector (Rev. Mod. Phys. 36, 966 (1964))
+
+    P_S = prod_{S' != S} (S^2 - S'(S'+1)) / (S(S+1) - S'(S'+1))
+
+is a polynomial in S^2. By Dirac's identity S_i . S_j = (P_ij - 1/2)/2,
+with P_ij the exchange of spins i and j,
+
+    S^2 = k(4 - k)/4 + sum_{i<j} P_ij,
+
+and P_ij on a state is a gather: row c reads the configuration with the
+spins of registers i and j swapped. S^2 is therefore applied as a row
+map in O(k^2 n) per vector, with no n x n matrix and no eigensolver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,7 +51,7 @@ from .criteria import Bipartition
 from .errors import (Degenerate, EmptySector, MaxItersExceeded,
                      ZeroProbabilityBranch)
 from .evolution import DensityMatrix, row_scaling
-from .grid import SPIN_UP, Basis
+from .grid import Basis
 
 DEGENERATE_TOL = 1e-15
 
@@ -244,52 +260,51 @@ def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
         (f" at node {node_id!r}" if node_id else ""))
 
 
-def total_spin_squared(basis: Basis, spin_registers) -> np.ndarray:
-    """S^2 = sum_i S_i^2 + 2 sum_{i<j} S_i . S_j on the spin labels.
+_SPIN_TARGETS = {"singlet": 0.0, "triplet": 1.0}
 
-    Spin-1/2 algebra on the chosen registers: diagonal Sz products plus
-    flip-flop terms that exchange opposite spins pairwise.
-    """
-    regs = tuple(int(r) for r in spin_registers)
+
+def _spin_squared(basis: Basis, regs: tuple[int, ...]
+                  ) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> S^2 x on arrays whose first axis is the basis index, through
+    S^2 = k(4 - k)/4 + sum_{i<j} P_ij over the k registers ``regs``,
+    P_ij reading x at the configuration with spins i and j swapped."""
     for r in regs:
         if not basis.particles.has_spin(r):
             raise ValueError(f"register {r} carries no spin label")
-    n = basis.size
-    s2 = np.zeros((n, n), dtype=complex)
-    columns = np.arange(n)
-    sz = np.where(basis.spins[:, regs] == SPIN_UP, 0.5, -0.5)
-    diag = np.full(n, 0.75 * len(regs))
-    for i in range(len(regs)):
-        for j in range(i + 1, len(regs)):
-            diag += 2.0 * sz[:, i] * sz[:, j]
-            flips = sz[:, i] != sz[:, j]
-            swapped = basis.spins.copy()
-            swapped[:, [regs[i], regs[j]]] = swapped[:, [regs[j], regs[i]]]
-            s2[basis.index(basis.labels[flips], swapped[flips]),
-               columns[flips]] += 1.0
-    s2[np.diag_indices(n)] += diag
-    return s2
-
-
-_SPIN_TARGETS = {"singlet": 0.0, "triplet": 1.0}
+    swaps = []
+    for i, j in itertools.combinations(regs, 2):
+        swapped = basis.spins.copy()
+        swapped[:, [i, j]] = swapped[:, [j, i]]
+        swaps.append(basis.index(basis.labels, swapped))
+    k = len(regs)
+    return lambda x: k * (4 - k) / 4.0 * x + sum(x[swap] for swap in swaps)
 
 
 def spin_sector_project(state: DensityMatrix, basis: Basis, spin_registers,
                         target: Union[str, float]
                         ) -> tuple[float, DensityMatrix]:
-    """Spectrally project onto the eigenspace of S^2 with S(S+1) matching
-    the target sector; returns (Born probability, renormalized state)."""
+    """Project onto total spin S of the k registers ``spin_registers``
+    with Löwdin's P_S = prod_{S' != S} (S^2 - S'(S'+1)) / (S(S+1) -
+    S'(S'+1)), S' over k/2, k/2 - 1, ... (see the module docstring);
+    returns (Born probability, renormalized state)."""
     s_value = _SPIN_TARGETS.get(target) if isinstance(target, str) else float(target)
     if s_value is None:
         raise ValueError(f"unknown spin target {target!r}")
-    eigval = s_value * (s_value + 1.0)
-    s2 = total_spin_squared(basis, spin_registers)
-    w, v = np.linalg.eigh(s2)
-    cols = np.abs(w - eigval) < 1e-8
-    if not np.any(cols):
+    regs = tuple(int(r) for r in spin_registers)
+    s2 = _spin_squared(basis, regs)
+    k = len(regs)
+    levels = [(k / 2 - j) * (k / 2 - j + 1) for j in range(k // 2 + 1)]
+    level = next((lv for lv in levels
+                  if abs(lv - s_value * (s_value + 1.0)) < 1e-8), None)
+    if level is None:
         raise EmptySector(f"no S^2 eigenspace at S = {s_value}")
-    sel = v[:, cols]
-    prob, post = state.mapped(lambda x: sel @ (sel.conj().T @ x))
+
+    def project(x: np.ndarray) -> np.ndarray:
+        for other in levels:
+            if other != level:
+                x = (s2(x) - other * x) / (level - other)
+        return x
+    prob, post = state.mapped(project)
     if prob < 1e-14:
         raise EmptySector(f"state carries no weight in the S = {s_value} sector")
     return prob, post

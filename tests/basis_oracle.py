@@ -139,6 +139,16 @@ def spin_squared(configs, index, regs):
     return _entries(table)
 
 
+def apply_entries(entries, x):
+    """The sparse matrix of (rows, cols, values) entries times an array
+    whose first axis is the basis index."""
+    rows, cols, values = entries
+    out = np.zeros(x.shape, dtype=complex)
+    np.add.at(out, rows, values.reshape(values.shape + (1,) * (x.ndim - 1))
+              * x[cols])
+    return out
+
+
 def accepts(criterion, grid, particles, cfg):
     """Whether one configuration meets the criterion: constraint rows in
     turn, each distance the norm of one coordinate difference; a

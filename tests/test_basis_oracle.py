@@ -7,12 +7,13 @@ import pytest
 import basis_oracle as oracle
 from mergosim.criteria import (GeometricCriterion, bipartition,
                                symmetrize_criterion, validate_symmetric)
+from mergosim.evolution import DensityMatrix
 from mergosim.grid import Configuration, GridSpec, ParticleSet, enumerate_basis
 from mergosim.hamiltonian import (TrapSpec, build_coulomb, build_kinetic,
                                   build_point_charges, build_trap)
 from mergosim.symmetry import (SymmetryDeclaration, generators, group_elements,
                                permutation_indices)
-from mergosim.weakmeas import total_spin_squared
+from mergosim.weakmeas import spin_sector_project
 
 TWO_NUCLEI = dict(n_el=0, nuclear_masses=(1836.0, 3672.0),
                   nuclear_charges=(1.0, -1.0))
@@ -63,6 +64,36 @@ def assert_diagonal(mat, diag):
     assert np.count_nonzero(mat) == np.count_nonzero(diag)
 
 
+def assert_spin_sectors(basis, s2_entries, regs):
+    """Over every sector S of the registers ``regs``, against the oracle's
+    sparse S^2: the projected state is an S^2 eigenstate at S(S+1), the
+    weights sum to one, and on a pure state the projections sum to it.
+    The mixed state is tried where its n x n matrix stays small."""
+    rng = np.random.default_rng(len(regs))
+    vec = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    states = [vec / np.linalg.norm(vec)]
+    if basis.size <= 1250:
+        mix = rng.normal(size=(basis.size, 3)) \
+            + 1j * rng.normal(size=(basis.size, 3))
+        rho = mix @ mix.conj().T
+        states.append(rho / np.trace(rho).real)
+    sectors = np.arange(len(regs) / 2.0, -0.5, -1.0)
+    for array in states:
+        state = DensityMatrix.of(array)
+        total, parts = 0.0, np.zeros_like(array)
+        for s in sectors:
+            prob, post = spin_sector_project(state, basis, regs, s)
+            x = post.array
+            assert np.max(np.abs(oracle.apply_entries(s2_entries, x)
+                                 - s * (s + 1.0) * x)) <= 1e-12
+            total += prob
+            if x.ndim == 1:
+                parts += np.sqrt(prob) * x
+        assert total == pytest.approx(1.0, abs=1e-12)
+        if array.ndim == 1:
+            assert np.max(np.abs(parts - array)) <= 1e-12
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_array_basis_matches_per_configuration_oracle(name):
     grid, particles, declaration, criterion = CASES[name]
@@ -110,8 +141,9 @@ def test_array_basis_matches_per_configuration_oracle(name):
 
     spin_regs = [p for p in range(n_part) if particles.has_spin(p)]
     if spin_regs:
-        assert_entries(total_spin_squared(basis, spin_regs),
-                       oracle.spin_squared(configs, index, spin_regs))
+        for regs in (spin_regs, spin_regs[:-1]):
+            assert_spin_sectors(basis, oracle.spin_squared(configs, index,
+                                                           regs), regs)
 
     if criterion is not None:
         gens = generators(declaration)

@@ -126,6 +126,19 @@ class TestConfigSchema:
                      (("lz", "v"), {"min": -1.0, "max": 1e-6, "points": 20,
                                     "scale": "linear"}),
                      "lz", id="negative_velocity_min_on_linear_scale"),
+        pytest.param("evolve_flat.json",
+                     (("evolve", "autocorrelation", "t_max"), math.nan),
+                     "evolve", id="nan_t_max"),
+        pytest.param("lz_rbcs.json", (("lz", "omega", "value"), math.inf),
+                     "lz", id="infinite_omega"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "nodes", "delta_ramp"), -math.inf), "tree",
+                     id="minus_infinite_delta_ramp"),
+        pytest.param("cost_table.json", (("cost", "box_volume"), math.inf),
+                     "cost", id="infinite_box_volume"),
+        pytest.param("evolve_flat.json",
+                     (("evolve", "autocorrelation", "t_max"), 10 ** 400),
+                     "evolve", id="integer_past_the_float_range"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())
@@ -144,6 +157,17 @@ class TestConfigSchema:
         assert "Traceback" not in captured.out + captured.err
         record = json.loads(captured.out.strip().splitlines()[-1])
         assert record["status"] == "config_error"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_overflowing_float_literal(self, tmp_path, capsys):
+        """json.load reads 1e400 as inf, which is no config value."""
+        text = (CONFIG_DIR / "lz_rbcs.json").read_text()
+        assert '"value": 150.0' in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"value": 150.0', '"value": 1e400'))
+        code = run_cli("lz", "--config", str(path), "--out", str(tmp_path))
+        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == 2 and record["status"] == "config_error"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_wrong_schema_version(self, tmp_path):

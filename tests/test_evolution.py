@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from mergosim.errors import (NonuniformGrid, ScheduleOutOfRange,
-                             UnnormalizedInput)
+from mergosim.errors import (NonHermitianHamiltonian, NonuniformGrid,
+                             ScheduleOutOfRange, UnnormalizedInput)
 from mergosim.evolution import (DensityMatrix, autocorrelation, propagate,
                                 spectrum)
-from mergosim.hamiltonian import OperatorBlock, Schedule, ScheduledHamiltonian
+from mergosim.hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,
+                                  hermiticity_deviation)
+
+
+NAN = float("nan")
+# a NaN anywhere makes max |M - M^dag| NaN, which no check may accept
+NAN_MATRICES = {"nan_pair": [[0.5, NAN], [NAN, 0.5]],
+                "nan_one_triangle": [[0.5, NAN], [0.0, 0.5]],
+                "nan_diagonal": [[NAN, 0.0], [0.0, 1.0]],
+                "nan_imaginary": [[0.5, complex(0.0, NAN)],
+                                  [complex(0.0, NAN), 0.5]]}
 
 
 def two_level_sweep(width, gap, s1=1.0):
@@ -22,6 +32,20 @@ def constant_hamiltonian(diag):
     zero = OperatorBlock(np.zeros_like(h.matrix), "external")
     sched = Schedule(s0=0.5, s1=1.0)
     return ScheduledHamiltonian(h, zero, zero, zero, sched)
+
+
+@pytest.mark.parametrize("name", list(NAN_MATRICES))
+def test_no_hermiticity_check_accepts_nan(name):
+    """A state, an operator block and a fixed autocorrelation Hamiltonian
+    with a NaN entry are all rejected."""
+    mat = np.array(NAN_MATRICES[name], dtype=complex)
+    assert np.isnan(hermiticity_deviation(mat))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(mat)
+    with pytest.raises(NonHermitianHamiltonian):
+        OperatorBlock(mat, "external")
+    with pytest.raises(NonHermitianHamiltonian):
+        autocorrelation(np.array([1.0, 0.0]), mat, 1.0, 8)
 
 
 class TestDensityMatrix:
@@ -196,7 +220,6 @@ class TestAutocorrelation:
             autocorrelation(np.array([1.0, 1.0]), np.eye(2), 1.0, 8)
 
     def test_rejects_non_hermitian_hamiltonian(self):
-        from mergosim.errors import NonHermitianHamiltonian
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianHamiltonian):
             autocorrelation(np.array([1.0, 0.0]), h, 1.0, 8)

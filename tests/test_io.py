@@ -4,12 +4,24 @@ from mergosim.io import (write_correlation_csv, write_csv, write_json,
                          write_jsonl, write_spectrum_csv)
 
 
+def row_writer_bytes(header, rows):
+    """The per-cell CSV formatting ``write_csv`` keeps: the repr of a
+    Python float, the str of an int or a name."""
+    def cell(x):
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return str(int(x)) if isinstance(x, (int, np.integer)) else str(x)
+    lines = [",".join(header)] + [",".join(map(cell, r)) for r in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_csv_and_json_writers_deterministic(tmp_path):
-    rows = [(0.5, 1), (1.5, 2)]
+    columns = [[0.5, 1.5], [1, 2]]
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_csv(a, ["x", "n"], rows)
-    write_csv(b, ["x", "n"], rows)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    write_csv(a, ["x", "n"], columns)
+    write_csv(b, ["x", "n"], columns)
+    assert open(a, "rb").read() == open(b, "rb").read() == \
+        b"x,n\n0.5,1\n1.5,2\n"
     pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     write_json(pa, {"z": 1, "a": [1.25, None]})
     write_json(pb, {"a": [1.25, None], "z": 1})
@@ -35,8 +47,9 @@ def test_correlation_csv(tmp_path):
 
 
 def test_float_column_writers_keep_the_row_writer_bytes(tmp_path):
-    """The column writers give the bytes of ``write_csv`` over rows of
-    Python floats, on random values and on the edge cases of repr."""
+    """The column writers give the bytes of the per-cell row formatting
+    over rows of Python floats, on random values and on the edge cases
+    of repr."""
     rng = np.random.default_rng(3)
     special = np.array([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 1.7e308,
                         0.1 + 0.2, np.inf, -np.inf, np.nan, 1e16, 123456.0])
@@ -55,7 +68,17 @@ def test_float_column_writers_keep_the_row_writer_bytes(tmp_path):
          [(float(f), float(i)) for f, i in zip(times, intensity)]),
     ]
     for writer, args, header, rows in cases:
-        new, old = str(tmp_path / "new.csv"), str(tmp_path / "old.csv")
-        writer(new, *args)
-        write_csv(old, header, rows)
-        assert open(new, "rb").read() == open(old, "rb").read()
+        path = str(tmp_path / "new.csv")
+        writer(path, *args)
+        assert open(path, "rb").read() == row_writer_bytes(header, rows)
+
+
+def test_table_columns_keep_the_row_writer_bytes(tmp_path):
+    """Name, int and float columns, as the lz and cost tables write them,
+    Python or numpy scalars alike."""
+    rows = [("base", 2, np.int64(6), 0.1 + 0.2, np.float64(2.6e-20)),
+            ("2x bits", 4, np.int64(12), -0.0, np.float64(1e16))]
+    header = ["scenario", "n", "branches", "alpha", "repetitions"]
+    path = str(tmp_path / "table.csv")
+    write_csv(path, header, list(zip(*rows)))
+    assert open(path, "rb").read() == row_writer_bytes(header, rows)

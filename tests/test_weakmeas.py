@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import basis_oracle as oracle
 from circuit_oracle import run_protocol
 from mergosim.criteria import Bipartition
 from mergosim.errors import (Degenerate, EmptySector, MaxItersExceeded,
@@ -14,7 +16,7 @@ from mergosim.weakmeas import (TraceLog, WeakMeasurementSpec,
                                lambda_coefficients, measurement_branches,
                                p_success_weight, reconstruct_rho0,
                                repeat_until_success, spin_sector_project,
-                               total_spin_squared, weak_measure)
+                               weak_measure)
 
 
 def random_density(rng, dim):
@@ -329,15 +331,40 @@ class TestSpinSector:
             prob, _ = spin_sector_project(rho, basis, (0, 1, 2), s)
             total += prob
         assert total == pytest.approx(1.0, abs=1e-12)
-        # oracle: sector weights from direct eigendecomposition of S^2
-        s2 = total_spin_squared(basis, (0, 1, 2))
+        # oracle: sector weights from the eigendecomposition of the
+        # per-configuration S^2
+        configs = oracle.enumerate_configurations(basis.grid, basis.particles)
+        rows, cols, values = oracle.spin_squared(
+            configs, oracle.index_table(configs), (0, 1, 2))
+        s2 = np.zeros((basis.size, basis.size))
+        s2[rows, cols] = values
         w, v = np.linalg.eigh(s2)
         for s in (0.5, 1.5):
             target = s * (s + 1.0)
             sel = v[:, np.abs(w - target) < 1e-8]
-            oracle = float(np.real(vec.conj() @ sel @ sel.conj().T @ vec))
-            prob, _ = spin_sector_project(rho, basis, (0, 1, 2), s)
-            assert prob == pytest.approx(oracle, abs=1e-12)
+            projected = sel @ (sel.conj().T @ vec)
+            weight = float(np.vdot(projected, projected).real)
+            prob, post = spin_sector_project(rho, basis, (0, 1, 2), s)
+            assert prob == pytest.approx(weight, abs=1e-12)
+            assert np.max(np.abs(post.matrix - np.outer(
+                projected, projected.conj()) / weight)) <= 1e-12
+
+    def test_projection_builds_no_square_array(self):
+        """Three spinful electrons on seven points: n = 2744, where one
+        n x n complex array is 120 MB."""
+        basis = enumerate_basis(GridSpec(7, 1, 7.0),
+                                ParticleSet(n_el=3, electron_spin=True))
+        rng = np.random.default_rng(5)
+        vec = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        state = DensityMatrix.from_pure(vec / np.linalg.norm(vec))
+        tracemalloc.start()
+        try:
+            spin_sector_project(state, basis, (0, 1, 2), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.size == 2744
+        assert peak < basis.size ** 2 * 16 / 100
 
     def test_requires_spin_labels(self):
         basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=2))
