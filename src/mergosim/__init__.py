@@ -17,8 +17,8 @@ from .grid import (Basis, Configuration, GridSpec, ParticleSet,
 from .hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,
                           StructuredHamiltonian, TrapSpec, build_coulomb,
                           build_kinetic, build_point_charges, build_trap,
-                          coulomb_diagonal, coulomb_mimicking_f,
-                          point_charge_diagonal, trap_diagonal)
+                          coulomb_diagonal, point_charge_diagonal,
+                          trap_diagonal)
 from .lzcost import (AlphaFactors, CostParams, LZParams, LZResult,
                      alpha_factors, lcu_query_model, p_landau_zener)
 from .symmetry import (Permutation, SymmetryDeclaration, antisymmetrize,

@@ -7,8 +7,9 @@ record of an experiment. All randomness flows from the single config
 seed (or its --seed override); outputs are byte-stable for a fixed
 config and seed.
 
-Exit codes: 0 success, 2 config error, 3 runtime error, 4 a scattering
-node exhausted its retries.
+Exit codes: 0 success, 2 config error (an unreadable config or an
+--out that cannot be created included), 3 runtime error (a failed
+artifact write included), 4 a scattering node exhausted its retries.
 """
 
 from __future__ import annotations
@@ -353,13 +354,16 @@ def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
         _resolve(criteria_table, cid, "measure.criterion"), basis)
     state = DensityMatrix.from_pure(_initial_vector(sec["initial"], basis.size))
     with _config_values():
-        spec = weakmeas.WeakMeasurementSpec(bip, sec["delta"], rng_seed=seed)
+        spec = weakmeas.WeakMeasurementSpec(bip, sec["delta"])
+    repeat = sec["repeat"]
+    if repeat and not repeat["delta_ramp"] > 0.0:
+        raise ConfigError(f"measure.repeat.delta_ramp must be positive, "
+                          f"got {repeat['delta_ramp']}")
     rng = np.random.default_rng(seed)
     trace = weakmeas.TraceLog()
 
     payload: dict = {"status": "ok", "criterion": cid,
                      "p_suc": weakmeas.p_success_weight(state, bip)}
-    repeat = sec["repeat"]
     if repeat:
         post, iters = weakmeas.repeat_until_success(
             state, spec, lambda s, k: s, repeat["max_iters"], rng=rng,
@@ -616,7 +620,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg["seed"]
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out: {exc}") from exc
         seeded = args.command in ("measure", "tree", "validate")
         payload = _COMMANDS[args.command](cfg, args.out, args.format,
                                           *((seed,) if seeded else ()))
@@ -624,7 +631,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return emit_error("config_error", exc, 2)
     except NodeExhausted as exc:
         return emit_error("node_exhausted", exc, 4, node_id=exc.node_id)
-    except (SimulationError, ValueError, KeyError) as exc:
+    except (SimulationError, ValueError, KeyError, OSError) as exc:
         return emit_error("runtime_error", exc, 3)
 
     print(json.dumps({"status": payload.get("status", "ok"),

@@ -25,10 +25,6 @@ class ScheduleOutOfRange(SimulationError):
     """Schedule parameter outside [0, s1]."""
 
 
-class NonpositiveDistance(SimulationError):
-    """A distance trajectory contains a zero or negative entry."""
-
-
 class NonHermitianHamiltonian(SimulationError):
     """An operator expected to be Hermitian is not."""
 

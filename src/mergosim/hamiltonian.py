@@ -4,11 +4,13 @@ H(s) = H_A + H_B + f(s) * H_AB + g(s) * V_trap
 
 with f ramping the inter-fragment Coulomb coupling on (f(0) = 0,
 f(s >= s0) = 1) and g ramping the harmonic trap on and back off
-(g(0) = 0, g(s0) = 1, g(s1) = 0). ``StructuredHamiltonian`` keeps it as
-a kinetic stencil plus three diagonal vectors; ``ScheduledHamiltonian``
-takes four arbitrary dense blocks. The diagonal builders have
-vector-returning cores (``coulomb_diagonal``, ``point_charge_diagonal``,
-``trap_diagonal``) that the dense block builders wrap.
+(g(0) = 0, g(s0) = 1, g(s1) = 0); each is linear or smoothstep, a
+closed form evaluated on one float at a time. ``StructuredHamiltonian``
+keeps H(s) as a kinetic stencil plus three diagonal vectors;
+``ScheduledHamiltonian`` takes four arbitrary dense blocks. The diagonal
+builders have vector-returning cores (``coulomb_diagonal``,
+``point_charge_diagonal``, ``trap_diagonal``) that the dense block
+builders wrap.
 
 Discretization choices: 3-point finite-difference kinetic stencil with
 Dirichlet boundaries, and a softened Coulomb 1/sqrt(r^2 + a^2) so that
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (CenterOutsideBox, NonHermitianHamiltonian,
-                     NonpositiveDistance, ScheduleOutOfRange, SingularCoulomb)
+                     ScheduleOutOfRange, SingularCoulomb)
 from .grid import Basis, ParticleSet
 
 VALID_TAGS = ("kinetic", "coulomb_ee", "coulomb_nn", "coulomb_ne",
@@ -288,124 +290,47 @@ def build_trap(basis: Basis, trap: TrapSpec) -> OperatorBlock:
     return _diagonal_block(trap_diagonal(basis, trap), "trap")
 
 
-def _smoothstep(u: np.ndarray) -> np.ndarray:
-    u = np.clip(u, 0.0, 1.0)
-    return 3.0 * u * u - 2.0 * u ** 3
+def _ramp(u: float, shape: str) -> float:
+    """u clamped to [0, 1], eased as 3u^2 - 2u^3 for "smoothstep"."""
+    u = min(max(u, 0.0), 1.0)
+    return 3.0 * u * u - 2.0 * u ** 3 if shape == "smoothstep" else u
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Monotone scheduling profiles f (coupling) and g (trap).
 
-    Shapes: "linear", "smoothstep", or "table" (f only) built from
-    coulomb-mimicking samples via ``Schedule.with_f_table``. The table
-    is affinely rescaled at construction so the contract f(0) = 0,
-    f(s >= s0) = 1 holds exactly.
+    Each of f and g is "linear" or "smoothstep", a closed form in one
+    float: f(s) ramps s / s0 and holds 1 from s0 on; g ramps s / s0 up
+    to s0 and (s1 - s) / (s1 - s0) back down to s1.
     """
 
     s0: float
     s1: float
     f_shape: str = "linear"
     g_shape: str = "linear"
-    f_table: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
     def __post_init__(self):
         if not (0.0 < self.s0 < self.s1):
             raise ValueError("require 0 < s0 < s1")
-        if self.f_shape not in ("linear", "smoothstep", "table"):
-            raise ValueError(f"unknown f shape {self.f_shape!r}")
-        if self.g_shape not in ("linear", "smoothstep"):
-            raise ValueError(f"unknown g shape {self.g_shape!r}")
-        if (self.f_shape == "table") != (self.f_table is not None):
-            raise ValueError("table shape requires f_table samples")
-        if self.f_table is not None:
-            s, v = self.f_table
-            object.__setattr__(self, "f_table",
-                               (tuple(float(x) for x in s),
-                                tuple(float(x) for x in v)))
+        for name, shape in (("f", self.f_shape), ("g", self.g_shape)):
+            if shape not in ("linear", "smoothstep"):
+                raise ValueError(f"unknown {name} shape {shape!r}")
 
-    @classmethod
-    def with_f_table(cls, s0: float, s1: float, s_samples: Sequence[float],
-                     f_samples: Sequence[float],
-                     g_shape: str = "linear") -> "Schedule":
-        """Build a tabulated f profile, pinned to f(0) = 0 and f(s0) = 1."""
-        s = np.asarray(s_samples, dtype=float)
-        v = np.asarray(f_samples, dtype=float)
-        if s.shape != v.shape or s.ndim != 1 or s.size < 2:
-            raise ValueError("need matching 1-d sample arrays")
-        v0 = float(np.interp(0.0, s, v))
-        v1 = float(np.interp(s0, s, v))
-        if v1 <= v0:
-            raise ValueError("f samples must increase from s=0 to s=s0")
-        scaled = np.clip((v - v0) / (v1 - v0), 0.0, 1.0)
-        return cls(s0, s1, f_shape="table", g_shape=g_shape,
-                   f_table=(tuple(s), tuple(scaled)))
+    def f(self, s: float) -> float:
+        return _ramp(float(s) / self.s0, self.f_shape)
 
-    def f(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.f_shape == "linear":
-            out = np.clip(s / self.s0, 0.0, 1.0)
-        elif self.f_shape == "smoothstep":
-            out = _smoothstep(s / self.s0)
-        else:
-            xs, vs = self.f_table
-            out = np.where(s >= self.s0, 1.0,
-                           np.clip(np.interp(s, xs, vs), 0.0, 1.0))
-        return float(out) if out.ndim == 0 else out
-
-    def g(self, s):
-        s = np.asarray(s, dtype=float)
-        rise = s / self.s0
-        fall = (self.s1 - s) / (self.s1 - self.s0)
-        if self.g_shape == "smoothstep":
-            up, down = _smoothstep(rise), _smoothstep(fall)
-        else:
-            up = np.clip(rise, 0.0, 1.0)
-            down = np.clip(fall, 0.0, 1.0)
-        out = np.where(s <= self.s0, up, down)
-        return float(out) if out.ndim == 0 else out
+    def g(self, s: float) -> float:
+        s = float(s)
+        u = s / self.s0 if s <= self.s0 \
+            else (self.s1 - s) / (self.s1 - self.s0)
+        return _ramp(u, self.g_shape)
 
     def profiles(self, s: float) -> tuple[float, float]:
         """(f(s), g(s)) for one s inside [0, s1]."""
         if not 0.0 <= s <= self.s1:
             raise ScheduleOutOfRange(f"s = {s} outside [0, {self.s1}]")
         return self.f(s), self.g(s)
-
-    def max_rate(self, n: int = 2001) -> float:
-        """max_s of |df/ds| and |dg/ds| by dense finite differences.
-
-        Diagnostic input for the evolution-speed v of the success
-        probability model; not enforced anywhere.
-        """
-        s = np.linspace(0.0, self.s1, n)
-        df = np.max(np.abs(np.gradient(self.f(s), s)))
-        dg = np.max(np.abs(np.gradient(self.g(s), s)))
-        return float(max(df, dg))
-
-
-def coulomb_mimicking_f(schedule: Schedule, z_traj: Sequence[float],
-                        center_distance: Optional[float] = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """f samples mimicking a Coulomb-like approach of two fragments.
-
-    ``z_traj`` holds internuclear distances on a uniform s-grid over
-    [0, s1], positive and nonincreasing toward the bonding distance.
-    f(s) is the fixed-centers distance divided by the trajectory
-    distance, clamped to [0, 1]; the reference distance defaults to the
-    trajectory's final (bond-placement) value.
-    """
-    z = np.asarray(z_traj, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise ValueError("trajectory must be a 1-d array of distances")
-    if np.any(z <= 0.0):
-        raise NonpositiveDistance("trajectory contains nonpositive distance")
-    if np.any(np.diff(z) > 1e-12):
-        raise ValueError("trajectory must be monotone nonincreasing")
-    d0 = float(z[-1]) if center_distance is None else float(center_distance)
-    if d0 <= 0.0:
-        raise NonpositiveDistance("fixed-centers distance must be positive")
-    s_grid = np.linspace(0.0, schedule.s1, z.size)
-    return s_grid, np.clip(d0 / z, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

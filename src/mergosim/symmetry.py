@@ -198,22 +198,20 @@ def _apply_projector(declaration: SymmetryDeclaration, basis: Basis,
 def antisymmetrize(state, declaration: SymmetryDeclaration, basis: Basis):
     """Project onto the declared exchange sector and renormalize.
 
-    Accepts a state vector (returns a vector) or a DensityMatrix (returns
-    one, a pure one still pure). Raises VanishingNorm when the input is
-    annihilated, e.g. two Fermions sharing label and spin.
+    Accepts a unit state vector (returns a read-only unit vector) or a
+    DensityMatrix (returns one, a pure one still pure); both go through
+    ``DensityMatrix.mapped``. Raises VanishingNorm when the projected
+    weight (squared norm, or trace) is below VANISHING_TOL, e.g. for two
+    Fermions sharing label and spin.
     """
-    if isinstance(state, DensityMatrix):
-        weight, post = state.mapped(
-            lambda x: _apply_projector(declaration, basis, x))
-        if weight < VANISHING_TOL:
-            raise VanishingNorm("symmetrization annihilated the state")
-        return post
-    vec = np.asarray(state, dtype=complex).ravel()
-    out = _apply_projector(declaration, basis, vec)
-    norm = np.linalg.norm(out)
-    if norm < VANISHING_TOL:
+    vector_in = not isinstance(state, DensityMatrix)
+    if vector_in:
+        state = DensityMatrix.from_pure(state)
+    weight, post = state.mapped(
+        lambda x: _apply_projector(declaration, basis, x))
+    if weight < VANISHING_TOL:
         raise VanishingNorm("symmetrization annihilated the state")
-    return out / norm
+    return post.vector if vector_in else post
 
 
 @dataclass(frozen=True)

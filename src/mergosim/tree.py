@@ -96,6 +96,11 @@ class RetryPolicy:
     delta_ramp: float = 1.0
     renaturalize: bool = True
 
+    def __post_init__(self):
+        if not self.delta_ramp > 0.0:
+            raise ValueError(f"delta_ramp must be positive, "
+                             f"got {self.delta_ramp}")
+
 
 @dataclass(frozen=True, eq=False)
 class ScatterNode:

@@ -58,12 +58,10 @@ DEGENERATE_TOL = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class WeakMeasurementSpec:
-    """Bipartition, rotation angle delta in [0, pi/2], and the seed that
-    owns any sampled outcomes."""
+    """Bipartition and rotation angle delta in [0, pi/2]."""
 
     bipartition: Bipartition
     delta: float
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= math.pi / 2.0 + 1e-12:
@@ -159,10 +157,10 @@ def weak_measure(state: DensityMatrix, spec: WeakMeasurementSpec,
 
     The analytic branch pair rides along on the outcome. Randomness
     comes from ``rng`` when given, otherwise from a generator seeded
-    with ``spec.rng_seed``; no global state is touched.
+    with 0; no global state is touched.
     """
     if rng is None:
-        rng = np.random.default_rng(spec.rng_seed)
+        rng = np.random.default_rng(0)
     branches = measurement_branches(state, spec.bipartition, spec.delta)
     if rng.random() < branches.p1:
         return MeasurementOutcome(1, branches.p1, branches.rho1,
@@ -235,13 +233,17 @@ def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
     ``channel(state, k)`` is the (possibly escalated) recovery evolution
     applied after the k-th failed measurement; it must preserve trace
     within 1e-9. The measurement angle follows the geometric ramp
-    delta_k = min(pi/2, delta * delta_ramp^(k-1)). Returns the projected
-    accepted-block state and the number of measurements used.
+    delta_k = min(pi/2, delta * delta_ramp^(k-1)), delta_ramp > 0, so
+    every angle stays in [0, pi/2]. Randomness comes from ``rng`` as in
+    ``weak_measure``. Returns the projected accepted-block state and the
+    number of measurements used.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not delta_ramp > 0.0:
+        raise ValueError(f"delta_ramp must be positive, got {delta_ramp}")
     if rng is None:
-        rng = np.random.default_rng(spec.rng_seed)
+        rng = np.random.default_rng(0)
     current = state
     for k in range(1, max_iters + 1):
         delta_k = min(math.pi / 2.0, spec.delta * delta_ramp ** (k - 1))

@@ -134,6 +134,24 @@ class TestConfigSchema:
         pytest.param("tree_synthetic.json",
                      (("tree", "nodes", "delta_ramp"), -math.inf), "tree",
                      id="minus_infinite_delta_ramp"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "nodes", "delta_ramp"), -1.0), "tree",
+                     id="negative_tree_delta_ramp"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "overrides"), {"node6": {"delta_ramp": -1.0}}),
+                     "tree", id="negative_override_delta_ramp"),
+        pytest.param("measure_bond.json",
+                     (("measure", "repeat"), {"delta_ramp": -1.0}),
+                     "measure", id="negative_measure_delta_ramp"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "nodes", "delta_ramp"), 0.0), "tree",
+                     id="zero_tree_delta_ramp"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "overrides"), {"node6": {"delta_ramp": 0.0}}),
+                     "tree", id="zero_override_delta_ramp"),
+        pytest.param("measure_bond.json",
+                     (("measure", "repeat"), {"delta_ramp": 0.0}),
+                     "measure", id="zero_measure_delta_ramp"),
         pytest.param("cost_table.json", (("cost", "box_volume"), math.inf),
                      "cost", id="infinite_box_volume"),
         pytest.param("evolve_flat.json",
@@ -169,6 +187,33 @@ class TestConfigSchema:
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert code == 2 and record["status"] == "config_error"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("under", [(), ("sub",)],
+                             ids=["out_is_a_file", "out_under_a_file"])
+    def test_unusable_out_directory(self, under, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker.joinpath(*under)
+        code = run_cli("cost", "--config", str(CONFIG_DIR / "cost_table.json"),
+                       "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        assert json.loads(line)["status"] == "config_error"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_failed_artifact_write(self, tmp_path, capsys):
+        # a directory where the table goes makes open() fail
+        (tmp_path / "cost_table.csv").mkdir()
+        code = run_cli("cost", "--config", str(CONFIG_DIR / "cost_table.json"),
+                       "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        assert json.loads(line)["status"] == "runtime_error"
+        assert [p.name for p in tmp_path.iterdir()] == ["cost_table.csv"]
 
     def test_wrong_schema_version(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "evolve_flat.json").read_text())

@@ -86,21 +86,23 @@ def test_branches_of_a_vector_are_the_dense_branches(case, delta):
        st.integers(0, 2 ** 32 - 1))
 def test_weak_measure_of_a_vector_is_the_dense_one(case, delta, seed):
     v, bip = case
-    spec = WeakMeasurementSpec(bip, delta, rng_seed=seed)
-    pure, dense = (weak_measure(s, spec) for s in both(v))
+    spec = WeakMeasurementSpec(bip, delta)
+    pure, dense = (weak_measure(s, spec, np.random.default_rng(seed))
+                   for s in both(v))
     assert pure.flag == dense.flag
     assert abs(pure.probability - dense.probability) <= TOL
     assert_same_state(pure.post_state, dense.post_state)
 
 
-def heralded(state, spec, unitary):
+def heralded(state, spec, unitary, seed):
     """repeat_until_success with a unitary recovery channel: (post state,
     iterations, trace), or None when it gives up."""
     trace = TraceLog()
     try:
         post, iterations = repeat_until_success(
             state, spec, lambda s, k: s.mapped(unitary.__matmul__)[1],
-            max_iters=60, delta_ramp=1.2, trace=trace)
+            max_iters=60, rng=np.random.default_rng(seed), delta_ramp=1.2,
+            trace=trace)
     except MaxItersExceeded:
         return None
     return post, iterations, trace
@@ -113,8 +115,8 @@ def test_repeat_until_success_of_a_vector_is_the_dense_one(case, delta,
                                                            seed):
     v, bip = case
     unitary = random_unitary(np.random.default_rng(seed), v.size)
-    spec = WeakMeasurementSpec(bip, delta, rng_seed=seed)
-    pure, dense = (heralded(s, spec, unitary) for s in both(v))
+    spec = WeakMeasurementSpec(bip, delta)
+    pure, dense = (heralded(s, spec, unitary, seed) for s in both(v))
     assert (pure is None) == (dense is None)
     if pure is None:
         return
@@ -228,14 +230,14 @@ def test_heralding_a_large_pure_state_builds_no_matrix():
     rng = np.random.default_rng(11)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     state = DensityMatrix.from_pure(v / np.linalg.norm(v))
-    spec = WeakMeasurementSpec(Bipartition(rng.random(n) < 0.5), 0.6,
-                               rng_seed=4)
+    spec = WeakMeasurementSpec(Bipartition(rng.random(n) < 0.5), 0.6)
+    rngs = [np.random.default_rng(4) for _ in range(2)]
     tracemalloc.start()
     try:
-        outcome = weak_measure(state, spec)
+        outcome = weak_measure(state, spec, rngs[0])
         post, _ = repeat_until_success(
             state, spec, lambda s, k: s.mapped(
-                lambda x: np.roll(x, 1, axis=0))[1], 64)
+                lambda x: np.roll(x, 1, axis=0))[1], 64, rng=rngs[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

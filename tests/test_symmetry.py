@@ -67,6 +67,19 @@ class TestAntisymmetrize:
         with pytest.raises(VanishingNorm):
             antisymmetrize(vec, decl, basis)
 
+    def test_vanishing_weight_raises_for_vector_and_state(self):
+        # a 1e-8 antisymmetric part: weight 2e-16, norm 1.4e-8; both
+        # forms compare the weight
+        basis = two_particle_basis()
+        decl = SymmetryDeclaration(fermionic_sets=((0, 1),))
+        ab, _ = pair_state(basis, -1, 1)
+        ba, _ = pair_state(basis, 1, -1)
+        vec = (ab + ba) / np.sqrt(2) + 1e-8 * (ab - ba) / np.sqrt(2)
+        vec /= np.linalg.norm(vec)
+        for state in (vec, DensityMatrix.from_pure(vec)):
+            with pytest.raises(VanishingNorm):
+                antisymmetrize(state, decl, basis)
+
     def test_fermionic_pair(self):
         basis = two_particle_basis()
         decl = SymmetryDeclaration(fermionic_sets=((0, 1),))

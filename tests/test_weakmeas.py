@@ -167,16 +167,17 @@ class TestSampledOutcome:
         rng_state = np.random.default_rng(7)
         rho = random_density(rng_state, 6)
         bip = random_bipartition(rng_state, 6)
-        spec = WeakMeasurementSpec(bip, 0.8, rng_seed=123)
-        a = weak_measure(rho, spec)
-        b = weak_measure(rho, spec)
+        spec = WeakMeasurementSpec(bip, 0.8)
+        a = weak_measure(rho, spec, np.random.default_rng(123))
+        b = weak_measure(rho, spec, np.random.default_rng(123))
         assert a.flag == b.flag
         assert np.allclose(a.post_state.matrix, b.post_state.matrix)
 
     def test_outcome_fields(self):
         rho = DensityMatrix.basis_state(2, 0)
         bip = Bipartition.from_indices([0], 2)
-        outcome = weak_measure(rho, WeakMeasurementSpec(bip, math.pi / 2, 1))
+        outcome = weak_measure(rho, WeakMeasurementSpec(bip, math.pi / 2),
+                               np.random.default_rng(1))
         assert outcome.flag == 1
         assert outcome.probability == pytest.approx(1.0)
         assert outcome.p_suc_before == pytest.approx(1.0)
@@ -186,8 +187,9 @@ class TestRepeatUntilSuccess:
     def test_immediate_success(self):
         rho = DensityMatrix.basis_state(2, 0)
         bip = Bipartition.from_indices([0], 2)
-        spec = WeakMeasurementSpec(bip, math.pi / 2, rng_seed=0)
-        post, iters = repeat_until_success(rho, spec, lambda s, k: s, 10)
+        spec = WeakMeasurementSpec(bip, math.pi / 2)
+        post, iters = repeat_until_success(rho, spec, lambda s, k: s, 10,
+                                           rng=np.random.default_rng(0))
         assert iters == 1
         assert np.allclose(post.matrix, rho.matrix)
 
@@ -212,9 +214,10 @@ class TestRepeatUntilSuccess:
     def test_max_iters_exceeded(self):
         rho = DensityMatrix.basis_state(2, 1)
         bip = Bipartition.from_indices([0], 2)
-        spec = WeakMeasurementSpec(bip, math.pi / 2, rng_seed=0)
+        spec = WeakMeasurementSpec(bip, math.pi / 2)
         with pytest.raises(MaxItersExceeded):
-            repeat_until_success(rho, spec, lambda s, k: s, 25)
+            repeat_until_success(rho, spec, lambda s, k: s, 25,
+                                 rng=np.random.default_rng(0))
 
     def test_trace_log_records(self):
         def pump(state, k):
@@ -222,9 +225,10 @@ class TestRepeatUntilSuccess:
 
         rho = pump(None, 0)
         bip = Bipartition.from_indices([0], 2)
-        spec = WeakMeasurementSpec(bip, math.pi / 2, rng_seed=5)
+        spec = WeakMeasurementSpec(bip, math.pi / 2)
         trace = TraceLog()
         _, iters = repeat_until_success(rho, spec, pump, 100,
+                                        rng=np.random.default_rng(5),
                                         trace=trace, node_id="n0")
         assert len(trace) == iters
         assert trace[-1]["flag"] == 1
@@ -234,10 +238,11 @@ class TestRepeatUntilSuccess:
     def test_delta_ramp_caps_at_projective(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
         bip = Bipartition.from_indices([0], 2)
-        spec = WeakMeasurementSpec(bip, 0.2, rng_seed=9)
+        spec = WeakMeasurementSpec(bip, 0.2)
         trace = TraceLog()
         try:
-            repeat_until_success(rho, spec, lambda s, k: s, 50, rng=None,
+            repeat_until_success(rho, spec, lambda s, k: s, 50,
+                                 rng=np.random.default_rng(9),
                                  delta_ramp=2.0, trace=trace, node_id="x")
         except MaxItersExceeded:
             pass
@@ -245,10 +250,19 @@ class TestRepeatUntilSuccess:
         assert all(d <= math.pi / 2 + 1e-12 for d in deltas)
         assert deltas[0] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("ramp", [-1.0, 0.0])
+    def test_nonpositive_delta_ramp_rejected(self, ramp):
+        # delta * ramp^(k-1) would leave [0, pi/2] or stall at 0
+        rho = DensityMatrix.basis_state(2, 1)
+        spec = WeakMeasurementSpec(Bipartition.from_indices([0], 2), 0.5)
+        with pytest.raises(ValueError, match="delta_ramp"):
+            repeat_until_success(rho, spec, lambda s, k: s, 5,
+                                 delta_ramp=ramp)
+
     def test_non_trace_preserving_channel_rejected(self):
         rho = DensityMatrix.basis_state(2, 1)
         bip = Bipartition.from_indices([0], 2)
-        spec = WeakMeasurementSpec(bip, 0.5, rng_seed=1)
+        spec = WeakMeasurementSpec(bip, 0.5)
 
         def leaky(state, k):
             # bypasses construction checks to emulate a broken channel
@@ -257,7 +271,8 @@ class TestRepeatUntilSuccess:
             return obj
 
         with pytest.raises(ValueError):
-            repeat_until_success(rho, spec, leaky, 5)
+            repeat_until_success(rho, spec, leaky, 5,
+                                 rng=np.random.default_rng(1))
 
     def test_failure_branch_normalized_by_its_own_weight(self):
         # a channel within the documented 1e-9 trace tolerance must not
@@ -272,9 +287,10 @@ class TestRepeatUntilSuccess:
 
         raised = 0
         for seed in range(200):
-            spec = WeakMeasurementSpec(bip, math.pi / 2 - 1e-3, rng_seed=seed)
+            spec = WeakMeasurementSpec(bip, math.pi / 2 - 1e-3)
             try:
-                repeat_until_success(rho, spec, drifting, 3)
+                repeat_until_success(rho, spec, drifting, 3,
+                                     rng=np.random.default_rng(seed))
             except MaxItersExceeded:
                 pass  # the damped accepted block rarely heralds again
             except ValueError:
