@@ -28,8 +28,9 @@ import numpy as np
 from . import criteria as crit
 from . import io as out_io
 from . import lzcost, symmetry, tree, weakmeas
-from .errors import (CenterOutsideBox, ConfigError, NodeExhausted,
-                     PairIndexOutOfRange, SimulationError, UnsupportedUnit)
+from .errors import (CenterOutsideBox, ConfigError, DimensionCapExceeded,
+                     NodeExhausted, PairIndexOutOfRange, SimulationError,
+                     SingularCoulomb, UnsupportedUnit)
 from .evolution import (WINDOWS, DensityMatrix, autocorrelation,
                         default_step_count, ground_state, hermitian_eigh,
                         propagate, spectrum)
@@ -42,14 +43,17 @@ SCHEMA_VERSION = 1
 
 # A spec is int, float, str or bool; [item] for a list of items; a dict
 # key -> (spec, default) for an object; Map(item) for an object with free
-# keys; OneOf(options) for the first of several specs that fits; or
-# AtLeast(kind, low) for a number no smaller than low. An absent key (or
-# a null one, unless REQUIRED) takes its default, a raw config value
-# checked like one; None stays None and OMIT leaves the key out.
+# keys; OneOf(options) for the first of several specs that fits;
+# AtLeast(kind, low) or Above(kind, low) for a number >= or > low; or
+# Choice(options) for one of the listed values. An absent key (or a null
+# one, unless REQUIRED) takes its default, a raw config value checked
+# like one; None stays None and OMIT leaves the key out.
 REQUIRED, OMIT = object(), object()
 Map = namedtuple("Map", "item")
 OneOf = namedtuple("OneOf", "options")
 AtLeast = namedtuple("AtLeast", "kind low")
+Above = namedtuple("Above", "kind low")
+Choice = namedtuple("Choice", "options")
 
 _INITIAL = {"kind": (str, "basis_state"), "index": (int, 0)}
 _NODE = {"success_weight": (float, 1.0), "delta": (float, math.pi / 2.0),
@@ -59,6 +63,8 @@ _UNIT_VALUE = OneOf((float, {"value": (float, REQUIRED),
                              "unit": (str, REQUIRED)}))
 
 _TRAP_CENTERS = ([[float]], REQUIRED)
+_COST_FIELDS = ("n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
+                "omega_max")
 
 # section -> key -> (spec, default); every section itself is optional
 _SECTIONS = {
@@ -82,10 +88,10 @@ _SECTIONS = {
                  "f_shape": (str, "linear"), "g_shape": (str, "linear")},
     "evolve": {"s_from": (float, 0.0), "s_to": (float, None),
                "n_steps": (AtLeast(int, 0), 0), "initial": (_INITIAL, {}),
-               "autocorrelation": ({"t_max": (float, REQUIRED),
+               "autocorrelation": ({"t_max": (Above(float, 0.0), REQUIRED),
                                     "n_samples": (AtLeast(int, 2),
                                                   REQUIRED),
-                                    "window": (str, "hann"),
+                                    "window": (Choice(tuple(WINDOWS)), "hann"),
                                     "fixed_s": (float, None)}, None)},
     "criteria": [{"id": (str, REQUIRED), "mode": (str, REQUIRED),
                   "unit": (str, "bohr"), "pairs": ([[float]], REQUIRED)}],
@@ -101,15 +107,17 @@ _SECTIONS = {
                                 for k, (spec, _) in _NODE.items()}), {})},
     "lz": {"mu": (_UNIT_VALUE, REQUIRED), "omega": (_UNIT_VALUE, REQUIRED),
            "omega_a": (_UNIT_VALUE, REQUIRED),
-           "v": (OneOf(({"values": ([float], REQUIRED)},
-                        {"min": (float, REQUIRED), "max": (float, REQUIRED),
+           "v": (OneOf(({"values": ([Above(float, 0.0)], REQUIRED)},
+                        {"min": (Above(float, 0.0), REQUIRED),
+                         "max": (Above(float, 0.0), REQUIRED),
                          "points": (AtLeast(int, 1), REQUIRED),
-                         "scale": (str, "log")})), REQUIRED)},
+                         "scale": (Choice(("log", "linear")), "log")})),
+                 REQUIRED)},
     "cost": {"n_el": (int, REQUIRED), "n_nuc": (int, REQUIRED),
              "grid_points": (int, REQUIRED), "box_volume": (float, REQUIRED),
              "trap_volume": (float, REQUIRED), "omega_max": (float, REQUIRED),
              "bits": (AtLeast(int, 1), 32),
-             "doublings": ([str], [])},
+             "doublings": ([Choice(("bits",) + _COST_FIELDS)], [])},
     "validate": {"criterion": (str, REQUIRED), "symmetrize": (bool, False)},
 }
 _CONFIG = {"schema_version": (int, REQUIRED), "seed": (int, 0),
@@ -153,11 +161,18 @@ def _typed(value, spec, where: str):
             except ConfigError as exc:
                 errors.append(str(exc))
         raise ConfigError(" or ".join(errors))
-    if isinstance(spec, AtLeast):
+    if isinstance(spec, (AtLeast, Above)):
         number = _typed(value, spec.kind, where)
-        if number < spec.low:
-            raise ConfigError(f"{where} must be at least {spec.low}")
+        above = isinstance(spec, Above)
+        if number < spec.low or above and number == spec.low:
+            raise ConfigError(f"{where} must be "
+                              f"{'above' if above else 'at least'} {spec.low}")
         return number
+    if isinstance(spec, Choice):
+        if value not in spec.options:
+            raise ConfigError(f"{where} must be one of {list(spec.options)}, "
+                              f"got {value!r}")
+        return value
     if isinstance(value, bool) == (spec is bool):
         if spec is float and isinstance(value, (int, float)):
             # json.load reads NaN, Infinity and 1e400 (as inf) too
@@ -188,13 +203,15 @@ def load_config(path: str) -> dict:
 
 @contextlib.contextmanager
 def _config_values():
-    """Report a ValueError, unknown unit, trap center outside the box or
-    criterion pair naming a missing nucleus raised while config values
-    become objects as the config error."""
+    """Report a ValueError, unknown unit, trap center outside the box,
+    criterion pair naming a missing nucleus, zero-softening coincidence or
+    basis over its cap raised while config values become objects as the
+    config error."""
     try:
         yield
     except (ValueError, CenterOutsideBox, UnsupportedUnit,
-            PairIndexOutOfRange) as exc:
+            PairIndexOutOfRange, SingularCoulomb,
+            DimensionCapExceeded) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -308,15 +325,9 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     if fixed_s is not None and not 0.0 <= fixed_s <= s1:
         raise ConfigError(f"evolve.autocorrelation.fixed_s must lie in "
                           f"[0, s1 = {s1}], got {fixed_s}")
-    if auto and auto["t_max"] <= 0.0:
-        raise ConfigError(f"evolve.autocorrelation.t_max must be positive, "
-                          f"got {auto['t_max']}")
     if auto and fixed_s is None and auto["t_max"] > s1:
         raise ConfigError(f"evolve.autocorrelation.t_max {auto['t_max']} "
                           f"runs past s1 = {s1}; set fixed_s or lower it")
-    if auto and auto["window"] not in WINDOWS:
-        raise ConfigError(f"evolve.autocorrelation.window must be one of "
-                          f"{sorted(WINDOWS)}, got {auto['window']!r}")
 
     basis = _build_basis(cfg)
     sh = _build_scheduled_hamiltonian(cfg, basis)
@@ -353,31 +364,25 @@ def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     bip = crit.bipartition(
         _resolve(criteria_table, cid, "measure.criterion"), basis)
     state = DensityMatrix.from_pure(_initial_vector(sec["initial"], basis.size))
+    repeat = sec["repeat"]
     with _config_values():
         spec = weakmeas.WeakMeasurementSpec(bip, sec["delta"])
-    repeat = sec["repeat"]
-    if repeat and not repeat["delta_ramp"] > 0.0:
-        raise ConfigError(f"measure.repeat.delta_ramp must be positive, "
-                          f"got {repeat['delta_ramp']}")
+        if repeat:
+            weakmeas.ramped_delta(spec.delta, repeat["delta_ramp"])
     rng = np.random.default_rng(seed)
     trace = weakmeas.TraceLog()
-
-    payload: dict = {"status": "ok", "criterion": cid,
-                     "p_suc": weakmeas.p_success_weight(state, bip)}
     if repeat:
         post, iters = weakmeas.repeat_until_success(
             state, spec, lambda s, k: s, repeat["max_iters"], rng=rng,
             delta_ramp=repeat["delta_ramp"], trace=trace, node_id="measure")
-        payload.update({"iterations": iters,
-                        "post_purity": post.purity()})
+        payload = {"iterations": iters, "post_purity": post.purity()}
     else:
         outcome = weakmeas.weak_measure(state, spec, rng)
-        trace.record("measure", 1, spec.delta, outcome.flag,
-                     outcome.branches.p1, outcome.p_suc_before)
-        payload.update({"flag": outcome.flag,
-                        "probability": outcome.probability,
-                        "p1": outcome.branches.p1,
-                        "p0": outcome.branches.p0})
+        trace.record("measure", 1, outcome.branches, outcome.flag)
+        payload = {"flag": outcome.flag, "probability": outcome.probability,
+                   "p1": outcome.branches.p1, "p0": outcome.branches.p0}
+    # the first measurement weighs the initial state
+    payload.update(status="ok", criterion=cid, p_suc=trace[0]["p_suc_before"])
 
     report_path = os.path.join(out_dir, "measure_report.json")
     out_io.write_json(report_path, payload)
@@ -491,21 +496,12 @@ def cmd_lz(cfg: dict, out_dir: str, fmt: str) -> dict:
                                  omega_a=_unit_value(sec["omega_a"], "au"),
                                  v=1.0)
     v_sec = sec["v"]
-    # the listed velocities, or the ends of the range (positive ends
-    # give a positive log or linear range)
-    given = v_sec["values"] if "values" in v_sec \
-        else [v_sec["min"], v_sec["max"]]
-    if not given or not all(v > 0.0 for v in given):
-        raise ConfigError(f"lz.v must give at least one velocity, all "
-                          f"strictly positive, got {given}")
     if "values" in v_sec:
-        v_values = given
+        v_values = v_sec["values"]
+        if not v_values:
+            raise ConfigError("lz.v.values must list at least one velocity")
     else:
-        space = {"log": np.geomspace,
-                 "linear": np.linspace}.get(v_sec["scale"])
-        if space is None:
-            raise ConfigError(f"lz.v.scale must be 'log' or 'linear', got "
-                              f"{v_sec['scale']!r}")
+        space = {"log": np.geomspace, "linear": np.linspace}[v_sec["scale"]]
         v_values = list(space(v_sec["min"], v_sec["max"], v_sec["points"]))
 
     rows = [(v, result.gamma, result.p_lz, result.p_lz_bound, result.p_suc)
@@ -534,10 +530,6 @@ def _cost_row(name: str, params: lzcost.CostParams, bits: int) -> list:
             est.block_encoding_repetitions]
 
 
-_COST_FIELDS = ("n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
-                "omega_max")
-
-
 @_config_values()
 def _cost_rows(sec: dict) -> list:
     """The base row and one row per requested doubling."""
@@ -548,8 +540,6 @@ def _cost_rows(sec: dict) -> list:
         if name == "bits":
             rows.append(_cost_row("2x bits", base, 2 * bits))
             continue
-        if name not in _COST_FIELDS:
-            raise ConfigError(f"cannot double unknown parameter {name!r}")
         kwargs = {k: getattr(base, k) for k in _COST_FIELDS}
         kwargs[name] *= 2
         if name == "box_volume":
@@ -620,6 +610,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg["seed"]
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -5,6 +5,10 @@ children, runs its merge channel once, then alternates heralding
 measurements with (escalated) channel applications until success. A
 failed measurement never restarts completed children: recovery is local
 to the node, so per-node repetition counts simply add up.
+
+The heralding rules (``p_success_weight``, ``block_split`` under
+``channel_decompose``, ``checked_angle`` and the one retry ramp
+``ramped_delta``) all come from ``weakmeas``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import numpy as np
 from .criteria import Bipartition
 from .errors import MaxItersExceeded, NodeExhausted
 from .evolution import DensityMatrix, PropagationReport, propagate
-from .weakmeas import (TraceLog, WeakMeasurementSpec, _ABBlocks,
-                       p_success_weight, repeat_until_success)
+from .weakmeas import (TraceLog, WeakMeasurementSpec, block_split,
+                       checked_angle, p_success_weight, ramped_delta,
+                       repeat_until_success)
 
 
 def derive_seed(global_seed: int, node_id: str) -> int:
@@ -97,9 +102,7 @@ class RetryPolicy:
     renaturalize: bool = True
 
     def __post_init__(self):
-        if not self.delta_ramp > 0.0:
-            raise ValueError(f"delta_ramp must be positive, "
-                             f"got {self.delta_ramp}")
+        ramped_delta(0.0, self.delta_ramp)  # rejects a ramp <= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +119,7 @@ class ScatterNode:
     retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self):
-        if not 0.0 <= self.delta <= math.pi / 2.0 + 1e-12:
-            raise ValueError(f"node {self.node_id!r} delta outside [0, pi/2]")
+        checked_angle(self.delta, f"node {self.node_id!r} delta")
 
     @property
     def is_leaf(self) -> bool:
@@ -368,9 +370,8 @@ def channel_decompose(state: DensityMatrix,
     p0 is the accepted-block weight, rho_suc / rho_nsuc the renormalized
     diagonal blocks, and the coherence matrix collects the off-blocks
     (Frobenius norm reported)."""
-    blocks = _ABBlocks(state, bipartition.mask)
-    block_a, block_b, cross = blocks.split()
-    p0 = blocks.p_suc
+    p0 = p_success_weight(state, bipartition)
+    block_a, block_b, cross = block_split(state, bipartition)
     # dividing by each block's own weight keeps trace rounding harmless
     p_rest = float(np.trace(block_b).real)
     rho_suc = DensityMatrix.trusted(block_a / p0) if p0 > 1e-14 else None

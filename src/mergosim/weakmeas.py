@@ -11,10 +11,15 @@ over the A/B bipartition:
              + cos(delta) * (cross blocks)] / p_0,   p_0 = 1 - p_1
 
 where each post state is divided by its own trace, which is p_suc or
-p_0 for a unit-trace input. A pure state stays a vector: success maps
-psi -> Pi_A psi / sqrt(p_suc) and failure psi -> D psi / ||D psi||, with
-D = cos(delta) on A and 1 on B. Both are row scalings that
+p_0 for a unit-trace input (dividing by p_0 itself would magnify any
+trace drift when p_0 is small). A pure state stays a vector: success
+maps psi -> Pi_A psi / sqrt(p_suc) and failure psi -> D psi / ||D psi||,
+with D = cos(delta) on A and 1 on B. Both are row scalings that
 ``DensityMatrix.mapped`` applies to the state's own array.
+
+``block_split`` is the one block split (``reconstruct_rho0`` and
+``tree.channel_decompose`` read it) and ``ramped_delta`` the one retry
+ramp, delta_k = min(pi/2, delta * ramp^(k-1)).
 
 The failure-branch disturbance decomposes through the coefficients
 Lambda_A, Lambda_B, Lambda_C, all of order delta^2 for weak rotations;
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -56,6 +61,25 @@ from .grid import Basis
 DEGENERATE_TOL = 1e-15
 
 
+def checked_angle(delta: float, name: str = "delta") -> None:
+    """A ValueError naming ``delta`` unless it lies in [0, pi/2]."""
+    if not 0.0 <= delta <= math.pi / 2.0 + 1e-12:
+        raise ValueError(f"{name} {delta} outside [0, pi/2]")
+
+
+def ramped_delta(delta: float, delta_ramp: float, k: int = 1) -> float:
+    """delta_k = min(pi/2, delta * delta_ramp^(k-1)), the k-th angle of a
+    heralded retry; delta_ramp > 0 keeps it in [0, pi/2]. A power past
+    the float range gives pi/2 (0 * inf being nan, delta = 0 stays)."""
+    if not delta_ramp > 0.0:
+        raise ValueError(f"delta_ramp must be positive, got {delta_ramp}")
+    try:
+        power = delta_ramp ** (k - 1)
+    except OverflowError:
+        power = math.inf
+    return min(math.pi / 2.0, delta * power) if delta else delta
+
+
 @dataclass(frozen=True, eq=False)
 class WeakMeasurementSpec:
     """Bipartition and rotation angle delta in [0, pi/2]."""
@@ -64,109 +88,94 @@ class WeakMeasurementSpec:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.delta <= math.pi / 2.0 + 1e-12:
-            raise ValueError("delta must lie in [0, pi/2]")
-
-
-class _ABBlocks:
-    """A state seen through the A/B mask: the one home of the accepted
-    weight p_suc = sum_{j in A} rho_jj, the success projection (rows
-    scaled by the mask) and failure damping (rows scaled by cos delta on
-    A), which the state applies to its own array and divides by its own
-    trace, and the three-block split of the density matrix."""
-
-    def __init__(self, state: DensityMatrix, mask: np.ndarray):
-        if mask.size != state.dim:
-            raise ValueError("bipartition and state dimensions disagree")
-        self.state, self.mask = state, mask
-        self.p_suc = float(np.sum(state.populations[mask]))
-
-    def success(self) -> DensityMatrix:
-        return self.state.mapped(row_scaling(self.mask))[1]
-
-    def failure(self, delta: float) -> DensityMatrix:
-        """Divided by its own trace: the closed-form p_0 = 1 - p_1 would
-        magnify any trace drift of the input when p_0 is small."""
-        damp = np.where(self.mask, math.cos(delta), 1.0)
-        return self.state.mapped(row_scaling(damp))[1]
-
-    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A block, B block, cross blocks), each embedded n x n."""
-        mat = self.state.matrix
-        block_a, block_b = (np.where(np.outer(m, m), mat, 0.0)
-                            for m in (self.mask, ~self.mask))
-        return block_a, block_b, mat - block_a - block_b
+        checked_angle(self.delta)
 
 
 def p_success_weight(state: Union[DensityMatrix, np.ndarray],
                      bipartition: Bipartition) -> float:
-    """p_suc: the populations over A, of a state or of a unit vector."""
+    """p_suc = sum_{j in A} rho_jj, of a state or of a unit vector."""
     if not isinstance(state, DensityMatrix):
         state = DensityMatrix.from_pure(state)
-    return _ABBlocks(state, bipartition.mask).p_suc
+    if bipartition.dim != state.dim:
+        raise ValueError("bipartition and state dimensions disagree")
+    return float(np.sum(state.populations[bipartition.mask]))
+
+
+def block_split(state: DensityMatrix, bipartition: Bipartition
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A block, B block, cross blocks) of rho, each embedded n x n."""
+    mat = state.matrix
+    block_a, block_b = (np.where(np.outer(m, m), mat, 0.0)
+                        for m in (bipartition.mask, ~bipartition.mask))
+    return block_a, block_b, mat - block_a - block_b
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBranches:
-    """Analytic Born probabilities of both outcomes; each post state is
-    built on first access, so only a branch that is used costs anything."""
+    """Both outcomes of one weak measurement at angle ``delta``: closed-form
+    Born probabilities, and each post state built on first access, so
+    only a branch that is used costs anything."""
 
-    p_suc: float
-    p1: float
-    p0: float
+    state: DensityMatrix
+    bipartition: Bipartition
     delta: float
-    _blocks: _ABBlocks = field(repr=False)
+
+    @cached_property
+    def p_suc(self) -> float:
+        return p_success_weight(self.state, self.bipartition)
+
+    @cached_property
+    def p1(self) -> float:
+        return math.sin(self.delta) ** 2 * self.p_suc
+
+    @property
+    def p0(self) -> float:
+        return 1.0 - self.p1
 
     @cached_property
     def rho1(self) -> DensityMatrix:
         if not self.p1 > 0.0:
             raise ZeroProbabilityBranch("success branch has probability zero")
-        return self._blocks.success()
+        return self.state.mapped(row_scaling(self.bipartition.mask))[1]
 
     @cached_property
     def rho0(self) -> DensityMatrix:
         if not self.p0 > DEGENERATE_TOL:
             raise ZeroProbabilityBranch("failure branch has probability zero")
-        return self._blocks.failure(self.delta)
+        damp = np.where(self.bipartition.mask, math.cos(self.delta), 1.0)
+        return self.state.mapped(row_scaling(damp))[1]
 
 
 def measurement_branches(state: DensityMatrix, bipartition: Bipartition,
                          delta: float) -> MeasurementBranches:
     """Closed-form (p_1, rho_1) and (p_0, rho_0) for one weak measurement."""
-    blocks = _ABBlocks(state, bipartition.mask)
-    p1 = math.sin(delta) ** 2 * blocks.p_suc
-    return MeasurementBranches(p_suc=blocks.p_suc, p1=p1, p0=1.0 - p1,
-                               delta=delta, _blocks=blocks)
+    return MeasurementBranches(state, bipartition, delta)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
-    """One sampled heralding flag with its Born probability and post state."""
+    """One sampled heralding flag with its post state and both branches."""
 
     flag: int
-    probability: float
     post_state: DensityMatrix
-    p_suc_before: float
     branches: MeasurementBranches
+
+    @property
+    def probability(self) -> float:
+        return self.branches.p1 if self.flag else self.branches.p0
 
 
 def weak_measure(state: DensityMatrix, spec: WeakMeasurementSpec,
                  rng: Optional[np.random.Generator] = None
                  ) -> MeasurementOutcome:
-    """Sample the heralding flag and return the matching post state.
-
-    The analytic branch pair rides along on the outcome. Randomness
-    comes from ``rng`` when given, otherwise from a generator seeded
-    with 0; no global state is touched.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    """Sample the heralding flag; the outcome carries the matching post
+    state and both branches. Randomness comes from ``rng``, else from a
+    generator seeded with 0; no global state is touched."""
+    rng = rng or np.random.default_rng(0)
     branches = measurement_branches(state, spec.bipartition, spec.delta)
-    if rng.random() < branches.p1:
-        return MeasurementOutcome(1, branches.p1, branches.rho1,
-                                  branches.p_suc, branches)
-    return MeasurementOutcome(0, branches.p0, branches.rho0,
-                              branches.p_suc, branches)
+    flag = int(rng.random() < branches.p1)
+    return MeasurementOutcome(flag, branches.rho1 if flag else branches.rho0,
+                              branches)
 
 
 def lambda_coefficients(delta: float, p_suc: float
@@ -198,9 +207,8 @@ def reconstruct_rho0(state: DensityMatrix, bipartition: Bipartition,
     Algebraically identical to the closed-form rho_0; exposed so the
     identity can be checked term by term.
     """
-    blocks = _ABBlocks(state, bipartition.mask)
-    block_a, block_b, cross = blocks.split()
-    p_suc = blocks.p_suc
+    p_suc = p_success_weight(state, bipartition)
+    block_a, block_b, cross = block_split(state, bipartition)
     lam_a, lam_b, lam_c = lambda_coefficients(delta, p_suc)
     out = state.matrix.copy()
     if p_suc > 0.0:
@@ -214,11 +222,11 @@ def reconstruct_rho0(state: DensityMatrix, bipartition: Bipartition,
 class TraceLog(list):
     """Append-only measurement trace; one dict per weak measurement."""
 
-    def record(self, node_id: str, iteration: int, delta: float, flag: int,
-               p1: float, p_suc_before: float) -> None:
+    def record(self, node_id: str, iteration: int,
+               branches: MeasurementBranches, flag: int) -> None:
         self.append({"node_id": node_id, "iteration": iteration,
-                     "delta": delta, "flag": flag, "p1": p1,
-                     "p_suc_before": p_suc_before})
+                     "delta": branches.delta, "flag": flag,
+                     "p1": branches.p1, "p_suc_before": branches.p_suc})
 
 
 def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
@@ -232,26 +240,21 @@ def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
 
     ``channel(state, k)`` is the (possibly escalated) recovery evolution
     applied after the k-th failed measurement; it must preserve trace
-    within 1e-9. The measurement angle follows the geometric ramp
-    delta_k = min(pi/2, delta * delta_ramp^(k-1)), delta_ramp > 0, so
-    every angle stays in [0, pi/2]. Randomness comes from ``rng`` as in
+    within 1e-9. The k-th measurement's angle is ``ramped_delta(spec.delta,
+    delta_ramp, k)``. Randomness comes from ``rng`` as in
     ``weak_measure``. Returns the projected accepted-block state and the
     number of measurements used.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if not delta_ramp > 0.0:
-        raise ValueError(f"delta_ramp must be positive, got {delta_ramp}")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = rng or np.random.default_rng(0)
     current = state
     for k in range(1, max_iters + 1):
-        delta_k = min(math.pi / 2.0, spec.delta * delta_ramp ** (k - 1))
+        delta_k = ramped_delta(spec.delta, delta_ramp, k)
         branches = measurement_branches(current, spec.bipartition, delta_k)
         flag = 1 if rng.random() < branches.p1 else 0
         if trace is not None:
-            trace.record(node_id, k, delta_k, flag, branches.p1,
-                         branches.p_suc)
+            trace.record(node_id, k, branches, flag)
         if flag == 1:
             return branches.rho1, k
         current = channel(branches.rho0, k)

@@ -10,6 +10,7 @@ or editing the tracer) and resolves each entry.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +43,13 @@ def test_every_instrument_resolves_in_src():
         if not found:
             missing.append(f"{module_name}.{name}")
     assert not missing, f"INSTRUMENTS names missing code: {missing}"
+
+
+def test_herald_exhausted_reads_max_iters_at_position_3():
+    """The tracer's ``_herald_exhausted`` counts the measurements of an
+    exhausted ``repeat_until_success`` from ``args[3]`` when ``max_iters``
+    is passed by position."""
+    from mergosim.weakmeas import repeat_until_success
+
+    params = list(inspect.signature(repeat_until_success).parameters)
+    assert params[3] == "max_iters"

@@ -157,6 +157,24 @@ class TestConfigSchema:
         pytest.param("evolve_flat.json",
                      (("evolve", "autocorrelation", "t_max"), 10 ** 400),
                      "evolve", id="integer_past_the_float_range"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve", "autocorrelation", "t_max"), 0.0),
+                     "evolve", id="t_max_zero"),
+        pytest.param("lz_rbcs.json", (("lz", "v", "max"), 0.0), "lz",
+                     id="zero_velocity_max_on_log_scale"),
+        pytest.param("cost_table.json", (("cost", "doublings"), ["mass"]),
+                     "cost", id="unknown_doubling"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian", "softening"), 0.0), "evolve",
+                     id="zero_softening_coincidence"),
+        pytest.param("evolve_salt_1d.json", (("particles", "cap"), 80),
+                     "evolve", id="basis_over_its_cap"),
+        pytest.param("measure_bond.json", (("seed",), -1), "measure",
+                     id="negative_measure_seed"),
+        pytest.param("validate_h2o2.json", (("seed",), -1), "validate",
+                     id="negative_validate_seed"),
+        pytest.param("tree_synthetic.json", (("seed",), -1), "tree",
+                     id="negative_tree_seed"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())
@@ -176,6 +194,19 @@ class TestConfigSchema:
         record = json.loads(captured.out.strip().splitlines()[-1])
         assert record["status"] == "config_error"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command, config", [
+        ("measure", "measure_bond.json"), ("validate", "validate_h2o2.json"),
+        ("tree", "tree_synthetic.json"), ("cost", "cost_table.json")])
+    def test_negative_seed_flag(self, command, config, tmp_path, capsys):
+        code = run_cli(command, "--config", str(CONFIG_DIR / config),
+                       "--seed", "-1", "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        assert json.loads(line)["status"] == "config_error"
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_float_literal(self, tmp_path, capsys):
         """json.load reads 1e400 as inf, which is no config value."""
@@ -294,6 +325,25 @@ class TestTreeCommand:
             outs.append(out)
         for name in ("tree_report.json", "tree_trace.jsonl"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_delta_ramp_past_the_float_range(self, tmp_path):
+        # every angle of the shipped run is already pi/2, so a ramp whose
+        # powers overflow a float changes no byte
+        cfg = json.loads((CONFIG_DIR / "tree_synthetic.json").read_text())
+        assert cfg["tree"]["nodes"]["delta"] == math.pi / 2
+        cfg["tree"]["nodes"]["delta_ramp"] = 1e300
+        path = write_config(tmp_path, cfg)
+        shipped, ramped = tmp_path / "shipped", tmp_path / "ramped"
+        assert run_cli("tree", "--config",
+                       str(CONFIG_DIR / "tree_synthetic.json"),
+                       "--out", str(shipped)) == 0
+        assert run_cli("tree", "--config", path, "--out", str(ramped)) == 0
+        trace = (ramped / "tree_trace.jsonl").read_text().splitlines()
+        # 1e300^(k-1) passes the float range from the third measurement on
+        assert max(json.loads(line)["iteration"] for line in trace) >= 3
+        for name in ("tree_report.json", "tree_trace.jsonl"):
+            assert (ramped / name).read_bytes() == \
+                (shipped / name).read_bytes()
 
     def test_seed_override_changes_trace(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -14,9 +14,9 @@ from mergosim.grid import (SPIN_DOWN, SPIN_UP, Configuration, GridSpec,
                            ParticleSet, enumerate_basis)
 from mergosim.weakmeas import (TraceLog, WeakMeasurementSpec,
                                lambda_coefficients, measurement_branches,
-                               p_success_weight, reconstruct_rho0,
-                               repeat_until_success, spin_sector_project,
-                               weak_measure)
+                               p_success_weight, ramped_delta,
+                               reconstruct_rho0, repeat_until_success,
+                               spin_sector_project, weak_measure)
 
 
 def random_density(rng, dim):
@@ -180,7 +180,7 @@ class TestSampledOutcome:
                                np.random.default_rng(1))
         assert outcome.flag == 1
         assert outcome.probability == pytest.approx(1.0)
-        assert outcome.p_suc_before == pytest.approx(1.0)
+        assert outcome.branches.p_suc == pytest.approx(1.0)
 
 
 class TestRepeatUntilSuccess:
@@ -258,6 +258,29 @@ class TestRepeatUntilSuccess:
         with pytest.raises(ValueError, match="delta_ramp"):
             repeat_until_success(rho, spec, lambda s, k: s, 5,
                                  delta_ramp=ramp)
+
+    @pytest.mark.parametrize("delta, capped", [(0.3, math.pi / 2),
+                                               (0.0, 0.0)])
+    def test_ramp_past_the_float_range(self, delta, capped):
+        # 1e300^(k-1) overflows a float from k = 3 on; the angle caps at
+        # pi/2, and an angle of 0 stays 0
+        rho = DensityMatrix.basis_state(2, 1)
+        spec = WeakMeasurementSpec(Bipartition.from_indices([0], 2), delta)
+        trace = TraceLog()
+        with pytest.raises(MaxItersExceeded):
+            repeat_until_success(rho, spec, lambda s, k: s, 6,
+                                 rng=np.random.default_rng(0),
+                                 delta_ramp=1e300, trace=trace)
+        deltas = [rec["delta"] for rec in trace]
+        assert len(deltas) == 6 and deltas[0] == delta
+        assert all(d <= math.pi / 2 for d in deltas)
+        assert deltas[1:] == [capped] * 5
+
+    def test_ramp_below_the_cap_is_the_plain_power(self):
+        for ramp in (0.5, 1.0, 1.3, 2.0):
+            for k in range(1, 8):
+                expected = min(math.pi / 2, 0.1 * ramp ** (k - 1))
+                assert ramped_delta(0.1, ramp, k) == expected
 
     def test_non_trace_preserving_channel_rejected(self):
         rho = DensityMatrix.basis_state(2, 1)
