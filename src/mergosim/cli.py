@@ -7,6 +7,11 @@ record of an experiment. All randomness flows from the single config
 seed (or its --seed override); outputs are byte-stable for a fixed
 config and seed.
 
+Only the standard library, numpy, ``errors``, ``io`` and ``units`` load
+with this module. Each command imports the layers it runs when it runs,
+so ``lz`` and ``cost`` never load the dynamics, and ``evolve`` never
+loads the measurement or tree layers.
+
 Exit codes: 0 success, 2 config error (an unreadable config or an
 --out that cannot be created included), 3 runtime error (a failed
 artifact write included), 4 a scattering node exhausted its retries.
@@ -25,18 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import criteria as crit
 from . import io as out_io
-from . import lzcost, symmetry, tree, weakmeas
 from .errors import (CenterOutsideBox, ConfigError, DimensionCapExceeded,
                      NodeExhausted, PairIndexOutOfRange, SimulationError,
                      SingularCoulomb, UnsupportedUnit)
-from .evolution import (WINDOWS, DensityMatrix, autocorrelation,
-                        default_step_count, ground_state, hermitian_eigh,
-                        propagate, spectrum)
-from .grid import GridSpec, ParticleSet, enumerate_basis
-from .hamiltonian import (Schedule, StructuredHamiltonian, TrapSpec,
-                          coulomb_diagonal, trap_diagonal)
 from .units import unit_convert
 
 SCHEMA_VERSION = 1
@@ -63,6 +60,9 @@ _UNIT_VALUE = OneOf((float, {"value": (float, REQUIRED),
                              "unit": (str, REQUIRED)}))
 
 _TRAP_CENTERS = ([[float]], REQUIRED)
+# evolution.WINDOWS's names; spelled out so loading a config imports no
+# dynamics (a test keeps the two equal)
+_WINDOWS = ("hann", "rect", "none")
 _COST_FIELDS = ("n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
                 "omega_max")
 
@@ -91,7 +91,7 @@ _SECTIONS = {
                "autocorrelation": ({"t_max": (Above(float, 0.0), REQUIRED),
                                     "n_samples": (AtLeast(int, 2),
                                                   REQUIRED),
-                                    "window": (Choice(tuple(WINDOWS)), "hann"),
+                                    "window": (Choice(_WINDOWS), "hann"),
                                     "fixed_s": (float, None)}, None)},
     "criteria": [{"id": (str, REQUIRED), "mode": (str, REQUIRED),
                   "unit": (str, "bohr"), "pairs": ([[float]], REQUIRED)}],
@@ -229,6 +229,8 @@ def _resolve(table: dict, cid: str, where: str):
 
 @_config_values()
 def _build_basis(cfg: dict):
+    from .grid import GridSpec, ParticleSet, enumerate_basis
+
     particles = dict(_section(cfg, "particles"))
     cap = particles.pop("cap")
     return enumerate_basis(GridSpec(**_section(cfg, "grid")),
@@ -236,28 +238,33 @@ def _build_basis(cfg: dict):
 
 
 @_config_values()
-def _build_declaration(cfg: dict, particles) -> symmetry.SymmetryDeclaration:
-    declaration = symmetry.SymmetryDeclaration(**_section(cfg, "symmetry"))
+def _build_declaration(cfg: dict, particles):
+    from .symmetry import SymmetryDeclaration
+
+    declaration = SymmetryDeclaration(**_section(cfg, "symmetry"))
     declaration.check_against(particles)
     return declaration
 
 
 @_config_values()
-def _build_criteria(cfg: dict, particles: ParticleSet
-                    ) -> dict[str, crit.GeometricCriterion]:
-    table: dict[str, crit.GeometricCriterion] = {}
+def _build_criteria(cfg: dict, particles) -> dict:
+    from .criteria import GeometricCriterion
+
+    table = {}
     for row in _section(cfg, "criteria"):
         if row["id"] in table:
             raise ConfigError(f"duplicate criterion id {row['id']!r}")
-        criterion = crit.GeometricCriterion(row["mode"], row["pairs"],
-                                            row["unit"])
+        criterion = GeometricCriterion(row["mode"], row["pairs"], row["unit"])
         criterion.check_against(particles)
         table[row["id"]] = criterion
     return table
 
 
 @_config_values()
-def _build_scheduled_hamiltonian(cfg: dict, basis) -> StructuredHamiltonian:
+def _build_scheduled_hamiltonian(cfg: dict, basis):
+    from .hamiltonian import (Schedule, StructuredHamiltonian, TrapSpec,
+                              coulomb_diagonal, trap_diagonal)
+
     sec = _section(cfg, "hamiltonian")
     regs = set(range(basis.particles.n_particles))
     sub_a = sec["subsystem_a"] if sec["subsystem_a"] is not None \
@@ -293,6 +300,8 @@ def _build_scheduled_hamiltonian(cfg: dict, basis) -> StructuredHamiltonian:
 
 def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
                     ) -> np.ndarray:
+    from .evolution import DensityMatrix, ground_state, hermitian_eigh
+
     kind, index = spec["kind"], spec["index"]
     if kind in ("basis_state", "eigenstate") and not 0 <= index < dim:
         raise ConfigError(f"initial state index {index} outside the "
@@ -313,6 +322,9 @@ def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
 
 
 def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
+    from .evolution import (DensityMatrix, autocorrelation,
+                            default_step_count, propagate, spectrum)
+
     sec = _section(cfg, "evolve")
     s1 = _section(cfg, "schedule")["s1"]
     s_from = sec["s_from"]
@@ -357,11 +369,15 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
 
 
 def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
+    from . import weakmeas
+    from .criteria import bipartition
+    from .evolution import DensityMatrix
+
     basis = _build_basis(cfg)
     criteria_table = _build_criteria(cfg, basis.particles)
     sec = _section(cfg, "measure")
     cid = sec["criterion"]
-    bip = crit.bipartition(
+    bip = bipartition(
         _resolve(criteria_table, cid, "measure.criterion"), basis)
     state = DensityMatrix.from_pure(_initial_vector(sec["initial"], basis.size))
     repeat = sec["repeat"]
@@ -392,7 +408,9 @@ def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     return payload
 
 
-def _tree_from_config(sec: dict) -> tree.ScatterTree:
+def _tree_from_config(sec: dict):
+    from . import tree
+
     children = sec["children"]
     if children is not None:
         ids = set(children) | {c for kids in children.values() for c in kids}
@@ -414,8 +432,12 @@ def _tree_from_config(sec: dict) -> tree.ScatterTree:
 
 
 @_config_values()
-def _build_tree(sec: dict) -> tuple[tree.ScatterTree, dict]:
+def _build_tree(sec: dict) -> tuple:
     """The configured tree and its leaf states."""
+    from . import tree
+    from .criteria import Bipartition
+    from .evolution import DensityMatrix
+
     shape = _tree_from_config(sec)
     leaf_dim = sec["leaf_dim"]
     overrides = sec["overrides"]
@@ -427,7 +449,7 @@ def _build_tree(sec: dict) -> tuple[tree.ScatterTree, dict]:
     for node_id in shape.internal_ids():
         row = {**sec["nodes"], **overrides.get(node_id, {})}
         dim = leaf_dim ** len(shape.node(node_id).subsystem)
-        bip = crit.Bipartition(np.arange(dim) < max(1, dim // 2))
+        bip = Bipartition(np.arange(dim) < max(1, dim // 2))
         channel = tree.PumpChannel(bip, row["success_weight"])
         retry = tree.RetryPolicy(max_iters=row["max_iters"],
                                  delta_ramp=row["delta_ramp"],
@@ -448,11 +470,13 @@ def _build_tree(sec: dict) -> tuple[tree.ScatterTree, dict]:
 
 
 def cmd_tree(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
+    from .tree import run_tree
+
     configured, states = _build_tree(_section(cfg, "tree"))
     report_path = os.path.join(out_dir, "tree_report.json")
     trace_path = os.path.join(out_dir, "tree_trace.jsonl")
     try:
-        report = tree.run_tree(configured, states, global_seed=seed)
+        report = run_tree(configured, states, global_seed=seed)
     except NodeExhausted as exc:
         payload = exc.report.to_json_dict() if exc.report else {}
         payload.update({"status": "node_exhausted", "node_id": exc.node_id})
@@ -489,6 +513,8 @@ def _unit_value(value, target: str) -> float:
 
 
 def cmd_lz(cfg: dict, out_dir: str, fmt: str) -> dict:
+    from . import lzcost
+
     sec = _section(cfg, "lz")
     with _config_values():
         params = lzcost.LZParams(mu=_unit_value(sec["mu"], "me"),
@@ -520,7 +546,9 @@ _COST_COLUMNS = ["scenario", "n_el", "n_nuc", "grid_points", "box_volume",
                  "alpha_trap", "prep_branches", "sel_ancillas", "repetitions"]
 
 
-def _cost_row(name: str, params: lzcost.CostParams, bits: int) -> list:
+def _cost_row(name: str, params, bits: int) -> list:
+    from . import lzcost
+
     alphas = lzcost.alpha_factors(params)
     est = lzcost.lcu_query_model(params, bits)
     return [name, params.n_el, params.n_nuc, params.grid_points,
@@ -533,6 +561,8 @@ def _cost_row(name: str, params: lzcost.CostParams, bits: int) -> list:
 @_config_values()
 def _cost_rows(sec: dict) -> list:
     """The base row and one row per requested doubling."""
+    from . import lzcost
+
     base = lzcost.CostParams(**{k: sec[k] for k in _COST_FIELDS})
     bits = sec["bits"]
     rows = [_cost_row("base", base, bits)]
@@ -559,6 +589,8 @@ def cmd_cost(cfg: dict, out_dir: str, fmt: str) -> dict:
 
 
 def cmd_validate(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
+    from .criteria import symmetrize_criterion, validate_symmetric
+
     basis = _build_basis(cfg)
     declaration = _build_declaration(cfg, basis.particles)
     criteria_table = _build_criteria(cfg, basis.particles)
@@ -566,8 +598,8 @@ def cmd_validate(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
     cid = sec["criterion"]
     criterion = _resolve(criteria_table, cid, "validate.criterion")
     if sec["symmetrize"]:
-        criterion = crit.symmetrize_criterion(criterion, declaration)
-    result = crit.validate_symmetric(criterion, declaration, basis, seed=seed)
+        criterion = symmetrize_criterion(criterion, declaration)
+    result = validate_symmetric(criterion, declaration, basis, seed=seed)
     payload = {"status": "ok", "criterion": cid,
                "symmetric": result.symmetric,
                "checked": result.checked, "sampled": result.sampled,

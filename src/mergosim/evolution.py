@@ -562,12 +562,13 @@ def _bessel_series(x: np.ndarray, orders: np.ndarray,
 
 
 def _chebyshev_autocorrelation(sh: StructuredHamiltonian, s: float,
-                               psi0: np.ndarray,
-                               times: np.ndarray) -> np.ndarray:
+                               psi0: np.ndarray, times: np.ndarray,
+                               plan: tuple) -> np.ndarray:
     """C(t) = <psi0| exp(-i H(s) t) |psi0> from Chebyshev moments of the
     stencil product, with no n x n array.
 
-    With H~ = (H - b) / a spanning [-1, 1] (``_spectral_interval``),
+    With H~ = (H - b) / a spanning [-1, 1] (``plan`` is (b, a, orders),
+    see ``_chebyshev_plan``),
     exp(-i H t) = exp(-i b t) sum_m (2 - delta_m0) (-i)^m J_m(a t) T_m(H~)
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), so C(t) needs
     only the moments mu_m = <psi0|T_m(H~)|psi0> (Weisse et al.,
@@ -576,13 +577,13 @@ def _chebyshev_autocorrelation(sh: StructuredHamiltonian, s: float,
     sample; the t = 0 sample is mu_0. A zero-width spectrum (or
     t_max = 0) gives mu_0 exp(-i b t).
     """
-    center, half = _spectral_interval(sh, s)
+    center, half, orders = plan
     phase = np.exp(-1j * center * times)
-    if half * abs(times[-1]) == 0.0:
+    if orders is None:
         columns = _real_columns(psi0)
         return np.vdot(columns, columns) * phase
     x = half * times[1:]
-    orders = np.maximum.accumulate(_bessel_orders(np.abs(x)))
+    orders = np.maximum.accumulate(orders)
     moments = _chebyshev_moments(sh, s, center, half, psi0,
                                  (int(orders[-1]) + 1) // 2)
     values = np.empty(len(times), dtype=complex)
@@ -591,21 +592,31 @@ def _chebyshev_autocorrelation(sh: StructuredHamiltonian, s: float,
     return phase * values
 
 
-def _prefers_chebyshev(sh: StructuredHamiltonian, s: float,
-                       times: np.ndarray) -> bool:
-    """Whether the work estimate (the DENSE_* and CHEB_* constants) puts
-    Chebyshev moments below one dense eigh for C(t) at H(s)."""
+def _chebyshev_plan(sh: StructuredHamiltonian, s: float,
+                    times: np.ndarray) -> Optional[tuple]:
+    """(b, a, orders) for ``_chebyshev_autocorrelation`` when the work
+    estimate (the DENSE_* and CHEB_* constants) puts Chebyshev moments
+    below one dense eigh for C(t) at H(s), else None. b and a are the
+    center and half-width of ``_spectral_interval``; ``orders`` holds
+    ``_bessel_orders`` at |a t| per sample t != 0, or is None when
+    a t_max = 0. Both are computed once and serve the estimate and the
+    series."""
     n, n_samples = sh.dim, len(times)
-    x_max = _spectral_interval(sh, s)[1] * abs(times[-1])
+    center, half = _spectral_interval(sh, s)
+    x_max = half * abs(times[-1])
     dense = DENSE_S_PER_N3 * n ** 3 + DENSE_S_PER_PHASE * n * n_samples
 
-    def chebyshev(order: float) -> float:
+    def cheaper(order: float) -> bool:
         return CHEB_S_SETUP + order * (
-            CHEB_S_PER_ORDER + CHEB_S_PER_ENTRY * (n + n_samples))
+            CHEB_S_PER_ORDER + CHEB_S_PER_ENTRY * (n + n_samples)) < dense
 
     # M > x_max: a series dearer than dense at x_max orders needs no M
-    return chebyshev(x_max) < dense and (x_max == 0.0 or chebyshev(
-        int(_bessel_orders(np.array([x_max]))[0])) < dense)
+    if not cheaper(x_max):
+        return None
+    orders = _bessel_orders(np.abs(half * times[1:])) if x_max else None
+    if orders is None or cheaper(int(orders[-1])):
+        return center, half, orders
+    return None
 
 
 def _dense_autocorrelation(h: np.ndarray, psi0: np.ndarray,
@@ -638,7 +649,7 @@ def autocorrelation(initial: np.ndarray,
     with ``fixed_s`` is read at that s: C(t) comes from Chebyshev moments
     of its stencil product (``_chebyshev_autocorrelation``) or from a
     dense eigh of ``dense(fixed_s)``, whichever the work estimate
-    (``_prefers_chebyshev``) puts lower. A scheduled Hamiltonian without
+    (``_chebyshev_plan``) puts lower. A scheduled Hamiltonian without
     ``fixed_s`` is stepped as ``propagate`` steps it, with t read as the
     schedule parameter s, so it needs 0 < t_max <= s1. ``fixed_s`` with
     any other Hamiltonian raises ValueError.
@@ -655,9 +666,10 @@ def autocorrelation(initial: np.ndarray,
     times = np.linspace(0.0, t_max, n_samples)
 
     if fixed_s is not None:
-        if _prefers_chebyshev(hamiltonian, fixed_s, times):
+        plan = _chebyshev_plan(hamiltonian, fixed_s, times)
+        if plan is not None:
             return times, _chebyshev_autocorrelation(hamiltonian, fixed_s,
-                                                     psi0, times)
+                                                     psi0, times, plan)
         hamiltonian = hamiltonian.dense(fixed_s)
     elif isinstance(hamiltonian, (ScheduledHamiltonian,
                                   StructuredHamiltonian)):

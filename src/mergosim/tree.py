@@ -316,7 +316,8 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
         state = node.channel.apply(state, 0, rng)
         wall_steps = 1
         spec = WeakMeasurementSpec(node.bipartition, node.delta)
-        p_initial = p_success_weight(state, node.bipartition)
+        # the node's first measurement record weighs its initial state
+        first = len(trace)
 
         def recovery(s: DensityMatrix, k: int) -> DensityMatrix:
             nonlocal wall_steps
@@ -329,8 +330,9 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
                 delta_ramp=node.retry.delta_ramp, trace=trace,
                 node_id=node_id)
         except MaxItersExceeded as exc:
-            records[node_id] = NodeRecord(node_id, node.retry.max_iters,
-                                          wall_steps, p_initial, False)
+            records[node_id] = NodeRecord(
+                node_id, node.retry.max_iters, wall_steps,
+                trace[first]["p_suc_before"], False)
             raise NodeExhausted(node_id, TreeRunReport(
                 records, final_state=None, trace=trace)) from exc
 
@@ -339,7 +341,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
             wall_steps += 1
         states[node_id] = post
         records[node_id] = NodeRecord(node_id, iterations, wall_steps,
-                                      p_initial, True)
+                                      trace[first]["p_suc_before"], True)
 
     return TreeRunReport(records, final_state=states[tree.root], trace=trace)
 

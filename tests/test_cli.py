@@ -283,6 +283,26 @@ class TestEvolveCommand:
         assert report["dim"] == 81
         assert (out / "spectrum.csv").exists()
 
+    def test_schema_windows_are_the_evolution_windows(self, tmp_path,
+                                                      capsys):
+        """The schema spells the window names out, so loading a config
+        imports no dynamics; they stay the windows ``spectrum`` knows,
+        and an unknown one is still a config error."""
+        from mergosim.cli import _SECTIONS
+        from mergosim.evolution import WINDOWS
+
+        window = _SECTIONS["evolve"]["autocorrelation"][0]["window"][0]
+        assert window.options == tuple(WINDOWS)
+        cfg = json.loads((CONFIG_DIR / "evolve_salt_1d.json").read_text())
+        cfg["evolve"]["autocorrelation"]["window"] = "bogus"
+        capsys.readouterr()
+        assert run_cli("evolve", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "config_error",
+            "error": "config.evolve.autocorrelation.window must be one of "
+                     "['hann', 'rect', 'none'], got 'bogus'"}
+
     def test_evolve_imports_numpy_but_not_scipy(self, tmp_path):
         """numpy is the only numerical dependency: an evolve run (Lanczos
         start, split steps, fixed-s autocorrelation) loads no scipy."""

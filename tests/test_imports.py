@@ -7,24 +7,37 @@ witness left ``criteria`` and the structured escalation left ``tree``;
 an edge that comes back would pull a module into a layer it no longer
 needs. No module reaches for another one's private (``_``-prefixed)
 names either: what a module shares, it makes public.
+
+The package and ``cli`` load lazily: ``import mergosim.cli`` loads only
+``cli``, ``errors``, ``io`` and ``units``, each command imports the
+layers it runs, and the package resolves its public names on access.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mergosim
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "mergosim"
+CONFIG_DIR = SRC.parent.parent / "configs"
 
 # (module, module it must not import)
 FORBIDDEN = [("criteria", "evolution"), ("evolution", "io"),
              ("hamiltonian", "io"), ("tree", "hamiltonian")]
 
 
-def imported_modules(module: str) -> set:
-    """The mergosim modules that ``module`` imports, by bare name."""
+def mergosim_imports(nodes) -> set:
+    """The mergosim modules that the import statements among ``nodes``
+    name, by bare name."""
     found = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in nodes:
         if isinstance(node, ast.Import):
             dotted = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -36,6 +49,12 @@ def imported_modules(module: str) -> set:
         found.update(name.split(".")[1] for name in dotted
                      if name.startswith("mergosim."))
     return found
+
+
+def imported_modules(module: str) -> set:
+    """The mergosim modules that ``module`` imports, by bare name."""
+    return mergosim_imports(
+        ast.walk(ast.parse((SRC / f"{module}.py").read_text())))
 
 
 def test_the_reader_sees_known_edges():
@@ -73,3 +92,115 @@ def private_names_imported(module: str) -> list:
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_no_private_name_crosses_a_module(module):
     assert private_names_imported(module) == []
+
+
+def run_on_import(tree):
+    """Every node of ``tree`` that runs when the module is imported: all
+    but function bodies (an ``if`` or ``try`` or class body counts)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_imports_only_errors_io_and_units_at_module_level():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert mergosim_imports(run_on_import(tree)) <= {"errors", "io", "units"}
+    assert "tree" in imported_modules("cli")  # inside a command
+
+
+def test_a_command_loads_only_its_layers(tmp_path):
+    """A fresh process: importing ``mergosim.cli`` loads four mergosim
+    modules and the package, and an ``lz`` run adds only ``lzcost``. A
+    submodule not yet loaded is still an attribute of the package."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'mergosim')\n"
+        "import mergosim.cli\n"
+        "before = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = mergosim.cli.main(['lz', '--config', "
+        f"{str(CONFIG_DIR / 'lz_rbcs.json')!r}, '--out', {str(tmp_path)!r}])\n"
+        "after = loaded()\n"
+        "print(json.dumps([code, before, after, mergosim.grid.__name__]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    code, before, after, grid = json.loads(
+        done.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert before == ["mergosim", "mergosim.cli", "mergosim.errors",
+                      "mergosim.io", "mergosim.units"]
+    assert sorted(set(after) - set(before)) == ["mergosim.lzcost"]
+    assert grid == "mergosim.grid"
+
+
+# The package's public names, by defining module, as the package
+# exported them when it imported every submodule eagerly
+EXPORTS = {
+    "criteria": "Bipartition GeometricCriterion SymmetrizedCriterion "
+                "bipartition symmetrize_criterion validate_symmetric",
+    "errors": "SimulationError",
+    "evolution": "DensityMatrix PropagationReport autocorrelation "
+                 "ground_state propagate spectrum",
+    "grid": "Basis Configuration GridSpec ParticleSet enumerate_basis "
+            "label_to_coord",
+    "hamiltonian": "OperatorBlock Schedule ScheduledHamiltonian "
+                   "StructuredHamiltonian TrapSpec build_coulomb "
+                   "build_kinetic build_point_charges build_trap "
+                   "coulomb_diagonal point_charge_diagonal trap_diagonal",
+    "lzcost": "AlphaFactors CostParams LZParams LZResult alpha_factors "
+              "lcu_query_model p_landau_zener",
+    "symmetry": "Permutation SymmetryDeclaration antisymmetrize generators "
+                "group_elements permutation_matrix symmetry_check",
+    "tree": "PumpChannel PropagationChannel RetryPolicy ScatterNode "
+            "ScatterTree TreeRunReport channel_decompose plan_tree run_tree",
+    "units": "unit_convert",
+    "weakmeas": "MeasurementBranches MeasurementOutcome TraceLog "
+                "WeakMeasurementSpec lambda_coefficients "
+                "measurement_branches p_success_weight repeat_until_success "
+                "spin_sector_project weak_measure",
+}
+
+
+def test_the_package_lists_every_public_name():
+    names = [n for names in EXPORTS.values() for n in names.split()]
+    assert len(names) == 65
+    assert sorted(mergosim.__all__) == sorted(names)
+    assert set(names) <= set(dir(mergosim))
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_a_public_name_is_its_defining_modules_object(module):
+    defining = importlib.import_module(f"mergosim.{module}")
+    for name in EXPORTS[module].split():
+        namespace = {}
+        exec(f"from mergosim import {name}", namespace)
+        assert namespace[name] is getattr(defining, name), name
+
+
+def test_a_public_name_follows_a_rebinding_in_its_module(monkeypatch):
+    """Nothing is cached on the package, so a function swapped in its
+    defining module (as a tracer does) and put back is what the package
+    returns each time."""
+    import mergosim.evolution as evolution
+
+    original = evolution.propagate
+    assert mergosim.propagate is original
+    monkeypatch.setattr(evolution, "propagate", len)
+    assert mergosim.propagate is len
+    monkeypatch.undo()
+    assert mergosim.propagate is original
+    assert "propagate" not in vars(mergosim)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mergosim.no_such_name
+    with pytest.raises(ImportError):
+        exec("from mergosim import no_such_name", {})

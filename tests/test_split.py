@@ -17,11 +17,13 @@ from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
                           _initial_vector, _typed, main)
 from mergosim.evolution import (DensityMatrix, _bessel_orders,
                                 _bessel_series, _chebyshev_autocorrelation,
-                                _chebyshev_moments, _dense_autocorrelation,
-                                _lowest_tridiagonal_pair, _prefers_chebyshev,
-                                _spectral_interval, default_step_count,
-                                ground_state, hermitian_eigh,
-                                kinetic_propagator, propagate)
+                                _chebyshev_moments, _chebyshev_plan,
+                                _dense_autocorrelation,
+                                _lowest_tridiagonal_pair,
+                                _spectral_interval, autocorrelation,
+                                default_step_count, ground_state,
+                                hermitian_eigh, kinetic_propagator,
+                                propagate)
 from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
 from mergosim.hamiltonian import (OperatorBlock, Schedule,
                                   ScheduledHamiltonian,
@@ -388,9 +390,9 @@ def test_free_start_takes_one_lanczos_step(monkeypatch, tmp_path, capsys):
     geometry, so the start is the eigenvector: through a whole evolve run
     ground_state calls product twice, one Lanczos step and the residual
     check."""
-    import mergosim.cli as cli
+    import mergosim.evolution as evolution
     inside, calls = [False], []
-    product, ground = StructuredHamiltonian.product, cli.ground_state
+    product, ground = StructuredHamiltonian.product, evolution.ground_state
 
     def counted_product(self, v, x):
         calls.append(inside[0])
@@ -404,7 +406,8 @@ def test_free_start_takes_one_lanczos_step(monkeypatch, tmp_path, capsys):
             inside[0] = False
 
     monkeypatch.setattr(StructuredHamiltonian, "product", counted_product)
-    monkeypatch.setattr(cli, "ground_state", marked_ground_state)
+    # cli imports ground_state when it builds the initial state
+    monkeypatch.setattr(evolution, "ground_state", marked_ground_state)
     merge = tmp_path / "merge.json"
     merge.write_text(json.dumps(dict(bench_merge(0), seed=3)))
     for config in (merge, CONFIG_DIR / "evolve_salt_1d.json"):
@@ -514,11 +517,14 @@ def fixed_s_problem(raw):
 
 def check_chebyshev(sh, s, psi0, times):
     """Chebyshev C(t) within 1e-10 of the dense eigh, and C(0) exactly
-    mu_0."""
-    cheb = _chebyshev_autocorrelation(sh, s, psi0, times)
+    mu_0, whichever path the work estimate prefers."""
+    center, half = _spectral_interval(sh, s)
+    orders = _bessel_orders(np.abs(half * times[1:])) if half * times[-1] \
+        else None
+    cheb = _chebyshev_autocorrelation(sh, s, psi0, times,
+                                      (center, half, orders))
     dense = _dense_autocorrelation(sh.dense(s), psi0, times)
     assert np.max(np.abs(cheb - dense)) <= 1e-10
-    center, half = _spectral_interval(sh, s)
     if half:
         assert cheb[0] == _chebyshev_moments(sh, s, center, half, psi0, 1)[0]
 
@@ -587,10 +593,29 @@ def test_the_work_estimate_picks_the_path():
     their bytes), Chebyshev on the evolve_merge benchmark geometry."""
     for name in ("evolve_salt_1d.json", "evolve_flat.json"):
         sh, s, _, times = fixed_s_problem(shipped(name))
-        assert not _prefers_chebyshev(sh, s, times)
+        assert _chebyshev_plan(sh, s, times) is None
     for seed in range(12):
         sh, s, _, times = fixed_s_problem(bench_merge(seed))
-        assert _prefers_chebyshev(sh, s, times)
+        assert _chebyshev_plan(sh, s, times) is not None
+
+
+def test_one_interval_and_one_order_search_per_autocorrelation(monkeypatch):
+    """The work estimate and the series share one spectral interval and
+    one Bessel order search, with the floats each computes alone."""
+    import mergosim.evolution as evolution
+
+    sh, s, psi0, times = fixed_s_problem(bench_merge(0))
+    center, half, orders = _chebyshev_plan(sh, s, times)
+    assert (center, half) == _spectral_interval(sh, s)
+    assert np.array_equal(orders, _bessel_orders(np.abs(half * times[1:])))
+    calls = []
+    for name in ("_spectral_interval", "_bessel_orders"):
+        def counted(*args, _f=getattr(evolution, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(evolution, name, counted)
+    autocorrelation(psi0, sh, times[-1], len(times), s)
+    assert sorted(calls) == ["_bessel_orders", "_spectral_interval"]
 
 
 def test_merge_evolve_runs_no_eigensolver(monkeypatch, tmp_path, capsys):
