@@ -60,9 +60,9 @@ _UNIT_VALUE = OneOf((float, {"value": (float, REQUIRED),
                              "unit": (str, REQUIRED)}))
 
 _TRAP_CENTERS = ([[float]], REQUIRED)
-# evolution.WINDOWS's names; spelled out so loading a config imports no
-# dynamics (a test keeps the two equal)
-_WINDOWS = ("hann", "rect", "none")
+# evolution.WINDOWS's names and grid.DEFAULT_DIMENSION_CAP, spelled out
+# so loading a config imports no dynamics (tests keep each pair equal)
+_WINDOWS, _DIMENSION_CAP = ("hann", "rect", "none"), 4096
 _COST_FIELDS = ("n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
                 "omega_max")
 
@@ -73,7 +73,7 @@ _SECTIONS = {
     "particles": {"n_el": (int, REQUIRED), "nuclear_masses": ([float], []),
                   "nuclear_charges": ([float], []),
                   "electron_spin": (bool, False), "nuclear_spin": (bool, False),
-                  "cap": (AtLeast(int, 1), 4096)},
+                  "cap": (AtLeast(int, 1), _DIMENSION_CAP)},
     "symmetry": {"bosonic_sets": ([[int]], []),
                  "fermionic_sets": ([[int]], [])},
     "hamiltonian": {

@@ -175,23 +175,21 @@ class CriterionSymmetryResult:
 
 def validate_symmetric(criterion: Criterion,
                        declaration: SymmetryDeclaration, basis: Basis,
-                       exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-                       n_samples: int = SAMPLE_DRAWS,
                        seed: int = 0) -> CriterionSymmetryResult:
     """Check criterion invariance under the generator permutations.
 
     Invariance under the generators implies invariance under the whole
-    group. Bases up to ``exhaustive_limit`` configurations are checked
-    exhaustively; larger ones on ``n_samples`` seeded uniform draws. The
+    group. Bases up to EXHAUSTIVE_LIMIT configurations are checked
+    exhaustively; larger ones on SAMPLE_DRAWS seeded uniform draws. The
     kernel classifies the checked label rows and each generator's image
     rows; the counterexample is the earliest row a generator moves across
     the split (the first such generator on a tie), and ``checked`` counts
     rows up to it.
     """
     gens = generators(declaration)
-    sampled = basis.size > exhaustive_limit
+    sampled = basis.size > EXHAUSTIVE_LIMIT
     rows = (np.random.default_rng(seed).integers(0, basis.size,
-                                                 size=n_samples)
+                                                 size=SAMPLE_DRAWS)
             if sampled else np.arange(basis.size))
     labels = basis.labels[rows]
     grid, particles = basis.grid, basis.particles

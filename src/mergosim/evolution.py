@@ -7,9 +7,9 @@ map:
 - a ``StructuredHamiltonian`` (what the command line builds) gets the
   Strang split step exp(-i V ds/2) exp(-i T ds) exp(-i V ds/2), V taken
   at the step midpoint. The potential factors are phases; the kinetic
-  factor is exact, applied along each (register, lattice axis) tensor
-  axis in the closed-form DST-I eigenbasis of the 1D Dirichlet stencil,
-  so a step calls no eigensolver and costs O(n m) on a state vector;
+  factor is exact (``StructuredHamiltonian.kinetic_propagator``, in the
+  closed-form DST-I eigenbasis of each 1D Dirichlet stencil), so a step
+  calls no eigensolver and costs O(n m) on a state vector;
 - any other scheduled Hamiltonian (four dense ``OperatorBlock``s) gets
   the exact midpoint-rule propagator U_k = exp(-i H(s_mid,k) ds) from
   an eigendecomposition.
@@ -24,18 +24,18 @@ The usual initial state, the ground state of a ``StructuredHamiltonian``,
 comes from ``ground_state``: Lanczos on the matrix-free product
 ``StructuredHamiltonian.apply``, O(n) memory per Krylov vector and no
 n x n array. It starts from the closed-form ground state of the kinetic
-stencil T, the outer product of the lowest DST-I mode of every kinetic
-tensor axis (uniform on the others), so where H(s) = T (the free start
-of a merge of one-particle fragments) one step finds it. The start is
-positive and H = T + diag(V) has nonpositive off-diagonals, so by
-Perron-Frobenius its ground level holds a nonnegative vector that the
-start overlaps with no cancellation: Lanczos cannot settle on an excited
-level, and on a degenerate one it returns the level's projection of the
-start, the same vector on every run. The fixed-s autocorrelation C(t) of a
-``StructuredHamiltonian`` comes from Chebyshev moments of the same
-product, summed against Bessel functions for every sample at once, when
-a work estimate puts that below one dense eigh; otherwise, as for any
-fixed dense Hamiltonian, it diagonalizes the real symmetric H(s) once.
+stencil T (``StructuredHamiltonian.kinetic_ground_state``), so where
+H(s) = T (the free start of a merge of one-particle fragments) one step
+finds it. The start is positive and H = T + diag(V) has nonpositive
+off-diagonals, so by Perron-Frobenius its ground level holds a
+nonnegative vector that the start overlaps with no cancellation: Lanczos
+cannot settle on an excited level, and on a degenerate one it returns
+the level's projection of the start, the same vector on every run. The
+fixed-s autocorrelation C(t) of a ``StructuredHamiltonian`` comes from
+Chebyshev moments of the same product, summed against Bessel functions
+for every sample at once, when a work estimate puts that below one dense
+eigh; otherwise, as for any fixed dense Hamiltonian, it diagonalizes the
+real symmetric H(s) once.
 The dense ``evaluate``/``dense`` assembly stays as the oracle, the path
 to an excited eigenstate (a single-vector Lanczos cannot resolve a
 degenerate level below it) and that fallback.
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -58,6 +58,7 @@ from .hamiltonian import (OperatorBlock, ScheduledHamiltonian,
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+STEP_RESOLUTION = 0.1  # default_step_count's bound on ds ||H||_max
 
 # Lanczos ground state: Ritz residual estimate at which to stop
 # (Hartree, absolute), first convergence check and growth of the check
@@ -255,42 +256,6 @@ def step_unitary(h: np.ndarray, ds: float) -> np.ndarray:
     return (v * np.exp(-1j * w * ds)) @ v.conj().T
 
 
-def _dst_modes(m: int, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvectors of the length-m Dirichlet stencil
-    2 - shift - shift^T, as rows: the DST-I basis
-    S_jk = sqrt(2/(m+1)) sin(j k pi/(m+1)), j = 1 ... count, k = 1 ... m.
-    S is symmetric and orthogonal; row j has eigenvalue
-    2 - 2 cos(j pi/(m+1)), and row 1 is positive."""
-    k = np.arange(1, m + 1)
-    return math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k[:count], k) * math.pi
-                                             / (m + 1))
-
-
-def kinetic_propagator(sh: StructuredHamiltonian,
-                       ds: float) -> Callable[[np.ndarray], np.ndarray]:
-    """exp(-i T ds) as a map on arrays whose first axis is the basis index.
-
-    Along the tensor axis (length m) of each kinetic (register, lattice
-    axis) it applies S diag(exp(-i c lam_j ds)) S, where S is the DST-I
-    eigenbasis (``_dst_modes``) and lam_j = 2 - 2 cos(j pi/(m+1)) the
-    eigenvalues of the Dirichlet stencil 2 - shift - shift^T.
-    """
-    shape = sh.basis.tensor_shape
-    factors = []
-    for axis, c in sh.kinetic_axes:
-        m = shape[axis]
-        dst = _dst_modes(m, m)
-        lam = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * math.pi / (m + 1))
-        factors.append((math.prod(shape[:axis]),
-                        (dst * np.exp(-1j * c * ds * lam)) @ dst))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        for outer, factor in factors:
-            x = (factor @ x.reshape(outer, len(factor), -1)).reshape(x.shape)
-        return x
-    return apply
-
-
 def _step_maps(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
                mids: np.ndarray, ds: float
                ) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
@@ -300,7 +265,7 @@ def _step_maps(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
     exp(-i H(s_k) ds), one eigendecomposition of ``evaluate(s_k)`` per
     step."""
     if isinstance(sh, StructuredHamiltonian):
-        kinetic = kinetic_propagator(sh, ds)
+        kinetic = sh.kinetic_propagator(ds)
         for s in mids:
             half = row_scaling(np.exp(-0.5j * ds * sh.potential(s)))
             yield lambda x, half=half: half(kinetic(half(x)))
@@ -388,10 +353,8 @@ def ground_state(sh: StructuredHamiltonian,
                  s: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair (E0, v) of H(s) by Lanczos on ``sh.product``.
 
-    The start is the ground state of the kinetic stencil T: the lowest
-    DST-I mode sin(j pi/(m+1)) (``_dst_modes``) along each kinetic tensor
-    axis, uniform along the others (spin axes, and every axis when there
-    is no kinetic term), normalised. It is positive, and H(s) has
+    The start is ``sh.kinetic_ground_state()``, the ground state of the
+    kinetic stencil T. It is positive, and H(s) has
     nonpositive off-diagonals (-c), so by Perron-Frobenius the ground
     level holds a nonnegative vector with a strictly positive overlap
     with the start: the iteration cannot settle on an excited level, on
@@ -412,13 +375,8 @@ def ground_state(sh: StructuredHamiltonian,
     """
     n = sh.dim
     potential = sh.potential(s)
-    shape = sh.basis.tensor_shape
-    modes = {axis: _dst_modes(shape[axis], 1)[0]
-             for axis, _ in sh.kinetic_axes}
-    start = reduce(np.multiply.outer, [modes.get(axis, np.ones(size))
-                                       for axis, size in enumerate(shape)])
     krylov = np.empty((min(n, KRYLOV_CHUNK), n))
-    krylov[0] = start.ravel() / np.linalg.norm(start)
+    krylov[0] = sh.kinetic_ground_state()
     alpha, beta = [], []
     check = FIRST_CHECK
     for k in range(1, n + 1):
@@ -454,13 +412,12 @@ def ground_state(sh: StructuredHamiltonian,
 
 
 def default_step_count(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
-                       s_from: float, s_to: float,
-                       resolution: float = 0.1) -> int:
-    """Heuristic step count from ds <= resolution / ||H||_max."""
+                       s_from: float, s_to: float) -> int:
+    """Heuristic step count from ds <= STEP_RESOLUTION / ||H||_max."""
     h_norm = max(sh.norm_max(s) for s in np.linspace(s_from, s_to, 7))
     if h_norm == 0.0:
         return 1
-    return max(1, int(np.ceil((s_to - s_from) * h_norm / resolution)))
+    return max(1, int(np.ceil((s_to - s_from) * h_norm / STEP_RESOLUTION)))
 
 
 def _bessel_orders(x: np.ndarray) -> np.ndarray:

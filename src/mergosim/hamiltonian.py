@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,26 +85,41 @@ def zero_block(dim: int, tag: str = "external") -> OperatorBlock:
     return OperatorBlock(np.zeros((dim, dim), dtype=complex), tag)
 
 
-def _kinetic_coefficient(basis: Basis, register: int) -> float:
-    """Stencil coefficient c = 1/(2 m h^2) of one register."""
-    h = basis.grid.spacing
-    return 1.0 / (2.0 * basis.particles.mass(register) * h * h)
+def _kinetic_axes(basis: Basis, registers: Sequence[int]
+                  ) -> tuple[tuple[int, int, float], ...]:
+    """(outer, m, c) per kinetic (register, lattice axis), in register
+    order: the stencil c (2 - shift - shift^T), c = 1/(2 mass h^2), acts
+    along the middle axis of ``x.reshape(outer, m, -1)``."""
+    shape, h = basis.tensor_shape, basis.grid.spacing
+    axes = [(basis.tensor_axis(p, axis),
+             1.0 / (2.0 * basis.particles.mass(p) * h * h))
+            for p in registers for axis in range(basis.grid.dims)]
+    return tuple((math.prod(shape[:k]), shape[k], c) for k, c in axes)
 
 
-def _kinetic_matrix(basis: Basis, registers: Sequence[int]) -> np.ndarray:
-    n = basis.size
+def _dst_modes(m: int, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvectors of the length-m Dirichlet stencil
+    2 - shift - shift^T, as rows: the DST-I basis
+    S_jk = sqrt(2/(m+1)) sin(j k pi/(m+1)), j = 1 ... count, k = 1 ... m.
+    S is symmetric and orthogonal; row j has eigenvalue
+    2 - 2 cos(j pi/(m+1)), and row 1 is positive."""
+    k = np.arange(1, m + 1)
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k[:count], k) * math.pi
+                                             / (m + 1))
+
+
+def _kinetic_matrix(basis: Basis, axes: Sequence) -> np.ndarray:
+    """T from its ``_kinetic_axes`` table: 2 c dims on the diagonal once
+    per register (the first of its dims rows), -c between neighbours."""
+    n, dims = basis.size, basis.grid.dims
     mat = np.zeros((n, n))
-    columns = np.arange(n)
-    for p in registers:
-        c = _kinetic_coefficient(basis, p)
-        mat[columns, columns] += 2.0 * c * basis.grid.dims
-        for axis in range(basis.grid.dims):
-            for step in (-1, 1):
-                moved = basis.labels.copy()
-                moved[:, p, axis] += step
-                inside = np.abs(moved[:, p, axis]) <= basis.grid.max_label
-                rows = basis.index(moved[inside], basis.spins[inside])
-                mat[rows, columns[inside]] -= c
+    diagonal = np.diag_indices(n)
+    for _, _, c in axes[::dims]:
+        mat[diagonal] += 2.0 * c * dims
+    for outer, m, c in axes:
+        index = np.arange(n).reshape(outer, m, -1)
+        lo, hi = index[:, :-1].ravel(), index[:, 1:].ravel()
+        mat[lo, hi] = mat[hi, lo] = -c
     return mat
 
 
@@ -118,7 +133,8 @@ def build_kinetic(basis: Basis,
     """
     if registers is None:
         registers = range(basis.particles.n_particles)
-    return OperatorBlock(_kinetic_matrix(basis, registers), "kinetic")
+    return OperatorBlock(
+        _kinetic_matrix(basis, _kinetic_axes(basis, registers)), "kinetic")
 
 
 def _resolve_pairs(particles: ParticleSet, pairs) -> list[tuple[int, int]]:
@@ -372,13 +388,16 @@ class StructuredHamiltonian:
     T is the finite-difference kinetic energy of ``kinetic_registers``
     (see ``build_kinetic``): a sum of one 1D Dirichlet tridiagonal per
     (register, lattice axis), each acting on one tensor axis of the
-    basis. The potential is diagonal: the intra-fragment Coulomb energy
-    ``v_frag``, the inter-fragment coupling ``v_ab`` ramped by f and the
-    trap ``v_trap`` ramped by g. ``apply(x, s)`` is H(s) x in O(n) per
-    kinetic axis with no n x n array and ``spectral_bounds(s)`` encloses
-    its spectrum; ``dense(s)`` assembles the real symmetric matrix, and
-    ``evaluate(s)`` wraps it as a checked block, the oracle for
-    everything that uses this structure.
+    basis, tabulated once in ``kinetic_axes``; the product, ``dense``,
+    the bounds and the DST-I forms ``kinetic_propagator`` and
+    ``kinetic_ground_state`` read only that table. The potential is
+    diagonal: the intra-fragment Coulomb energy ``v_frag``, the
+    inter-fragment coupling ``v_ab`` ramped by f and the trap ``v_trap``
+    ramped by g. ``apply(x, s)`` is H(s) x in O(n) per kinetic axis with
+    no n x n array and ``spectral_bounds(s)`` encloses its spectrum;
+    ``dense(s)`` assembles the real symmetric matrix, and ``evaluate(s)``
+    wraps it as a checked block, the oracle for everything that uses
+    this structure.
     """
 
     basis: Basis
@@ -412,13 +431,9 @@ class StructuredHamiltonian:
         return self.v_frag + f * self.v_ab + g * self.v_trap
 
     @cached_property
-    def kinetic_axes(self) -> tuple[tuple[int, float], ...]:
-        """(tensor axis, stencil coefficient c) per kinetic (register,
-        lattice axis): T acts there as c (2 - shift - shift^T)."""
-        return tuple((self.basis.tensor_axis(p, axis),
-                      _kinetic_coefficient(self.basis, p))
-                     for p in self.kinetic_registers
-                     for axis in range(self.basis.grid.dims))
+    def kinetic_axes(self) -> tuple[tuple[int, int, float], ...]:
+        """``_kinetic_axes`` of the kinetic registers."""
+        return _kinetic_axes(self.basis, self.kinetic_registers)
 
     def apply(self, x: np.ndarray, s: float) -> np.ndarray:
         """H(s) x for an array whose first axis is the basis index."""
@@ -426,21 +441,48 @@ class StructuredHamiltonian:
 
     def product(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(T + diag(v)) x: v x plus c (2 - shift - shift^T) along each
-        kinetic tensor axis, Dirichlet at the lattice ends; ``apply`` at
+        kinetic axis, Dirichlet at the lattice ends; ``apply`` at
         v = ``potential(s)``, for callers that stay at one s."""
         out = v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
-        shape = self.basis.tensor_shape
-        for axis, c in self.kinetic_axes:
-            xs = x.reshape(math.prod(shape[:axis]), shape[axis], -1)
+        for outer, m, c in self.kinetic_axes:
+            xs = x.reshape(outer, m, -1)
             stencil = 2.0 * xs
             stencil[:, 1:] -= xs[:, :-1]
             stencil[:, :-1] -= xs[:, 1:]
             out += c * stencil.reshape(x.shape)
         return out
 
+    def kinetic_propagator(self, ds: float
+                           ) -> Callable[[np.ndarray], np.ndarray]:
+        """exp(-i T ds) as a map on arrays whose first axis is the basis
+        index: S diag(exp(-i c lam_j ds)) S along each kinetic axis, S the
+        DST-I basis (``_dst_modes``) and lam_j = 2 - 2 cos(j pi/(m+1))."""
+        factors = []
+        for outer, m, c in self.kinetic_axes:
+            dst = _dst_modes(m, m)
+            lam = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * math.pi / (m + 1))
+            factors.append((outer, m,
+                            (dst * np.exp(-1j * c * ds * lam)) @ dst))
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            for outer, m, factor in factors:
+                x = (factor @ x.reshape(outer, m, -1)).reshape(x.shape)
+            return x
+        return apply
+
+    def kinetic_ground_state(self) -> np.ndarray:
+        """The unit ground state of T: the lowest DST-I mode along each
+        kinetic axis, uniform along the others (all of them when T = 0),
+        multiplied in ascending tensor-axis order. It is positive."""
+        start = np.ones(self.dim)
+        for outer, m, _ in sorted(self.kinetic_axes):
+            axis = start.reshape(outer, m, -1)
+            axis *= _dst_modes(m, 1)[0][:, None]
+        return start / np.linalg.norm(start)
+
     def dense(self, s: float) -> np.ndarray:
         """H(s) as a real symmetric float64 matrix."""
-        mat = _kinetic_matrix(self.basis, self.kinetic_registers)
+        mat = _kinetic_matrix(self.basis, self.kinetic_axes)
         mat[np.diag_indices(self.dim)] += self.potential(s)
         return mat
 
@@ -451,10 +493,10 @@ class StructuredHamiltonian:
         """max |H(s)_ij| read from the stencil and the diagonals: the
         diagonal is constant kinetic plus V(s), and a kinetic neighbour
         entry is -c of the one register that moves."""
-        coefficients = [c for _, c in self.kinetic_axes]
-        diagonal = 2.0 * sum(coefficients) + self.potential(s)
-        neighbour = max(coefficients) \
-            if coefficients and self.basis.grid.points_per_axis > 1 else 0.0
+        diagonal = 2.0 * sum(c for _, _, c in self.kinetic_axes) \
+            + self.potential(s)
+        neighbour = max((c for _, m, c in self.kinetic_axes if m > 1),
+                        default=0.0)
         return float(max(np.max(np.abs(diagonal)), neighbour))
 
     def spectral_bounds(self, s: float) -> tuple[float, float]:
@@ -464,5 +506,5 @@ class StructuredHamiltonian:
         H(s) in [min V(s), max V(s) + 4 sum c]. max(|lo|, |hi|) bounds
         ||H(s)||_2."""
         potential = self.potential(s)
-        kinetic = 4.0 * sum(c for _, c in self.kinetic_axes)
+        kinetic = 4.0 * sum(c for _, _, c in self.kinetic_axes)
         return float(np.min(potential)), float(np.max(potential)) + kinetic

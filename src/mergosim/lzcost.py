@@ -23,22 +23,20 @@ from typing import Optional, Sequence
 from .units import AMU_IN_ELECTRON_MASSES, KHZ_TO_HARTREE
 
 HBAR = 1.0
+BOUND_SLACK = 1e-12  # check_bound_ordering's tolerance on p_LZ_bound
 
 
 @dataclass(frozen=True)
 class LZParams:
     """Reduced mass, trap frequency, bound-state threshold frequency and
-    evolution speed, all in atomic units (tagged "au")."""
+    evolution speed, all in atomic units (``from_lab`` converts)."""
 
     mu: float
     omega: float
     omega_a: float
     v: float
-    units: str = "au"
 
     def __post_init__(self):
-        if self.units != "au":
-            raise ValueError("LZParams stores atomic units; use from_lab()")
         for name in ("mu", "omega", "omega_a", "v"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -146,12 +144,12 @@ class BoundCheck:
     holds: Optional[bool]
 
 
-def check_bound_ordering(params: LZParams, slack: float = 1e-12) -> BoundCheck:
+def check_bound_ordering(params: LZParams) -> BoundCheck:
     result = p_landau_zener(params)
     if result.e_rel < 1.0:
         return BoundCheck(result.e_rel, False, None)
     return BoundCheck(result.e_rel, True,
-                      result.p_lz_bound >= result.p_lz - slack)
+                      result.p_lz_bound >= result.p_lz - BOUND_SLACK)
 
 
 def sweep_velocity(params: LZParams,

@@ -49,8 +49,7 @@ class PumpChannel:
         self.bipartition = bipartition
         self.p = p
 
-    def apply(self, state: DensityMatrix, iteration: int,
-              rng: Optional[np.random.Generator] = None) -> DensityMatrix:
+    def apply(self, state: DensityMatrix, iteration: int) -> DensityMatrix:
         mask = self.bipartition.mask
         n_a = int(np.sum(mask))
         n_b = mask.size - n_a
@@ -84,8 +83,7 @@ class PropagationChannel:
         factor = self.escalation_factor ** iteration
         return replace(self.sh, v_trap=factor * self.sh.v_trap)
 
-    def apply(self, state: DensityMatrix, iteration: int,
-              rng: Optional[np.random.Generator] = None) -> DensityMatrix:
+    def apply(self, state: DensityMatrix, iteration: int) -> DensityMatrix:
         report = propagate(state, self._escalated(iteration),
                            self.s_from, self.s_to, self.n_steps)
         self.last_report = report
@@ -99,7 +97,7 @@ Channel = Union[PumpChannel, PropagationChannel]
 class RetryPolicy:
     max_iters: int = 64
     delta_ramp: float = 1.0
-    renaturalize: bool = True
+    renaturalize: bool = False
 
     def __post_init__(self):
         ramped_delta(0.0, self.delta_ramp)  # rejects a ramp <= 0
@@ -313,7 +311,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
                 f"node {node_id!r} bipartition dimension {node.bipartition.dim}"
                 f" does not match tensored state dimension {state.dim}")
 
-        state = node.channel.apply(state, 0, rng)
+        state = node.channel.apply(state, 0)
         wall_steps = 1
         spec = WeakMeasurementSpec(node.bipartition, node.delta)
         # the node's first measurement record weighs its initial state
@@ -322,7 +320,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
         def recovery(s: DensityMatrix, k: int) -> DensityMatrix:
             nonlocal wall_steps
             wall_steps += 1
-            return node.channel.apply(s, k, rng)
+            return node.channel.apply(s, k)
 
         try:
             post, iterations = repeat_until_success(
@@ -337,7 +335,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
                 records, final_state=None, trace=trace)) from exc
 
         if node.retry.renaturalize:
-            post = node.channel.apply(post, 0, rng)
+            post = node.channel.apply(post, 0)
             wall_steps += 1
         states[node_id] = post
         records[node_id] = NodeRecord(node_id, iterations, wall_steps,

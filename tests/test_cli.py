@@ -303,6 +303,15 @@ class TestEvolveCommand:
             "error": "config.evolve.autocorrelation.window must be one of "
                      "['hann', 'rect', 'none'], got 'bogus'"}
 
+    def test_schema_cap_is_the_grid_default(self):
+        """The schema spells the basis cap out, so loading a config
+        imports no grid; it stays the cap ``enumerate_basis`` takes by
+        default."""
+        from mergosim.cli import _SECTIONS
+        from mergosim.grid import DEFAULT_DIMENSION_CAP
+
+        assert _SECTIONS["particles"]["cap"][1] == DEFAULT_DIMENSION_CAP
+
     def test_evolve_imports_numpy_but_not_scipy(self, tmp_path):
         """numpy is the only numerical dependency: an evolve run (Lanczos
         start, split steps, fixed-s autocorrelation) loads no scipy."""

@@ -143,11 +143,11 @@ class TestValidateSymmetric:
         cfg = h2o2_equilibrium_config()
         assert sym_crit.evaluate(cfg, basis.grid, basis.particles) == 1
 
-    def test_sampled_path_finds_counterexample(self):
+    def test_sampled_path_finds_counterexample(self, monkeypatch):
         basis = h2o2_basis()
+        monkeypatch.setattr("mergosim.criteria.EXHAUSTIVE_LIMIT", 1000)
         result = validate_symmetric(naive_h2o2_criterion(),
-                                    h2o2_declaration(), basis,
-                                    exhaustive_limit=1000, seed=3)
+                                    h2o2_declaration(), basis, seed=3)
         assert result.sampled and not result.symmetric
 
 

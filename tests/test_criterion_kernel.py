@@ -186,16 +186,17 @@ SAMPLED = {
 
 @pytest.mark.parametrize("name", list(SAMPLED))
 @pytest.mark.parametrize("symmetrized", [False, True])
-def test_sampled_validation_equals_the_per_draw_loop(name, symmetrized):
+def test_sampled_validation_equals_the_per_draw_loop(name, symmetrized,
+                                                     monkeypatch):
     grid, particles, declaration, criterion = SAMPLED[name]
     basis = enumerate_basis(grid, particles, cap=20_000)
     if symmetrized:
         criterion = symmetrize_criterion(criterion, declaration)
+    monkeypatch.setattr("mergosim.criteria.EXHAUSTIVE_LIMIT", basis.size // 4)
+    monkeypatch.setattr("mergosim.criteria.SAMPLE_DRAWS", 800)
     found = set()
     for seed in range(5):
-        result = validate_symmetric(criterion, declaration, basis,
-                                    exhaustive_limit=basis.size // 4,
-                                    n_samples=800, seed=seed)
+        result = validate_symmetric(criterion, declaration, basis, seed=seed)
         assert result == per_draw_validation(criterion, declaration, basis,
                                              800, seed)
         found.add(result.symmetric)

@@ -4,6 +4,7 @@ to the dense oracle: the four dense blocks the command line used to
 assemble, dense eigendecompositions and exponentials of ``build_kinetic``,
 the midpoint-rule path and the dense-eigh autocorrelation."""
 
+import ast
 import json
 import tracemalloc
 from pathlib import Path
@@ -22,8 +23,7 @@ from mergosim.evolution import (DensityMatrix, _bessel_orders,
                                 _lowest_tridiagonal_pair,
                                 _spectral_interval, autocorrelation,
                                 default_step_count, ground_state,
-                                hermitian_eigh, kinetic_propagator,
-                                propagate)
+                                hermitian_eigh, propagate)
 from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
 from mergosim.hamiltonian import (OperatorBlock, Schedule,
                                   ScheduledHamiltonian,
@@ -32,6 +32,7 @@ from mergosim.hamiltonian import (OperatorBlock, Schedule,
                                   zero_block)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+EVOLUTION = CONFIG_DIR.parent / "src" / "mergosim" / "evolution.py"
 
 
 def shipped(name):
@@ -159,8 +160,51 @@ def test_kinetic_factor_matches_dense_exponential(grid, particles, registers):
     ds = 0.7
     w, v = np.linalg.eigh(build_kinetic(basis, registers).matrix)
     dense = (v * np.exp(-1j * w * ds)) @ v.conj().T
-    split = kinetic_propagator(sh, ds)(np.eye(basis.size, dtype=complex))
+    split = sh.kinetic_propagator(ds)(np.eye(basis.size, dtype=complex))
     assert np.max(np.abs(split - dense)) <= 1e-12
+
+
+def reversed_merge():
+    """``light_merge`` with the fragments named in descending register
+    order, so the kinetic axes run from the last tensor axis down."""
+    raw = light_merge(9)
+    raw["hamiltonian"].update(subsystem_a=[1], subsystem_b=[0])
+    return raw
+
+
+@pytest.mark.parametrize("case", [reversed_merge, spinful_2d])
+def test_descending_kinetic_registers_match_the_dense_oracle(case):
+    """Kinetic registers (1, 0): the product, the kinetic step and the
+    Lanczos ground state against the dense blocks, whose kinetic terms
+    are built one register at a time."""
+    cfg, basis, sh = build(case())
+    assert sh.kinetic_registers == (1, 0)
+    dense = dense_assembly(cfg, basis, sh.schedule)
+    ds = 0.7
+    w, v = np.linalg.eigh(dense.h_a.matrix + dense.h_b.matrix)  # T
+    step = (v * np.exp(-1j * w * ds)) @ v.conj().T
+    eye = np.eye(basis.size, dtype=complex)
+    assert np.max(np.abs(sh.kinetic_propagator(ds)(eye) - step)) <= 1e-12
+    x = np.random.default_rng(0).normal(size=(basis.size, 3))
+    for s in lanczos_points(sh.schedule):
+        h = dense.evaluate(s).matrix
+        assert np.max(np.abs(sh.apply(x, s) - h @ x)) <= 1e-12
+        energy, vec = ground_state(sh, s)
+        assert abs(energy - np.linalg.eigvalsh(h)[0]) <= 1e-12
+        assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12
+
+
+def test_evolution_leaves_the_stencil_to_hamiltonian():
+    """The stencil has one home: ``evolution`` defines no DST-I helper or
+    kinetic propagator and never reads the basis tensor shape."""
+    tree = ast.parse(EVOLUTION.read_text())
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert not [name for name in defined
+                if "dst" in name.lower() or "kinetic" in name.lower()]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "tensor_shape"]
 
 
 def test_split_agrees_with_dense_on_the_salt_config():
