@@ -7,6 +7,12 @@ record of an experiment. All randomness flows from the single config
 seed (or its --seed override); outputs are byte-stable for a fixed
 config and seed.
 
+Every command is a generator ``cmd_X(cfg, seed, fmt)`` of ``(file
+name, data)`` pairs that writes nothing. ``main`` alone writes under
+--out: each pair as soon as it is yielded, by the writer its extension
+picks (``.json``, ``.jsonl``, or ``.csv`` for a ``(header, columns)``
+pair), so a run that fails after its first artifact keeps what it wrote.
+
 Only the standard library, numpy, ``errors``, ``io`` and ``units`` load
 with this module. Each command imports the layers it runs when it runs,
 so ``lz`` and ``cost`` never load the dynamics, and ``evolve`` never
@@ -26,6 +32,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -321,7 +328,7 @@ def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
-def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
+def cmd_evolve(cfg: dict, seed: int, fmt: str):
     from .evolution import (DensityMatrix, autocorrelation,
                             default_step_count, propagate, spectrum)
 
@@ -347,28 +354,21 @@ def cmd_evolve(cfg: dict, out_dir: str, fmt: str) -> dict:
     psi0 = _initial_vector(sec["initial"], basis.size, sh, s_from)
     report = propagate(DensityMatrix.from_pure(psi0), sh, s_from, s_to, n_steps)
 
-    payload = {"status": "ok", "dim": basis.size, "steps": report.steps,
-               "norm_drift": report.norm_drift,
-               "purity": report.final_state.purity(),
-               "trace": report.final_state.trace()}
-    path = os.path.join(out_dir, "evolve_report.json")
-    out_io.write_json(path, payload)
-    artifacts = [path]
-
+    yield "evolve_report.json", {
+        "status": "ok", "dim": basis.size, "steps": report.steps,
+        "norm_drift": report.norm_drift,
+        "purity": report.final_state.purity(),
+        "trace": report.final_state.trace()}
     if auto:
         times, values = autocorrelation(psi0, sh, auto["t_max"],
                                         auto["n_samples"], fixed_s)
-        corr_path = os.path.join(out_dir, "correlation.csv")
-        out_io.write_correlation_csv(corr_path, times, values)
+        yield "correlation.csv", (["t_au", "re", "im"],
+                                  [times, values.real, values.imag])
         freqs, intensity = spectrum(times, values, window=auto["window"])
-        spec_path = os.path.join(out_dir, "spectrum.csv")
-        out_io.write_spectrum_csv(spec_path, freqs, intensity)
-        artifacts.extend([corr_path, spec_path])
-    payload["artifacts"] = artifacts
-    return payload
+        yield "spectrum.csv", (["freq_au", "intensity"], [freqs, intensity])
 
 
-def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
+def cmd_measure(cfg: dict, seed: int, fmt: str):
     from . import weakmeas
     from .criteria import bipartition
     from .evolution import DensityMatrix
@@ -399,13 +399,8 @@ def cmd_measure(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
                    "p1": outcome.branches.p1, "p0": outcome.branches.p0}
     # the first measurement weighs the initial state
     payload.update(status="ok", criterion=cid, p_suc=trace[0]["p_suc_before"])
-
-    report_path = os.path.join(out_dir, "measure_report.json")
-    out_io.write_json(report_path, payload)
-    trace_path = os.path.join(out_dir, "measure_trace.jsonl")
-    out_io.write_jsonl(trace_path, trace)
-    payload["artifacts"] = [report_path, trace_path]
-    return payload
+    yield "measure_report.json", payload
+    yield "measure_trace.jsonl", trace
 
 
 def _tree_from_config(sec: dict):
@@ -445,7 +440,7 @@ def _build_tree(sec: dict) -> tuple:
         if node_id not in shape.nodes:
             raise ConfigError(f"override for unknown node {node_id!r}")
 
-    configured = shape
+    nodes = dict(shape.nodes)
     for node_id in shape.internal_ids():
         row = {**sec["nodes"], **overrides.get(node_id, {})}
         dim = leaf_dim ** len(shape.node(node_id).subsystem)
@@ -454,56 +449,44 @@ def _build_tree(sec: dict) -> tuple:
         retry = tree.RetryPolicy(max_iters=row["max_iters"],
                                  delta_ramp=row["delta_ramp"],
                                  renaturalize=row["renaturalize"])
-        configured = configured.configure(
-            node_id, channel=channel, bipartition=bip, delta=row["delta"],
-            retry=retry)
+        nodes[node_id] = replace(nodes[node_id], channel=channel,
+                                 bipartition=bip, delta=row["delta"],
+                                 retry=retry)
+    configured = tree.ScatterTree(list(nodes.values()), shape.root)
 
+    # states are immutable, so every leaf shares one
     leaf_state = sec["leaf_state"]
-    states = {}
-    for leaf in configured.leaf_ids():
-        if leaf_state["kind"] == "maximally_mixed":
-            states[leaf] = DensityMatrix.maximally_mixed(leaf_dim)
-        else:
-            states[leaf] = DensityMatrix.from_pure(
-                _initial_vector(leaf_state, leaf_dim))
-    return configured, states
+    state = DensityMatrix.maximally_mixed(leaf_dim) \
+        if leaf_state["kind"] == "maximally_mixed" \
+        else DensityMatrix.from_pure(_initial_vector(leaf_state, leaf_dim))
+    return configured, dict.fromkeys(configured.leaf_ids(), state)
 
 
-def cmd_tree(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
+def _tree_artifacts(report, **status):
+    yield "tree_report.json", {**report.to_json_dict(), **status}
+    yield "tree_trace.jsonl", report.trace
+
+
+def cmd_tree(cfg: dict, seed: int, fmt: str):
     from .tree import run_tree
 
     configured, states = _build_tree(_section(cfg, "tree"))
-    report_path = os.path.join(out_dir, "tree_report.json")
-    trace_path = os.path.join(out_dir, "tree_trace.jsonl")
     try:
         report = run_tree(configured, states, global_seed=seed)
     except NodeExhausted as exc:
-        payload = exc.report.to_json_dict() if exc.report else {}
-        payload.update({"status": "node_exhausted", "node_id": exc.node_id})
-        out_io.write_json(report_path, payload)
-        out_io.write_jsonl(trace_path,
-                           exc.report.trace if exc.report else [])
+        # the partial report, then the exit-4 error
+        yield from _tree_artifacts(exc.report, status="node_exhausted",
+                                   node_id=exc.node_id)
         raise
-    payload = report.to_json_dict()
-    payload["status"] = "ok"
-    out_io.write_json(report_path, payload)
-    out_io.write_jsonl(trace_path, report.trace)
-    payload["artifacts"] = [report_path, trace_path]
-    return payload
+    yield from _tree_artifacts(report, status="ok")
 
 
-def _write_table(payload: dict, out_dir: str, stem: str, fmt: str,
-                 columns: list, rows: list) -> dict:
-    """Rows to <stem>.csv, or into the payload written as <stem>.json."""
+def _table(payload: dict, stem: str, fmt: str, columns: list, rows: list):
+    """Rows as <stem>.csv, or in the payload as <stem>.json."""
     if fmt == "json":
-        payload["rows"] = [list(r) for r in rows]
-        path = os.path.join(out_dir, f"{stem}.json")
-        out_io.write_json(path, payload)
+        yield f"{stem}.json", {**payload, "rows": [list(r) for r in rows]}
     else:
-        path = os.path.join(out_dir, f"{stem}.csv")
-        out_io.write_csv(path, columns, list(zip(*rows)))
-    payload["artifacts"] = [path]
-    return payload
+        yield f"{stem}.csv", (columns, list(zip(*rows)))
 
 
 def _unit_value(value, target: str) -> float:
@@ -512,7 +495,7 @@ def _unit_value(value, target: str) -> float:
     return unit_convert(value["value"], value["unit"], target)
 
 
-def cmd_lz(cfg: dict, out_dir: str, fmt: str) -> dict:
+def cmd_lz(cfg: dict, seed: int, fmt: str):
     from . import lzcost
 
     sec = _section(cfg, "lz")
@@ -537,8 +520,8 @@ def cmd_lz(cfg: dict, out_dir: str, fmt: str) -> dict:
                "omega_a_au": params.omega_a,
                "p_suc_min": min(r[4] for r in rows),
                "p_suc_max": max(r[4] for r in rows)}
-    return _write_table(payload, out_dir, "lz_sweep", fmt,
-                        ["v_au", "gamma", "p_lz", "p_lz_bound", "p_suc"], rows)
+    yield from _table(payload, "lz_sweep", fmt,
+                      ["v_au", "gamma", "p_lz", "p_lz_bound", "p_suc"], rows)
 
 
 _COST_COLUMNS = ["scenario", "n_el", "n_nuc", "grid_points", "box_volume",
@@ -579,16 +562,14 @@ def _cost_rows(sec: dict) -> list:
     return rows
 
 
-def cmd_cost(cfg: dict, out_dir: str, fmt: str) -> dict:
+def cmd_cost(cfg: dict, seed: int, fmt: str):
     sec = _section(cfg, "cost")
-    rows = _cost_rows(sec)
-    bits = sec["bits"]
-    payload = {"status": "ok", "bits": bits, "columns": _COST_COLUMNS}
-    return _write_table(payload, out_dir, "cost_table", fmt, _COST_COLUMNS,
-                        rows)
+    payload = {"status": "ok", "bits": sec["bits"], "columns": _COST_COLUMNS}
+    yield from _table(payload, "cost_table", fmt, _COST_COLUMNS,
+                      _cost_rows(sec))
 
 
-def cmd_validate(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
+def cmd_validate(cfg: dict, seed: int, fmt: str):
     from .criteria import symmetrize_criterion, validate_symmetric
 
     basis = _build_basis(cfg)
@@ -610,11 +591,12 @@ def cmd_validate(cfg: dict, out_dir: str, fmt: str, seed: int) -> dict:
             "permutation": [list(m) for m in perm.moves],
             "labels": [list(l) for l in config.labels],
             "spins": [s for s in config.spins]}
-    path = os.path.join(out_dir, "validate_report.json")
-    out_io.write_json(path, payload)
-    payload["artifacts"] = [path]
-    return payload
+    yield "validate_report.json", payload
 
+
+# extension -> writer(path, data); a .csv artifact is (header, columns)
+_WRITERS = {".json": out_io.write_json, ".jsonl": out_io.write_jsonl,
+            ".csv": lambda path, table: out_io.write_csv(path, *table)}
 
 _COMMANDS = {"evolve": cmd_evolve, "measure": cmd_measure, "tree": cmd_tree,
              "lz": cmd_lz, "cost": cmd_cost, "validate": cmd_validate}
@@ -635,8 +617,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     def emit_error(status: str, error: Exception, code: int, **extra) -> int:
-        record = {"status": status, "error": str(error), **extra}
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps({"status": status, "error": str(error), **extra},
+                         sort_keys=True))
         return code
 
     try:
@@ -648,9 +630,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create --out: {exc}") from exc
-        seeded = args.command in ("measure", "tree", "validate")
-        payload = _COMMANDS[args.command](cfg, args.out, args.format,
-                                          *((seed,) if seeded else ()))
+        artifacts = []
+        for name, data in _COMMANDS[args.command](cfg, seed, args.format):
+            path = os.path.join(args.out, name)
+            _WRITERS[os.path.splitext(name)[1]](path, data)
+            artifacts.append(path)
     except ConfigError as exc:
         return emit_error("config_error", exc, 2)
     except NodeExhausted as exc:
@@ -658,8 +642,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SimulationError, ValueError, KeyError, OSError) as exc:
         return emit_error("runtime_error", exc, 3)
 
-    print(json.dumps({"status": payload.get("status", "ok"),
-                      "artifacts": payload.get("artifacts", [])},
+    print(json.dumps({"status": "ok", "artifacts": artifacts},
                      sort_keys=True))
     return 0
 

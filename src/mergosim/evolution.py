@@ -128,7 +128,7 @@ class DensityMatrix:
         skips the Hermiticity and eigenvalue checks.
         """
         mat = np.asarray(matrix, dtype=complex)
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
+        if not abs(np.trace(mat).real - 1.0) <= TRACE_TOL:
             raise ValueError("density matrix trace differs from one")
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", mat)
@@ -615,9 +615,7 @@ def autocorrelation(initial: np.ndarray,
                                               StructuredHamiltonian):
         raise ValueError(f"fixed_s needs a StructuredHamiltonian, got "
                          f"{type(hamiltonian).__name__}")
-    psi0 = np.asarray(initial, dtype=complex).ravel()
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
-        raise UnnormalizedInput("initial state must be normalized")
+    psi0 = DensityMatrix.from_pure(initial).vector
     if n_samples < 2:
         raise ValueError("need at least two samples")
     times = np.linspace(0.0, t_max, n_samples)

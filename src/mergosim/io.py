@@ -41,17 +41,6 @@ def write_csv(path: str, header: Sequence[str],
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_correlation_csv(path: str, times: np.ndarray,
-                          values: np.ndarray) -> None:
-    values = np.asarray(values)
-    write_csv(path, ["t_au", "re", "im"], [times, values.real, values.imag])
-
-
-def write_spectrum_csv(path: str, freqs: np.ndarray,
-                       intensity: np.ndarray) -> None:
-    write_csv(path, ["freq_au", "intensity"], [freqs, intensity])
-
-
 def write_json(path: str, payload) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 

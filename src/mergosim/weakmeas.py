@@ -258,7 +258,7 @@ def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
         if flag == 1:
             return branches.rho1, k
         current = channel(branches.rho0, k)
-        if abs(current.trace() - 1.0) > 1e-9:
+        if not abs(current.trace() - 1.0) <= 1e-9:
             raise ValueError("channel failed to preserve trace")
     raise MaxItersExceeded(
         f"no success within {max_iters} measurements" +

@@ -283,6 +283,29 @@ class TestEvolveCommand:
         assert report["dim"] == 81
         assert (out / "spectrum.csv").exists()
 
+    def test_report_survives_a_failed_autocorrelation(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """The report is written before the autocorrelation runs, so a
+        run that fails there exits 3 and keeps a normal run's report."""
+        import mergosim.evolution as evolution
+
+        config = str(CONFIG_DIR / "evolve_flat.json")
+        assert run_cli("evolve", "--config", config,
+                       "--out", str(tmp_path / "ok")) == 0
+
+        def broken(*args, **kwargs):
+            raise ValueError("autocorrelation failed")
+
+        monkeypatch.setattr(evolution, "autocorrelation", broken)
+        capsys.readouterr()
+        out = tmp_path / "failed"
+        assert run_cli("evolve", "--config", config, "--out", str(out)) == 3
+        assert json.loads(capsys.readouterr().out)["status"] == \
+            "runtime_error"
+        assert sorted(p.name for p in out.iterdir()) == ["evolve_report.json"]
+        assert (out / "evolve_report.json").read_bytes() == \
+            (tmp_path / "ok" / "evolve_report.json").read_bytes()
+
     def test_schema_windows_are_the_evolution_windows(self, tmp_path,
                                                       capsys):
         """The schema spells the window names out, so loading a config
@@ -400,6 +423,24 @@ class TestTreeCommand:
         assert report["nodes"]["node0"]["iterations"] == 1
         assert report["nodes"]["node1"]["iterations"] == 1
 
+    def test_build_tree_constructs_the_tree_once(self, monkeypatch):
+        """One tree for the planned shape and one for the configured
+        nodes, however many internal nodes there are."""
+        from mergosim import cli, tree
+
+        built = []
+        init = tree.ScatterTree.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(tree.ScatterTree, "__init__", counted)
+        cfg = load_config(str(CONFIG_DIR / "tree_synthetic.json"))
+        configured, states = cli._build_tree(cli._section(cfg, "tree"))
+        assert len(configured.internal_ids()) == 7
+        assert len(built) <= 2
+
     def test_seed_sweep_ensemble_mean(self, tmp_path):
         # seven nodes at P = 0.5: mean total repetitions near 14
         totals = []
@@ -508,3 +549,33 @@ class TestValidateCommand:
         assert run_cli("validate", "--config", path, "--out", str(out)) == 0
         report = json.loads((out / "validate_report.json").read_text())
         assert report["symmetric"] is True
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in
+                                            CONFIG_DIR.glob("*.json")))
+    def test_a_command_yields_what_main_writes(self, name, tmp_path,
+                                               monkeypatch, capsys):
+        """A command called directly writes nothing; the names it yields
+        are the artifacts of the status line, in its order."""
+        import mergosim.io as out_io
+        from mergosim import cli
+
+        command = name.split("_")[0]
+        cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
+        with monkeypatch.context() as patch:
+            def no_write(path, text):
+                raise AssertionError(f"{command} wrote {path}")
+
+            patch.setattr(out_io, "_atomic_write", no_write)
+            patch.chdir(tmp_path)
+            names = [artifact for artifact, _ in
+                     cli._COMMANDS[command](cfg, cfg["seed"], "csv")]
+        assert list(tmp_path.iterdir()) == []
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(CONFIG_DIR / f"{name}.json"),
+                       "--out", str(out)) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status == {"status": "ok", "artifacts":
+                          [os.path.join(str(out), n) for n in names]}

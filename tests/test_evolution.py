@@ -83,6 +83,10 @@ class TestDensityMatrix:
             oracle = float(np.trace(operator @ state.matrix).real)
             assert abs(got - oracle) <= 1e-12
 
+    def test_trusted_rejects_a_nan_trace(self):
+        with pytest.raises(ValueError, match="trace differs from one"):
+            DensityMatrix.trusted(np.full((2, 2), NAN))
+
     def test_pure_state_builds_its_matrix_on_first_access(self):
         psi = np.array([0.6, 0.48j, 0.64])
         rho = DensityMatrix.from_pure(psi)
@@ -218,6 +222,10 @@ class TestAutocorrelation:
     def test_requires_normalized_input(self):
         with pytest.raises(UnnormalizedInput):
             autocorrelation(np.array([1.0, 1.0]), np.eye(2), 1.0, 8)
+
+    def test_rejects_a_nan_initial_state(self):
+        with pytest.raises(UnnormalizedInput):
+            autocorrelation(np.array([NAN, 0.0]), np.eye(2), 1.0, 4)
 
     def test_rejects_non_hermitian_hamiltonian(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])

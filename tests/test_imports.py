@@ -111,33 +111,52 @@ def test_cli_imports_only_errors_io_and_units_at_module_level():
     assert "tree" in imported_modules("cli")  # inside a command
 
 
+# command -> (its shipped config, the modules it loads beyond those
+# ``import mergosim.cli`` loads), as the README's Start-up table lists them
+EVOLVE_LAYERS = ["grid", "hamiltonian", "evolution"]
+VALIDATE_LAYERS = EVOLVE_LAYERS + ["criteria", "symmetry"]
+MEASURE_LAYERS = VALIDATE_LAYERS + ["weakmeas"]
+COMMAND_LAYERS = {
+    "lz": ("lz_rbcs", ["lzcost"]),
+    "cost": ("cost_table", ["lzcost"]),
+    "evolve": ("evolve_salt_1d", EVOLVE_LAYERS),
+    "validate": ("validate_h2o2", VALIDATE_LAYERS),
+    "measure": ("measure_bond", MEASURE_LAYERS),
+    "tree": ("tree_synthetic", MEASURE_LAYERS + ["tree"]),
+}
+
+
 def test_a_command_loads_only_its_layers(tmp_path):
-    """A fresh process: importing ``mergosim.cli`` loads four mergosim
-    modules and the package, and an ``lz`` run adds only ``lzcost``. A
-    submodule not yet loaded is still an attribute of the package."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[0] == 'mergosim')\n"
-        "import mergosim.cli\n"
-        "before = loaded()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = mergosim.cli.main(['lz', '--config', "
-        f"{str(CONFIG_DIR / 'lz_rbcs.json')!r}, '--out', {str(tmp_path)!r}])\n"
-        "after = loaded()\n"
-        "print(json.dumps([code, before, after, mergosim.grid.__name__]))\n")
+    """A fresh process per command: importing ``mergosim.cli`` loads four
+    mergosim modules and the package, and a run adds only the layers the
+    command runs. A submodule not yet loaded is still an attribute of
+    the package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    code, before, after, grid = json.loads(
-        done.stdout.strip().splitlines()[-1])
-    assert code == 0
-    assert before == ["mergosim", "mergosim.cli", "mergosim.errors",
-                      "mergosim.io", "mergosim.units"]
-    assert sorted(set(after) - set(before)) == ["mergosim.lzcost"]
-    assert grid == "mergosim.grid"
+    for command, (config, layers) in COMMAND_LAYERS.items():
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'mergosim')\n"
+            "import mergosim.cli\n"
+            "before = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = mergosim.cli.main([{command!r}, '--config', "
+            f"{str(CONFIG_DIR / (config + '.json'))!r}, "
+            f"'--out', {str(tmp_path / command)!r}])\n"
+            "after = loaded()\n"
+            "print(json.dumps([code, before, after, mergosim.grid.__name__]))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        code, before, after, grid = json.loads(
+            done.stdout.strip().splitlines()[-1])
+        assert code == 0, command
+        assert before == ["mergosim", "mergosim.cli", "mergosim.errors",
+                          "mergosim.io", "mergosim.units"], command
+        assert sorted(set(after) - set(before)) == \
+            sorted(f"mergosim.{m}" for m in layers), command
+        assert grid == "mergosim.grid"
 
 
 # The package's public names, by defining module, as the package

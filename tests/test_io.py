@@ -1,7 +1,6 @@
 import numpy as np
 
-from mergosim.io import (write_correlation_csv, write_csv, write_json,
-                         write_jsonl, write_spectrum_csv)
+from mergosim.io import write_csv, write_json, write_jsonl
 
 
 def row_writer_bytes(header, rows):
@@ -39,17 +38,19 @@ def test_jsonl(tmp_path):
 
 def test_correlation_csv(tmp_path):
     path = str(tmp_path / "corr.csv")
-    write_correlation_csv(path, np.array([0.0, 1.0]),
-                          np.array([1.0 + 0.0j, 0.5 - 0.5j]))
+    times = np.array([0.0, 1.0])
+    values = np.array([1.0 + 0.0j, 0.5 - 0.5j])
+    # the table ``cmd_evolve`` yields as correlation.csv
+    write_csv(path, ["t_au", "re", "im"], [times, values.real, values.imag])
     lines = open(path).read().splitlines()
     assert lines[0] == "t_au,re,im"
     assert lines[2] == "1.0,0.5,-0.5"
 
 
 def test_float_column_writers_keep_the_row_writer_bytes(tmp_path):
-    """The column writers give the bytes of the per-cell row formatting
-    over rows of Python floats, on random values and on the edge cases
-    of repr."""
+    """The correlation and spectrum tables, as ``cmd_evolve`` yields
+    them, give the bytes of the per-cell row formatting over rows of
+    Python floats, on random values and on the edge cases of repr."""
     rng = np.random.default_rng(3)
     special = np.array([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 1.7e308,
                         0.1 + 0.2, np.inf, -np.inf, np.nan, 1e16, 123456.0])
@@ -61,15 +62,15 @@ def test_float_column_writers_keep_the_row_writer_bytes(tmp_path):
                                 [0.0, np.inf, np.nan, 1e-45, 3e38]]) \
         .astype(np.float32)
     cases = [
-        (write_correlation_csv, (times, values), ["t_au", "re", "im"],
+        (["t_au", "re", "im"], [times, values.real, values.imag],
          [(float(t), float(c.real), float(c.imag))
           for t, c in zip(times, values)]),
-        (write_spectrum_csv, (times, intensity), ["freq_au", "intensity"],
+        (["freq_au", "intensity"], [times, intensity],
          [(float(f), float(i)) for f, i in zip(times, intensity)]),
     ]
-    for writer, args, header, rows in cases:
+    for header, columns, rows in cases:
         path = str(tmp_path / "new.csv")
-        writer(path, *args)
+        write_csv(path, header, columns)
         assert open(path, "rb").read() == row_writer_bytes(header, rows)
 
 

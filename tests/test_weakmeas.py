@@ -297,6 +297,22 @@ class TestRepeatUntilSuccess:
             repeat_until_success(rho, spec, leaky, 5,
                                  rng=np.random.default_rng(1))
 
+    def test_nan_trace_channel_rejected(self):
+        """A channel output whose trace is NaN fails the trace check, not
+        a later measurement; the first measurement always fails, since
+        the state lies wholly outside the accepted block."""
+        rho = DensityMatrix.basis_state(2, 1)
+        spec = WeakMeasurementSpec(Bipartition.from_indices([0], 2), 0.5)
+
+        def poisoned(state, k):
+            obj = object.__new__(DensityMatrix)
+            object.__setattr__(obj, "matrix", np.full((2, 2), np.nan + 0j))
+            return obj
+
+        with pytest.raises(ValueError, match="failed to preserve trace"):
+            repeat_until_success(rho, spec, poisoned, 5,
+                                 rng=np.random.default_rng(1))
+
     def test_failure_branch_normalized_by_its_own_weight(self):
         # a channel within the documented 1e-9 trace tolerance must not
         # push the failure post state past the 1e-10 state trace guard
