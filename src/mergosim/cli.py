@@ -12,6 +12,11 @@ name, data)`` pairs that writes nothing. ``main`` alone writes under
 --out: each pair as soon as it is yielded, by the writer its extension
 picks (``.json``, ``.jsonl``, or ``.csv`` for a ``(header, columns)``
 pair), so a run that fails after its first artifact keeps what it wrote.
+``--format json`` applies to the ``lz`` and ``cost`` tables; any other
+command rejects it as a config error before it writes anything.
+
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the process; importing this module builds none.
 
 Only the standard library, numpy, ``errors``, ``io`` and ``units`` load
 with this module. Each command imports the layers it runs when it runs,
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -600,9 +606,12 @@ _WRITERS = {".json": out_io.write_json, ".jsonl": out_io.write_jsonl,
 
 _COMMANDS = {"evolve": cmd_evolve, "measure": cmd_measure, "tree": cmd_tree,
              "lz": cmd_lz, "cost": cmd_cost, "validate": cmd_validate}
+# the commands whose table --format picks
+_TABLE_COMMANDS = ("lz", "cost")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mergosim",
         description="Desk-scale simulator of scheduled merge dynamics, "
@@ -614,7 +623,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=["json", "csv"], default="csv",
                         help="table format for lz/cost outputs")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     def emit_error(status: str, error: Exception, code: int, **extra) -> int:
         print(json.dumps({"status": status, "error": str(error), **extra},
@@ -622,6 +635,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
 
     try:
+        if args.format != "csv" and args.command not in _TABLE_COMMANDS:
+            raise ConfigError(f"--format {args.format} applies only to "
+                              f"{' and '.join(_TABLE_COMMANDS)}")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg["seed"]
         if seed < 0:

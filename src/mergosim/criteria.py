@@ -3,13 +3,15 @@
 A geometric criterion tests internuclear distances, either against
 target bond lengths within a tolerance (equilibrium mode) or against
 proximity thresholds (proximity mode). Every accept mask comes from one
-array kernel, ``accepts``, over label rows (k, n_particles, dims): run
-on ``basis.labels`` it induces the A/B bipartition that the
-weak-measurement heralding acts on. A criterion is safe to measure only
-if it is invariant under the declared exchange permutations;
-``validate_symmetric`` checks that by running the kernel on label rows
-and on their generator images, and ``symmetrize_criterion`` repairs a
-criterion by OR-ing it over the group images.
+table over label rows (k, n_particles, dims) that computes each
+nucleus-pair distance once and each (pair, bounds) mask once; a
+permutation image of the rows is a register remap into that table, not
+a copy of the labels. Run on ``basis.labels`` the mask induces the A/B
+bipartition that the weak-measurement heralding acts on. A criterion is
+safe to measure only if it is invariant under the declared exchange
+permutations; ``validate_symmetric`` checks that by reading the rows and
+their generator images from one table, and ``symmetrize_criterion``
+repairs a criterion by OR-ing it over the group images.
 """
 
 from __future__ import annotations
@@ -27,6 +29,49 @@ from .units import unit_convert
 
 EXHAUSTIVE_LIMIT = 4096
 SAMPLE_DRAWS = 10_000
+
+
+def _pair_distance(coords: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Distance between registers a and b on every coordinate row."""
+    diff = coords[:, a] - coords[:, b]
+    # a row times itself runs the BLAS dot that np.linalg.norm runs on
+    # one difference vector, so distances agree bit for bit
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+
+
+class _PairTable:
+    """Constraint masks over one set of label rows (k, n_particles, dims).
+
+    Coordinates are scaled once. Each unordered register pair's distance
+    is computed once, on first use: (b, a) has the exactly negated
+    difference of (a, b), so the same distance bits. Each (pair, mode,
+    bounds) mask is computed once too. A caller reads the rows under a
+    register order (slot i reads register order[i]) by asking for the
+    remapped registers, so an image never copies the labels.
+    """
+
+    def __init__(self, labels: np.ndarray, grid: GridSpec,
+                 particles: ParticleSet):
+        self.size = len(labels)
+        self.n_el = particles.n_el
+        self._coords = labels * grid.spacing
+        self._distances: dict = {}
+        self._masks: dict = {}
+
+    def mask(self, a: int, b: int, mode: str, bounds: tuple) -> np.ndarray:
+        """Rows whose registers a and b meet one constraint (the cached
+        array itself: callers combine it into masks of their own)."""
+        pair = (a, b) if a <= b else (b, a)
+        key = (pair, mode, bounds)
+        if key not in self._masks:
+            if pair not in self._distances:
+                self._distances[pair] = _pair_distance(self._coords, *pair)
+            dist = self._distances[pair]
+            if mode == "equilibrium":
+                self._masks[key] = ~(np.abs(dist - bounds[0]) > bounds[1])
+            else:
+                self._masks[key] = ~(dist > bounds[0])
+        return self._masks[key]
 
 
 @dataclass(frozen=True)
@@ -61,10 +106,11 @@ class GeometricCriterion:
                                  "strictly positive")
             rows.append((j, k) + values)
         object.__setattr__(self, "constraints", tuple(rows))
-        self._to_bohr(1.0)  # rejects a unit that is not a length
-
-    def _to_bohr(self, value: float) -> float:
-        return unit_convert(value, self.unit, "bohr")
+        unit_convert(1.0, self.unit, "bohr")  # rejects a non-length unit
+        # each row's bounds in bohr, converted once
+        object.__setattr__(self, "_bounds", tuple(
+            tuple(unit_convert(v, self.unit, "bohr") for v in row[2:])
+            for row in rows))
 
     def check_against(self, particles: ParticleSet) -> None:
         """Every constraint names nuclei that ``particles`` has."""
@@ -79,19 +125,16 @@ class GeometricCriterion:
         """Accept mask of label rows (k, n_particles, dims): a row is
         accepted when every constraint holds on it."""
         self.check_against(particles)
-        coords = labels * grid.spacing
-        mask = np.ones(len(labels), dtype=bool)
-        for j, k, *bounds in self.constraints:
-            diff = (coords[:, particles.n_el + j]
-                    - coords[:, particles.n_el + k])
-            # a row times itself runs the BLAS dot that np.linalg.norm
-            # runs on one difference vector, so distances agree bit for bit
-            dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-            limits = [self._to_bohr(b) for b in bounds]
-            if self.mode == "equilibrium":
-                mask &= ~(np.abs(dist - limits[0]) > limits[1])
-            else:
-                mask &= ~(dist > limits[0])
+        return self._accepts_on(_PairTable(labels, grid, particles),
+                                range(particles.n_particles))
+
+    def _accepts_on(self, table: _PairTable, order) -> np.ndarray:
+        """``accepts`` of the table's rows with slot i read from register
+        order[i]; the caller has checked the constraints' nuclei."""
+        mask = np.ones(table.size, dtype=bool)
+        for (j, k, *_), bounds in zip(self.constraints, self._bounds):
+            mask &= table.mask(order[table.n_el + j], order[table.n_el + k],
+                               self.mode, bounds)
         return mask
 
     def evaluate(self, config: Configuration, grid: GridSpec,
@@ -112,14 +155,18 @@ class SymmetrizedCriterion:
     base: GeometricCriterion
     permutations: tuple[Permutation, ...]
 
-    def accepts(self, labels: np.ndarray, grid: GridSpec,
-                particles: ParticleSet) -> np.ndarray:
-        n_part = particles.n_particles
+    def check_against(self, particles: ParticleSet) -> None:
+        self.base.check_against(particles)
+
+    def _accepts_on(self, table: _PairTable, order) -> np.ndarray:
+        # the image of slot i under perm is slot perm(i), which reads
+        # register order[perm(i)]
         return np.logical_or.reduce(
-            [self.base.accepts(labels[:, perm.order(n_part)], grid,
-                               particles)
+            [self.base._accepts_on(table, [order[p] for p in
+                                           perm.order(len(order))])
              for perm in self.permutations])
 
+    accepts = GeometricCriterion.accepts
     evaluate = GeometricCriterion.evaluate
 
 
@@ -180,29 +227,31 @@ def validate_symmetric(criterion: Criterion,
 
     Invariance under the generators implies invariance under the whole
     group. Bases up to EXHAUSTIVE_LIMIT configurations are checked
-    exhaustively; larger ones on SAMPLE_DRAWS seeded uniform draws. The
-    kernel classifies the checked label rows and each generator's image
-    rows; the counterexample is the earliest row a generator moves across
-    the split (the first such generator on a tie), and ``checked`` counts
-    rows up to it.
+    exhaustively; larger ones on SAMPLE_DRAWS seeded uniform draws. One
+    pair table over the checked label rows classifies them and each
+    generator's image of them (a register remap); the counterexample is
+    the earliest row a generator moves across the split (the first such
+    generator on a tie), and ``checked`` counts rows up to it.
     """
     gens = generators(declaration)
     sampled = basis.size > EXHAUSTIVE_LIMIT
     rows = (np.random.default_rng(seed).integers(0, basis.size,
                                                  size=SAMPLE_DRAWS)
-            if sampled else np.arange(basis.size))
-    labels = basis.labels[rows]
-    grid, particles = basis.grid, basis.particles
-    ref = criterion.accepts(labels, grid, particles)
-    first, culprit = rows.size, None
+            if sampled else None)
+    labels = basis.labels[rows] if sampled else basis.labels
+    particles = basis.particles
+    criterion.check_against(particles)
+    table = _PairTable(labels, basis.grid, particles)
+    n_part = particles.n_particles
+    ref = criterion._accepts_on(table, range(n_part))
+    first, culprit = len(labels), None
     for gen in gens:
-        image = labels[:, gen.order(particles.n_particles)]
         moved = np.flatnonzero(
-            criterion.accepts(image, grid, particles) != ref)
+            criterion._accepts_on(table, gen.order(n_part)) != ref)
         if moved.size and moved[0] < first:
             first, culprit = int(moved[0]), gen
     if culprit is None:
-        return CriterionSymmetryResult(True, None, rows.size, sampled)
+        return CriterionSymmetryResult(True, None, len(labels), sampled)
+    row = int(rows[first]) if sampled else first
     return CriterionSymmetryResult(
-        False, (culprit, basis.configuration_at(int(rows[first]))),
-        first + 1, sampled)
+        False, (culprit, basis.configuration_at(row)), first + 1, sampled)

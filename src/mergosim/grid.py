@@ -160,11 +160,13 @@ class Basis:
         self._radices = tuple(r for has in self._has_spin for r in
                               (grid.points_per_axis,) * grid.dims
                               + (2 if has else 1,))
-        digits = np.stack(np.unravel_index(np.arange(np.prod(self._radices)),
-                                           self._radices), axis=-1)
+        # a strided (n, n_particles, dims + 1) view of every index's
+        # digits; each array below is written once, in C order
+        digits = np.indices(self._radices).reshape(len(self._radices), -1).T
         digits = digits.reshape(-1, particles.n_particles, grid.dims + 1)
-        self.labels = digits[..., :-1] - grid.max_label
-        self.spins = np.where(self._has_spin, digits[..., -1], -1)
+        self.labels = np.subtract(digits[..., :-1], grid.max_label, order="C")
+        self.spins = np.ascontiguousarray(
+            np.where(self._has_spin, digits[..., -1], -1))
         self.labels.setflags(write=False)
         self.spins.setflags(write=False)
 

@@ -579,3 +579,82 @@ class TestArtifacts:
         status = json.loads(capsys.readouterr().out)
         assert status == {"status": "ok", "artifacts":
                           [os.path.join(str(out), n) for n in names]}
+
+
+class TestFormatFlag:
+    # a command with no JSON table form and its shipped config
+    @pytest.mark.parametrize("command, config", [
+        ("evolve", "evolve_flat.json"), ("measure", "measure_bond.json"),
+        ("tree", "tree_synthetic.json"), ("validate", "validate_h2o2.json")])
+    def test_json_is_a_config_error_where_there_is_no_table(
+            self, command, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(command, "--config", str(CONFIG_DIR / config),
+                       "--out", str(out), "--format", "json")
+        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == 2 and record["status"] == "config_error"
+        assert "--format json" in record["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, artifact", [
+        ("lz", "lz_rbcs.json", "lz_sweep"),
+        ("cost", "cost_table.json", "cost_table")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_commands_keep_both_formats(self, command, config, artifact,
+                                              fmt, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(CONFIG_DIR / config),
+                       "--out", str(out), "--format", fmt) == 0
+        assert [p.name for p in out.iterdir()] == [f"{artifact}.{fmt}"]
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch,
+                                        capsys):
+        import argparse
+
+        from mergosim import cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run_cli("cost", "--config",
+                               str(CONFIG_DIR / "cost_table.json"),
+                               "--out", str(tmp_path / "out")) == 0
+            assert len(built) == 1
+            # the reused parser still handles help and usage errors
+            for argv, code in ((["--help"], 0), (["bogus", "--config",
+                                                  "x.json"], 2)):
+                with pytest.raises(SystemExit) as exit_info:
+                    run_cli(*argv)
+                assert exit_info.value.code == code
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import mergosim.cli\n"
+            "print(len(built))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"

@@ -117,6 +117,39 @@ def test_basis_arrays_are_read_only():
         basis.spins[0, 0] = 0
 
 
+def unravelled_basis(grid, particles):
+    """(labels, spins) built digit by digit with np.unravel_index."""
+    has_spin = np.array([particles.has_spin(p)
+                         for p in range(particles.n_particles)])
+    radices = tuple(r for has in has_spin for r in
+                    (grid.points_per_axis,) * grid.dims + (2 if has else 1,))
+    digits = np.stack(np.unravel_index(np.arange(np.prod(radices)), radices),
+                      axis=-1)
+    digits = digits.reshape(-1, particles.n_particles, grid.dims + 1)
+    return (digits[..., :-1] - grid.max_label,
+            np.where(has_spin, digits[..., -1], -1))
+
+
+@pytest.mark.parametrize("grid, particles", [
+    (GridSpec(5, 1, 5.0), ParticleSet(n_el=2, electron_spin=True)),
+    (GridSpec(3, 2, 3.0), ParticleSet(n_el=1, nuclear_masses=(5.0,),
+                                      nuclear_charges=(1.0,),
+                                      electron_spin=True)),
+    (GridSpec(3, 3, 3.0), ParticleSet(n_el=1, nuclear_masses=(5.0,),
+                                      nuclear_charges=(1.0,),
+                                      nuclear_spin=True)),
+    (GridSpec(9, 1, 9.0), ParticleSet(n_el=0, nuclear_masses=(1.0,) * 4,
+                                      nuclear_charges=(1.0,) * 4)),
+], ids=["1d_spin", "2d_spin_electron", "3d_spin_nucleus", "1d_four_nuclei"])
+def test_basis_arrays_equal_the_unravelled_digits(grid, particles):
+    basis = enumerate_basis(grid, particles, cap=10_000)
+    labels, spins = unravelled_basis(grid, particles)
+    for got, want in ((basis.labels, labels), (basis.spins, spins)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+
+
 def test_tensor_axes_carry_one_label_column_each():
     particles = ParticleSet(n_el=1, nuclear_masses=(5.0,),
                             nuclear_charges=(1.0,), electron_spin=True)
