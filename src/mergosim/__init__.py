@@ -25,7 +25,7 @@ _EXPORTS = {name: module for module, names in (
     ("evolution", ("DensityMatrix", "PropagationReport", "autocorrelation",
                    "ground_state", "propagate", "spectrum")),
     ("grid", ("Basis", "Configuration", "GridSpec", "ParticleSet",
-              "enumerate_basis", "label_to_coord")),
+              "enumerate_basis")),
     ("hamiltonian", ("OperatorBlock", "Schedule", "ScheduledHamiltonian",
                      "StructuredHamiltonian", "TrapSpec", "build_coulomb",
                      "build_kinetic", "build_point_charges", "build_trap",

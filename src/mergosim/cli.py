@@ -25,7 +25,8 @@ loads the measurement or tree layers.
 
 Exit codes: 0 success, 2 config error (an unreadable config or an
 --out that cannot be created included), 3 runtime error (a failed
-artifact write included), 4 a scattering node exhausted its retries.
+artifact write, an arithmetic overflow or running out of memory
+included), 4 a scattering node exhausted its retries.
 """
 
 from __future__ import annotations
@@ -447,15 +448,21 @@ def _build_tree(sec: dict) -> tuple:
             raise ConfigError(f"override for unknown node {node_id!r}")
 
     nodes = dict(shape.nodes)
-    for node_id in shape.internal_ids():
+    for node_id in shape.postorder():
+        node = shape.node(node_id)
+        dim = leaf_dim ** len(node.subsystem)
+        if dim > _DIMENSION_CAP:
+            raise ConfigError(f"tree node {node_id!r} dimension {dim} "
+                              f"exceeds the cap {_DIMENSION_CAP}")
+        if node.is_leaf:
+            continue
         row = {**sec["nodes"], **overrides.get(node_id, {})}
-        dim = leaf_dim ** len(shape.node(node_id).subsystem)
         bip = Bipartition(np.arange(dim) < max(1, dim // 2))
         channel = tree.PumpChannel(bip, row["success_weight"])
         retry = tree.RetryPolicy(max_iters=row["max_iters"],
                                  delta_ramp=row["delta_ramp"],
                                  renaturalize=row["renaturalize"])
-        nodes[node_id] = replace(nodes[node_id], channel=channel,
+        nodes[node_id] = replace(node, channel=channel,
                                  bipartition=bip, delta=row["delta"],
                                  retry=retry)
     configured = tree.ScatterTree(list(nodes.values()), shape.root)
@@ -561,9 +568,6 @@ def _cost_rows(sec: dict) -> list:
             continue
         kwargs = {k: getattr(base, k) for k in _COST_FIELDS}
         kwargs[name] *= 2
-        if name == "box_volume":
-            kwargs["trap_volume"] = min(kwargs["trap_volume"],
-                                        kwargs["box_volume"])
         rows.append(_cost_row(f"2x {name}", lzcost.CostParams(**kwargs), bits))
     return rows
 
@@ -655,7 +659,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return emit_error("config_error", exc, 2)
     except NodeExhausted as exc:
         return emit_error("node_exhausted", exc, 4, node_id=exc.node_id)
-    except (SimulationError, ValueError, KeyError, OSError) as exc:
+    except (SimulationError, ValueError, KeyError, OSError, ArithmeticError,
+            MemoryError) as exc:
         return emit_error("runtime_error", exc, 3)
 
     print(json.dumps({"status": "ok", "artifacts": artifacts},

@@ -17,7 +17,7 @@ repairs a criterion by OR-ing it over the group images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -167,7 +167,6 @@ class SymmetrizedCriterion:
              for perm in self.permutations])
 
     accepts = GeometricCriterion.accepts
-    evaluate = GeometricCriterion.evaluate
 
 
 Criterion = Union[GeometricCriterion, SymmetrizedCriterion]
@@ -195,12 +194,6 @@ class Bipartition:
     @property
     def dim(self) -> int:
         return self.mask.size
-
-    @classmethod
-    def from_indices(cls, accepted: Sequence[int], dim: int) -> "Bipartition":
-        mask = np.zeros(dim, dtype=bool)
-        mask[list(accepted)] = True
-        return cls(mask)
 
     def projector(self) -> np.ndarray:
         return np.diag(self.mask.astype(float))

@@ -211,12 +211,6 @@ class DensityMatrix:
         return w, self.of(x / (math.sqrt(w) if x.ndim == 1 else w)) \
             if w > 0.0 else None
 
-    def expectation(self, operator: np.ndarray) -> float:
-        """tr(O rho) in O(n^2): <v|O v>, or sum_ij O_ij rho_ji."""
-        if self.vector is not None:
-            return float(np.vdot(self.vector, operator @ self.vector).real)
-        return float(np.sum(operator * self.matrix.T).real)
-
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Two pure states give the kron of their vectors."""
         if self.vector is not None and other.vector is not None:

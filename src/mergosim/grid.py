@@ -14,12 +14,11 @@ charges in units of e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, LabelOutOfRange
+from .errors import DimensionCapExceeded
 
 SPIN_UP = 0
 SPIN_DOWN = 1
@@ -55,23 +54,10 @@ class GridSpec:
     def spacing(self) -> float:
         return self.box_length / self.points_per_axis
 
-    def axis_labels(self) -> range:
-        return range(-self.max_label, self.max_label + 1)
-
     def contains_label(self, label: Sequence[int]) -> bool:
         return len(label) == self.dims and all(
             c == int(c) and -self.max_label <= c <= self.max_label
             for c in label)
-
-
-def label_to_coord(grid: GridSpec, label) -> np.ndarray:
-    """Map lattice label p (a bare int in 1D, otherwise a dims-length
-    tuple) to the coordinate p * (L/m), in Bohr."""
-    label = (label,) if isinstance(label, (int, np.integer)) else label
-    label = tuple(int(c) for c in label)
-    if not grid.contains_label(label):
-        raise LabelOutOfRange(f"label {label} outside lattice of {grid}")
-    return np.array(label, dtype=float) * grid.spacing
 
 
 @dataclass(frozen=True)
@@ -109,12 +95,6 @@ class ParticleSet:
 
     def is_nucleus(self, register: int) -> bool:
         return register >= self.n_el
-
-    def nucleus_register(self, j: int) -> int:
-        """Register index of nucleus j (0-based among nuclei)."""
-        if not 0 <= j < self.n_nuc:
-            raise IndexError(f"nucleus index {j} out of range")
-        return self.n_el + j
 
     def mass(self, register: int) -> float:
         if self.is_nucleus(register):
@@ -216,10 +196,6 @@ class Basis:
         return Configuration(
             tuple(map(tuple, self.labels[i].tolist())),
             tuple(None if s < 0 else s for s in self.spins[i].tolist()))
-
-    @cached_property
-    def configurations(self) -> tuple[Configuration, ...]:
-        return tuple(map(self.configuration_at, range(self.size)))
 
 
 def basis_dimension(grid: GridSpec, particles: ParticleSet) -> int:

@@ -139,18 +139,8 @@ def build_kinetic(basis: Basis,
 
 def _resolve_pairs(particles: ParticleSet, pairs) -> list[tuple[int, int]]:
     n = particles.n_particles
-    every = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if pairs is None or pairs == "all":
-        return every
-    if pairs == "ee":
-        return [(i, j) for i, j in every
-                if not particles.is_nucleus(i) and not particles.is_nucleus(j)]
-    if pairs == "nn":
-        return [(i, j) for i, j in every
-                if particles.is_nucleus(i) and particles.is_nucleus(j)]
-    if pairs == "ne":
-        return [(i, j) for i, j in every
-                if particles.is_nucleus(i) != particles.is_nucleus(j)]
+    if pairs == "all":
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
     explicit = []
     for i, j in pairs:
         i, j = int(i), int(j)
@@ -209,8 +199,8 @@ def build_coulomb(basis: Basis, softening: float,
                   pairs="all", tag: Optional[str] = None) -> OperatorBlock:
     """Diagonal Coulomb block over the selected particle pairs.
 
-    ``pairs`` is "all", a species selector ("ee", "nn", "ne"), or an
-    explicit list of register pairs (used for inter-fragment H_AB).
+    ``pairs`` is "all" or an explicit list of register pairs (used for
+    inter-fragment H_AB).
     """
     diag = coulomb_diagonal(basis, softening, pairs)
     if tag is None:

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .units import AMU_IN_ELECTRON_MASSES, KHZ_TO_HARTREE
 
 HBAR = 1.0
-BOUND_SLACK = 1e-12  # check_bound_ordering's tolerance on p_LZ_bound
 
 
 @dataclass(frozen=True)
@@ -50,17 +49,9 @@ class LZParams:
                    omega_a=omega_a_khz * KHZ_TO_HARTREE,
                    v=v)
 
-    def with_v(self, v: float) -> "LZParams":
-        return LZParams(self.mu, self.omega, self.omega_a, v)
-
 
 def reduced_mass(m1: float, m2: float) -> float:
     return m1 * m2 / (m1 + m2)
-
-
-def harmonic_length(params: LZParams) -> float:
-    """beta = sqrt(hbar / (mu * omega))."""
-    return math.sqrt(HBAR / (params.mu * params.omega))
 
 
 def relative_binding_energy(params: LZParams) -> float:
@@ -75,28 +66,11 @@ def omega_eff_sq(params: LZParams) -> float:
             * math.exp(-0.5 * (3.0 + params.omega_a / params.omega)))
 
 
-def omega_eff_sq_proportional(params: LZParams) -> float:
-    """Proportional form omega^2 * E~^(1/2) * exp(-E~), constant absorbed."""
-    e_rel = relative_binding_energy(params)
-    return params.omega ** 2 * math.sqrt(e_rel) * math.exp(-e_rel)
-
-
-def contact_point(params: LZParams) -> float:
-    """z* = sqrt(hbar/(mu*omega)) * sqrt(3 + omega_a/omega)."""
-    return harmonic_length(params) * math.sqrt(
-        3.0 + params.omega_a / params.omega)
-
-
 def d_e_mol(params: LZParams) -> float:
     """Molecular-branch energy gradient at the contact point,
     sqrt(hbar*mu) * omega * sqrt(3*omega + omega_a)."""
     return (math.sqrt(HBAR * params.mu) * params.omega
             * math.sqrt(3.0 * params.omega + params.omega_a))
-
-
-def d_e_atom(params: LZParams) -> float:
-    """Separated atoms sit on a flat energy surface."""
-    return 0.0
 
 
 def landau_zener_bound(params: LZParams) -> float:
@@ -122,7 +96,8 @@ class LZResult:
 def p_landau_zener(params: LZParams) -> LZResult:
     """Full diabatic-transition probability and companion quantities."""
     w_eff2 = omega_eff_sq(params)
-    grad = abs(d_e_mol(params) - d_e_atom(params))
+    # separated atoms sit on a flat surface, dE_atom = 0
+    grad = d_e_mol(params)
     gamma = w_eff2 / (HBAR * grad * params.v)
     p_lz = math.exp(-2.0 * math.pi * gamma)
     return LZResult(gamma=gamma, p_lz=p_lz,
@@ -131,32 +106,13 @@ def p_landau_zener(params: LZParams) -> LZResult:
                     e_rel=relative_binding_energy(params))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Bound-versus-full comparison at one parameter point.
-
-    The simplification is claimed in the regime E~ >= 1; outside it the
-    point is flagged (holds = None) rather than asserted.
-    """
-
-    e_rel: float
-    in_regime: bool
-    holds: Optional[bool]
-
-
-def check_bound_ordering(params: LZParams) -> BoundCheck:
-    result = p_landau_zener(params)
-    if result.e_rel < 1.0:
-        return BoundCheck(result.e_rel, False, None)
-    return BoundCheck(result.e_rel, True,
-                      result.p_lz_bound >= result.p_lz - BOUND_SLACK)
-
-
 def sweep_velocity(params: LZParams,
                    v_values: Sequence[float]) -> list[tuple[float, LZResult]]:
     """Evaluate the chain across evolution speeds (p_LZ -> 1 as v -> inf,
     -> 0 as v -> 0)."""
-    return [(float(v), p_landau_zener(params.with_v(float(v))))
+    # the constructor costs half of dataclasses.replace per point
+    return [(float(v), p_landau_zener(LZParams(params.mu, params.omega,
+                                               params.omega_a, float(v))))
             for v in v_values]
 
 

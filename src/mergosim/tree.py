@@ -150,6 +150,10 @@ class ScatterTree:
                 if child in seen_child:
                     raise ValueError(f"child {child!r} has two parents")
                 seen_child.add(child)
+        # with one parent per node, a cycle reachable from the root
+        # passes through the root
+        if self.root in seen_child:
+            raise ValueError(f"root {self.root!r} is a child")
         order = self.postorder()
         if set(order) != set(self.nodes):
             raise ValueError("tree contains nodes unreachable from the root")
@@ -179,30 +183,20 @@ class ScatterTree:
         return ScatterTree(list(nodes.values()), self.root)
 
     def postorder(self) -> list[str]:
-        order: list[str] = []
-
-        def visit(node_id: str) -> None:
-            for child in self.nodes[node_id].children:
-                visit(child)
+        """Children left to right, then the node: the reverse of a
+        root-first walk that takes the last child first."""
+        order, stack = [], [self.root]
+        while stack:
+            node_id = stack.pop()
             order.append(node_id)
-
-        visit(self.root)
-        return order
+            stack.extend(self.nodes[node_id].children)
+        return order[::-1]
 
     def leaf_ids(self) -> list[str]:
         return [i for i in self.postorder() if self.nodes[i].is_leaf]
 
     def internal_ids(self) -> list[str]:
         return [i for i in self.postorder() if not self.nodes[i].is_leaf]
-
-    def depth(self) -> int:
-        def d(node_id: str) -> int:
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                return 0
-            return 1 + max(d(c) for c in node.children)
-
-        return d(self.root)
 
 
 def plan_tree(leaves: Union[int, Sequence[str]], arity: int = 2) -> ScatterTree:
@@ -353,14 +347,6 @@ class ChannelDecomposition:
     rho_nsuc: Optional[DensityMatrix]
     coherence: np.ndarray
     coherence_norm: float
-
-    def reassemble(self) -> np.ndarray:
-        out = self.coherence.astype(complex).copy()
-        if self.rho_suc is not None:
-            out += self.p0 * self.rho_suc.matrix
-        if self.rho_nsuc is not None:
-            out += (1.0 - self.p0) * self.rho_nsuc.matrix
-        return out
 
 
 def channel_decompose(state: DensityMatrix,

@@ -68,4 +68,9 @@ def test_lambda_form_matches_failure_state(state_mask, delta):
 def test_channel_decomposition_reassembles(state_mask):
     state, bip = state_mask
     parts = channel_decompose(state, bip)
-    assert np.max(np.abs(parts.reassemble() - state.matrix)) < 1e-14
+    rebuilt = parts.coherence.astype(complex)
+    for weight, block in ((parts.p0, parts.rho_suc),
+                          (1.0 - parts.p0, parts.rho_nsuc)):
+        if block is not None:
+            rebuilt = rebuilt + weight * block.matrix
+    assert np.max(np.abs(rebuilt - state.matrix)) < 1e-14

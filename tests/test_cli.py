@@ -259,6 +259,86 @@ class TestConfigSchema:
         assert run_cli("measure", "--config", path, "--out", str(tmp_path)) == 2
 
 
+def patched(base, section, **values):
+    cfg = json.loads((CONFIG_DIR / base).read_text())
+    cfg[section].update(values)
+    return cfg
+
+
+def caterpillar(depth):
+    """``tree.children`` of a spine of ``depth`` nodes, each with a leaf
+    beside it and two leaves under the last."""
+    children = {f"n{i}": [f"n{i + 1}", f"l{i}"] for i in range(depth - 1)}
+    children[f"n{depth - 1}"] = [f"l{depth - 1}", f"l{depth}"]
+    return children
+
+
+class TestOneStatusLine:
+    """Malformed trees and overflowing inputs end in one JSON status line
+    and their documented exit code, never in a traceback."""
+
+    @pytest.mark.parametrize("command, cfg, code, status", [
+        pytest.param("tree", patched(
+            "tree_synthetic.json", "tree", leaves=None, root="a",
+            children={"a": ["b", "c"], "b": ["a", "d"]}),
+            2, "config_error", id="cycle_through_the_root"),
+        pytest.param("tree", patched(
+            "tree_synthetic.json", "tree", leaves=None, root="a",
+            children={"a": ["a", "c"]}),
+            2, "config_error", id="root_its_own_child"),
+        pytest.param("tree", patched(
+            "tree_synthetic.json", "tree", leaves=None, root="n0",
+            children=caterpillar(1500), leaf_dim=1),
+            0, "ok", id="deep_caterpillar"),
+        pytest.param("tree", patched("tree_synthetic.json", "tree",
+                                     leaves=40),
+                     2, "config_error", id="forty_leaves"),
+        pytest.param("tree", patched("tree_synthetic.json", "tree",
+                                     leaves=8, leaf_dim=4),
+                     2, "config_error", id="root_kron_over_the_cap"),
+        pytest.param("lz", patched("lz_rbcs.json", "lz", omega=1e300),
+                     3, "runtime_error", id="lz_overflow"),
+        pytest.param("cost", patched("cost_table.json", "cost",
+                                     grid_points=10 ** 400),
+                     3, "runtime_error", id="cost_overflow"),
+    ])
+    def test_exit_code(self, command, cfg, code, status, tmp_path, capsys):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", str(out)) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        assert json.loads(line)["status"] == status
+
+    def test_node_over_the_cap_is_named(self, tmp_path, capsys):
+        cfg = patched("tree_synthetic.json", "tree", leaves=8, leaf_dim=4)
+        path = write_config(tmp_path, cfg)
+        assert run_cli("tree", "--config", path,
+                       "--out", str(tmp_path / "out")) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"] == \
+            "tree node 'node6' dimension 65536 exceeds the cap 4096"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_memory_error(self, tmp_path, capsys, monkeypatch):
+        from mergosim import cli
+
+        def exhausted(sec):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_build_tree", exhausted)
+        code = run_cli("tree", "--config",
+                       str(CONFIG_DIR / "tree_synthetic.json"),
+                       "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        assert json.loads(line)["status"] == "runtime_error"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEvolveCommand:
     def test_zero_hamiltonian_flat_autocorrelation(self, tmp_path):
         out = tmp_path / "out"

@@ -3,7 +3,7 @@ import pytest
 
 from mergosim.criteria import (Bipartition, GeometricCriterion, bipartition,
                                symmetrize_criterion, validate_symmetric)
-from mergosim.errors import PairIndexOutOfRange
+from mergosim.errors import LabelOutOfRange, PairIndexOutOfRange
 from mergosim.grid import Configuration, GridSpec, ParticleSet, enumerate_basis
 from mergosim.symmetry import (SymmetryDeclaration, antisymmetrize,
                                generators, permutation_matrix, symmetry_check)
@@ -63,6 +63,13 @@ class TestEvaluate:
         cfg = Configuration(((-1,), (1,)), (None, None))  # distance 2.0 Bohr
         assert crit.evaluate(cfg, basis.grid, basis.particles) == 0
 
+    def test_label_out_of_range(self):
+        basis = two_nuclei_basis()
+        crit = GeometricCriterion("proximity", ((0, 1, 2.0),))
+        cfg = Configuration(((0,), (basis.grid.max_label + 1,)), (None, None))
+        with pytest.raises(LabelOutOfRange):
+            crit.evaluate(cfg, basis.grid, basis.particles)
+
     def test_pair_index_out_of_range(self):
         basis = two_nuclei_basis()
         crit = GeometricCriterion("proximity", ((0, 5, 2.0),))
@@ -101,7 +108,8 @@ class TestBipartition:
         crit = GeometricCriterion("proximity", ((0, 1, threshold),))
         bip = bipartition(crit, basis)
         expected = set()
-        for i, cfg in enumerate(basis.configurations):
+        for i in range(basis.size):
+            cfg = basis.configuration_at(i)
             x1 = cfg.labels[0][0] * basis.grid.spacing
             x2 = cfg.labels[1][0] * basis.grid.spacing
             if abs(x1 - x2) <= threshold:
@@ -110,7 +118,7 @@ class TestBipartition:
         assert bip.mask.size == basis.size
 
     def test_mask_construction(self):
-        bip = Bipartition.from_indices([0, 2], 4)
+        bip = Bipartition([True, False, True, False])
         assert bip.mask.tolist() == [True, False, True, False]
         assert np.allclose(np.diag(bip.projector()), [1.0, 0.0, 1.0, 0.0])
 
@@ -141,7 +149,8 @@ class TestValidateSymmetric:
         result = validate_symmetric(sym_crit, decl, basis)
         assert result.symmetric
         cfg = h2o2_equilibrium_config()
-        assert sym_crit.evaluate(cfg, basis.grid, basis.particles) == 1
+        assert sym_crit.accepts(np.array([cfg.labels]), basis.grid,
+                                basis.particles)[0]
 
     def test_sampled_path_finds_counterexample(self, monkeypatch):
         basis = h2o2_basis()

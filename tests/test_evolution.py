@@ -66,23 +66,6 @@ class TestDensityMatrix:
         with pytest.raises(UnnormalizedInput):
             DensityMatrix.from_pure(np.array([np.nan, 0.0]))
 
-    @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_expectation_is_the_trace_formula(self, n):
-        """tr(O rho) read from the vector or entrywise from rho equals
-        trace(O @ rho), and a pure state builds no matrix for it."""
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        operator = a + a.conj().T
-        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        pure = DensityMatrix.from_pure(psi / np.linalg.norm(psi))
-        value = pure.expectation(operator)
-        assert "matrix" not in vars(pure)
-        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        mixed = DensityMatrix(b @ b.conj().T / np.trace(b @ b.conj().T))
-        for state, got in ((pure, value), (mixed, mixed.expectation(operator))):
-            oracle = float(np.trace(operator @ state.matrix).real)
-            assert abs(got - oracle) <= 1e-12
-
     def test_trusted_rejects_a_nan_trace(self):
         with pytest.raises(ValueError, match="trace differs from one"):
             DensityMatrix.trusted(np.full((2, 2), NAN))
@@ -144,8 +127,9 @@ class TestPropagate:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         rho = DensityMatrix.from_pure(psi / np.linalg.norm(psi))
         h = sh.evaluate(0.0).matrix
-        before = rho.expectation(h)
-        after = propagate(rho, sh, 0.0, 1.0, 60).final_state.expectation(h)
+        before = np.trace(h @ rho.matrix).real
+        after = np.trace(
+            h @ propagate(rho, sh, 0.0, 1.0, 60).final_state.matrix).real
         assert abs(after - before) < 1e-9
 
     def test_step_halving_second_order(self):

@@ -1,18 +1,15 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from mergosim.errors import DimensionCapExceeded, LabelOutOfRange
+from mergosim.errors import DimensionCapExceeded
 from mergosim.grid import (SPIN_DOWN, SPIN_UP, Configuration, GridSpec,
-                           ParticleSet, basis_dimension, enumerate_basis,
-                           label_to_coord)
+                           ParticleSet, basis_dimension, enumerate_basis)
 
 
 def test_spacing_and_label_range():
     g = GridSpec(points_per_axis=5, dims=1, box_length=10.0)
     assert g.spacing == 2.0
-    assert list(g.axis_labels()) == [-2, -1, 0, 1, 2]
+    assert g.max_label == 2
 
 
 def test_even_m_rejected():
@@ -21,47 +18,41 @@ def test_even_m_rejected():
 
 
 def test_label_to_coord_examples():
+    # label p sits at p * L / m
     g = GridSpec(5, 1, 10.0)
-    assert label_to_coord(g, 0)[0] == 0.0
-    assert label_to_coord(g, 2)[0] == 4.0
+    assert 0 * g.spacing == 0.0
+    assert 2 * g.spacing == 4.0
     # 50 * 10 / 101, evaluated by hand
     g2 = GridSpec(101, 1, 10.0)
-    assert label_to_coord(g2, 50)[0] == pytest.approx(4.9504950495049505, abs=1e-12)
-
-
-def test_label_out_of_range():
-    g = GridSpec(5, 1, 10.0)
-    with pytest.raises(LabelOutOfRange):
-        label_to_coord(g, 3)
-    with pytest.raises(LabelOutOfRange):
-        label_to_coord(GridSpec(5, 2, 10.0), (0, 3))
+    assert 50 * g2.spacing == pytest.approx(4.9504950495049505, abs=1e-12)
 
 
 def test_coords_stay_strictly_inside_box():
     g = GridSpec(9, 2, 7.0)
-    for lab in itertools.product(g.axis_labels(), repeat=g.dims):
-        assert np.all(np.abs(label_to_coord(g, lab)) < g.box_length / 2)
+    coords = enumerate_basis(g, ParticleSet(n_el=1)).labels * g.spacing
+    assert np.all(np.abs(coords) < g.box_length / 2)
 
 
 def test_coordinate_symmetry():
+    # negating every label reverses the lexicographic order
     g = GridSpec(7, 3, 5.0)
-    for lab in itertools.product(g.axis_labels(), repeat=g.dims):
-        neg = tuple(-c for c in lab)
-        assert np.allclose(label_to_coord(g, neg), -label_to_coord(g, lab))
+    coords = enumerate_basis(g, ParticleSet(n_el=1)).labels * g.spacing
+    assert np.allclose(coords[::-1], -coords)
 
 
 def test_single_spinless_particle_basis():
     basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=1))
     assert basis.size == 3
-    assert [c.labels[0][0] for c in basis.configurations] == [-1, 0, 1]
+    assert [basis.configuration_at(i).labels[0][0] for i in range(3)] \
+        == [-1, 0, 1]
 
 
 def test_two_particle_basis_order():
     basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=2))
     assert basis.size == 9
-    assert basis.configurations[0].labels == ((-1,), (-1,))
+    assert basis.configuration_at(0).labels == ((-1,), (-1,))
     # first register is the slow index
-    assert basis.configurations[1].labels == ((-1,), (0,))
+    assert basis.configuration_at(1).labels == ((-1,), (0,))
 
 
 def test_dimension_cap():
@@ -173,6 +164,5 @@ def test_particle_accessors():
     p = ParticleSet(n_el=1, nuclear_masses=(1836.0,), nuclear_charges=(1.0,))
     assert p.mass(0) == 1.0 and p.charge(0) == -1.0
     assert p.mass(1) == 1836.0 and p.charge(1) == 1.0
-    assert p.nucleus_register(0) == 1
     with pytest.raises(ValueError):
         ParticleSet(n_el=1, nuclear_masses=(-5.0,), nuclear_charges=(1.0,))

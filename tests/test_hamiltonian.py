@@ -89,7 +89,8 @@ class TestCoulomb:
         soft = 0.3
         block = build_point_charges(basis, centers, charges, soft)
         diag = np.diag(block.matrix).real
-        for i, cfg in enumerate(basis.configurations):
+        for i in range(basis.size):
+            cfg = basis.configuration_at(i)
             x = cfg.labels[0][0] * basis.grid.spacing
             expected = sum(-1.0 * q / np.sqrt((x - c[0]) ** 2 + soft**2)
                            for c, q in zip(centers, charges))
@@ -100,15 +101,16 @@ class TestCoulomb:
         particles = ParticleSet(n_el=2, nuclear_masses=(10.0, 10.0),
                                 nuclear_charges=(1.0, 1.0))
         basis = enumerate_basis(grid, particles, cap=200)
-        assert build_coulomb(basis, 0.5, pairs="ee").tag == "coulomb_ee"
-        assert build_coulomb(basis, 0.5, pairs="nn").tag == "coulomb_nn"
-        assert build_coulomb(basis, 0.5, pairs="ne").tag == "coulomb_ne"
+        assert build_coulomb(basis, 0.5, pairs=[(0, 1)]).tag == "coulomb_ee"
+        assert build_coulomb(basis, 0.5, pairs=[(2, 3)]).tag == "coulomb_nn"
+        assert build_coulomb(basis, 0.5, pairs=[
+            (0, 2), (0, 3), (1, 2), (1, 3)]).tag == "coulomb_ne"
         assert build_coulomb(basis, 0.5, pairs=[(0, 1), (0, 2)]).tag == "external"
 
     def test_swap_identical_particles_leaves_diagonal_unchanged(self):
         basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=2))
         diag = coulomb_diagonal(basis, 0.2)
-        for cfg in basis.configurations:
+        for cfg in map(basis.configuration_at, range(basis.size)):
             swapped = Configuration((cfg.labels[1], cfg.labels[0]),
                                     cfg.spins)
             assert diag[basis.index_of(cfg)] == \

@@ -17,6 +17,15 @@ from mergosim.tree import (PropagationChannel, PumpChannel, RetryPolicy,
                            derive_seed, plan_tree, run_tree)
 
 
+def depth(tree):
+    """Edges on the longest root-to-leaf path."""
+    height = {}
+    for node_id in tree.postorder():
+        height[node_id] = 1 + max(
+            (height[c] for c in tree.node(node_id).children), default=-1)
+    return height[tree.root]
+
+
 def planned_synthetic_tree(n_leaves, p, delta=math.pi / 2, max_iters=10_000,
                            leaf_dim=2, arity=2):
     """Plan a tree and rig every internal node with a pump channel."""
@@ -45,12 +54,12 @@ class TestPlanner:
     def test_two_leaves_single_node(self):
         tree = plan_tree(2)
         assert len(tree.internal_ids()) == 1
-        assert tree.depth() == 1
+        assert depth(tree) == 1
 
     def test_eight_leaves_binary(self):
         tree = plan_tree(8)
         assert len(tree.internal_ids()) == 7
-        assert tree.depth() == 3
+        assert depth(tree) == 3
 
     def test_six_leaves_ternary(self):
         tree = plan_tree(6, arity=3)
@@ -65,7 +74,7 @@ class TestPlanner:
 
     def test_depth_law(self):
         for n in range(1, 65):
-            assert plan_tree(n).depth() == math.ceil(math.log2(n))
+            assert depth(plan_tree(n)) == math.ceil(math.log2(n))
 
     def test_single_leaf(self):
         tree = plan_tree(1)
@@ -96,6 +105,49 @@ class TestStructureValidation:
                  ScatterNode("p", children=("a", "b"))]
         with pytest.raises(ValueError):
             ScatterTree(nodes, "p")
+
+
+def recursive_postorder(tree):
+    order = []
+
+    def visit(node_id):
+        for child in tree.node(node_id).children:
+            visit(child)
+        order.append(node_id)
+
+    visit(tree.root)
+    return order
+
+
+def random_tree(rng, n_nodes):
+    """A random shape: each node after the first hangs under an earlier
+    one, a single child gets a leaf sibling, and children are shuffled."""
+    children = {0: []}
+    for i in range(1, n_nodes):
+        children[i] = []
+        children[int(rng.integers(i))].append(i)
+    for kids in list(children.values()):
+        if len(kids) == 1:
+            children[len(children)] = []
+            kids.append(len(children) - 1)
+    nodes, leaf = [], 0
+    for i, kids in children.items():
+        rng.shuffle(kids)
+        if kids:
+            nodes.append(ScatterNode(f"n{i}", children=tuple(
+                f"n{k}" for k in kids)))
+        else:
+            nodes.append(ScatterNode(f"n{i}", subsystem=frozenset({leaf})))
+            leaf += 1
+    return ScatterTree([nodes[k] for k in rng.permutation(len(nodes))], "n0")
+
+
+class TestPostorder:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_recursive_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, int(rng.integers(1, 200)))
+        assert tree.postorder() == recursive_postorder(tree)
 
 
 class TestRunTree:
@@ -185,14 +237,14 @@ class TestRunTree:
 class TestChannelDecompose:
     def test_block_diagonal_state(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
-        out = channel_decompose(rho, Bipartition.from_indices([0], 2))
+        out = channel_decompose(rho, Bipartition([True, False]))
         assert out.p0 == pytest.approx(0.3)
         assert out.coherence_norm == 0.0
 
     def test_pure_superposition(self):
         vec = np.array([1.0, 1.0]) / math.sqrt(2)
         rho = DensityMatrix.from_pure(vec)
-        out = channel_decompose(rho, Bipartition.from_indices([0], 2))
+        out = channel_decompose(rho, Bipartition([True, False]))
         assert out.p0 == pytest.approx(0.5)
         # two off-block entries of 0.5 each
         assert out.coherence_norm == pytest.approx(0.5 * math.sqrt(2))
@@ -201,9 +253,11 @@ class TestChannelDecompose:
         rng = np.random.default_rng(12)
         mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         rho = DensityMatrix(mat @ mat.conj().T / np.trace(mat @ mat.conj().T).real)
-        bip = Bipartition.from_indices([0, 2, 4], 6)
+        bip = Bipartition([True, False, True, False, True, False])
         out = channel_decompose(rho, bip)
-        assert np.max(np.abs(out.reassemble() - rho.matrix)) < 1e-14
+        rebuilt = (out.coherence + out.p0 * out.rho_suc.matrix
+                   + (1.0 - out.p0) * out.rho_nsuc.matrix)
+        assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-14
 
 
 class TestPropagationChannel:

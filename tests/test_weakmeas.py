@@ -37,25 +37,26 @@ def random_bipartition(rng, dim):
 class TestPSuccessWeight:
     def test_fully_in_a(self):
         rho = DensityMatrix.basis_state(4, 1)
-        bip = Bipartition.from_indices([0, 1], 4)
+        bip = Bipartition([True, True, False, False])
         assert p_success_weight(rho, bip) == 1.0
 
     def test_fully_in_b(self):
         rho = DensityMatrix.basis_state(4, 3)
-        bip = Bipartition.from_indices([0, 1], 4)
+        bip = Bipartition([True, True, False, False])
         assert p_success_weight(rho, bip) == 0.0
 
     def test_matches_projector_trace(self):
         rng = np.random.default_rng(0)
         rho = random_density(rng, 16)
-        bip = Bipartition.from_indices(sorted(
-            rng.choice(16, size=7, replace=False).tolist()), 16)
+        mask = np.zeros(16, dtype=bool)
+        mask[rng.choice(16, size=7, replace=False)] = True
+        bip = Bipartition(mask)
         oracle = float(np.trace(bip.projector() @ rho.matrix).real)
         assert abs(p_success_weight(rho, bip) - oracle) < 1e-14
 
     def test_accepts_pure_vectors(self):
         vec = np.array([0.6, 0.8, 0.0])
-        bip = Bipartition.from_indices([0], 3)
+        bip = Bipartition([True, False, False])
         assert p_success_weight(vec, bip) == pytest.approx(0.36)
 
 
@@ -69,7 +70,7 @@ class TestClosedFormAgainstCircuit:
         assert np.allclose(branches.rho0.matrix, rho.matrix, atol=1e-14)
 
     def test_projective_case_pure_in_a(self):
-        bip = Bipartition.from_indices([0, 1], 4)
+        bip = Bipartition([True, True, False, False])
         psi = np.zeros(4, dtype=complex)
         psi[0], psi[1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
         rho = DensityMatrix.from_pure(psi)
@@ -91,7 +92,7 @@ class TestClosedFormAgainstCircuit:
 
     def test_zero_probability_branch_raises(self):
         rho = DensityMatrix.basis_state(3, 2)
-        bip = Bipartition.from_indices([0], 3)
+        bip = Bipartition([True, False, False])
         branches = measurement_branches(rho, bip, 0.7)
         with pytest.raises(ZeroProbabilityBranch):
             branches.rho1
@@ -175,7 +176,7 @@ class TestSampledOutcome:
 
     def test_outcome_fields(self):
         rho = DensityMatrix.basis_state(2, 0)
-        bip = Bipartition.from_indices([0], 2)
+        bip = Bipartition([True, False])
         outcome = weak_measure(rho, WeakMeasurementSpec(bip, math.pi / 2),
                                np.random.default_rng(1))
         assert outcome.flag == 1
@@ -186,7 +187,7 @@ class TestSampledOutcome:
 class TestRepeatUntilSuccess:
     def test_immediate_success(self):
         rho = DensityMatrix.basis_state(2, 0)
-        bip = Bipartition.from_indices([0], 2)
+        bip = Bipartition([True, False])
         spec = WeakMeasurementSpec(bip, math.pi / 2)
         post, iters = repeat_until_success(rho, spec, lambda s, k: s, 10,
                                            rng=np.random.default_rng(0))
@@ -197,7 +198,7 @@ class TestRepeatUntilSuccess:
         # channel pumps weight p into A each round; delta = pi/2 makes
         # every measurement a Bernoulli(p) trial
         p = 0.25
-        bip = Bipartition.from_indices([0], 2)
+        bip = Bipartition([True, False])
 
         def pump(state, k):
             return DensityMatrix(np.diag([p, 1.0 - p]).astype(complex))
@@ -213,7 +214,7 @@ class TestRepeatUntilSuccess:
 
     def test_max_iters_exceeded(self):
         rho = DensityMatrix.basis_state(2, 1)
-        bip = Bipartition.from_indices([0], 2)
+        bip = Bipartition([True, False])
         spec = WeakMeasurementSpec(bip, math.pi / 2)
         with pytest.raises(MaxItersExceeded):
             repeat_until_success(rho, spec, lambda s, k: s, 25,
@@ -224,7 +225,7 @@ class TestRepeatUntilSuccess:
             return DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
 
         rho = pump(None, 0)
-        bip = Bipartition.from_indices([0], 2)
+        bip = Bipartition([True, False])
         spec = WeakMeasurementSpec(bip, math.pi / 2)
         trace = TraceLog()
         _, iters = repeat_until_success(rho, spec, pump, 100,
@@ -237,7 +238,7 @@ class TestRepeatUntilSuccess:
 
     def test_delta_ramp_caps_at_projective(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
-        bip = Bipartition.from_indices([0], 2)
+        bip = Bipartition([True, False])
         spec = WeakMeasurementSpec(bip, 0.2)
         trace = TraceLog()
         try:
@@ -254,7 +255,7 @@ class TestRepeatUntilSuccess:
     def test_nonpositive_delta_ramp_rejected(self, ramp):
         # delta * ramp^(k-1) would leave [0, pi/2] or stall at 0
         rho = DensityMatrix.basis_state(2, 1)
-        spec = WeakMeasurementSpec(Bipartition.from_indices([0], 2), 0.5)
+        spec = WeakMeasurementSpec(Bipartition([True, False]), 0.5)
         with pytest.raises(ValueError, match="delta_ramp"):
             repeat_until_success(rho, spec, lambda s, k: s, 5,
                                  delta_ramp=ramp)
@@ -265,7 +266,7 @@ class TestRepeatUntilSuccess:
         # 1e300^(k-1) overflows a float from k = 3 on; the angle caps at
         # pi/2, and an angle of 0 stays 0
         rho = DensityMatrix.basis_state(2, 1)
-        spec = WeakMeasurementSpec(Bipartition.from_indices([0], 2), delta)
+        spec = WeakMeasurementSpec(Bipartition([True, False]), delta)
         trace = TraceLog()
         with pytest.raises(MaxItersExceeded):
             repeat_until_success(rho, spec, lambda s, k: s, 6,
@@ -284,7 +285,7 @@ class TestRepeatUntilSuccess:
 
     def test_non_trace_preserving_channel_rejected(self):
         rho = DensityMatrix.basis_state(2, 1)
-        bip = Bipartition.from_indices([0], 2)
+        bip = Bipartition([True, False])
         spec = WeakMeasurementSpec(bip, 0.5)
 
         def leaky(state, k):
@@ -302,7 +303,7 @@ class TestRepeatUntilSuccess:
         a later measurement; the first measurement always fails, since
         the state lies wholly outside the accepted block."""
         rho = DensityMatrix.basis_state(2, 1)
-        spec = WeakMeasurementSpec(Bipartition.from_indices([0], 2), 0.5)
+        spec = WeakMeasurementSpec(Bipartition([True, False]), 0.5)
 
         def poisoned(state, k):
             obj = object.__new__(DensityMatrix)
@@ -317,7 +318,7 @@ class TestRepeatUntilSuccess:
         # a channel within the documented 1e-9 trace tolerance must not
         # push the failure post state past the 1e-10 state trace guard
         rho = DensityMatrix(np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex))
-        bip = Bipartition.from_indices([0, 1, 2], 4)
+        bip = Bipartition([True, True, True, False])
 
         def drifting(state, k):
             obj = object.__new__(DensityMatrix)
