@@ -68,7 +68,8 @@ Choice = namedtuple("Choice", "options")
 
 _INITIAL = {"kind": (str, "basis_state"), "index": (int, 0)}
 _NODE = {"success_weight": (float, 1.0), "delta": (float, math.pi / 2.0),
-         "max_iters": (AtLeast(int, 1), 64), "delta_ramp": (float, 1.0),
+         "max_iters": (AtLeast(int, 1), 64),
+         "delta_ramp": (Above(float, 0.0), 1.0),
          "renaturalize": (bool, False)}
 _UNIT_VALUE = OneOf((float, {"value": (float, REQUIRED),
                              "unit": (str, REQUIRED)}))
@@ -112,7 +113,8 @@ _SECTIONS = {
     "measure": {"criterion": (str, REQUIRED), "delta": (float, REQUIRED),
                 "initial": (_INITIAL, {}),
                 "repeat": ({"max_iters": (AtLeast(int, 1), 64),
-                            "delta_ramp": (float, 1.0)}, None)},
+                            "delta_ramp": (Above(float, 0.0), 1.0)},
+                           None)},
     "tree": {"leaves": (AtLeast(int, 1), None), "leaf_ids": ([str], None),
              "arity": (int, 2), "children": (Map([str]), None),
              "root": (str, None), "leaf_dim": (AtLeast(int, 1), 2),
@@ -390,8 +392,6 @@ def cmd_measure(cfg: dict, seed: int, fmt: str):
     repeat = sec["repeat"]
     with _config_values():
         spec = weakmeas.WeakMeasurementSpec(bip, sec["delta"])
-        if repeat:
-            weakmeas.ramped_delta(spec.delta, repeat["delta_ramp"])
     rng = np.random.default_rng(seed)
     trace = weakmeas.TraceLog()
     if repeat:
@@ -411,26 +411,37 @@ def cmd_measure(cfg: dict, seed: int, fmt: str):
 
 
 def _tree_from_config(sec: dict):
+    """The configured shape. A node's dimension is leaf_dim ** (leaves
+    under it), largest at the root, so the root alone is checked against
+    the cap, from the config's leaf count before any node is built."""
     from . import tree
 
+    given = [key for key in ("leaves", "leaf_ids", "children")
+             if sec[key] is not None]
+    if len(given) != 1:
+        raise ConfigError("tree needs exactly one of leaves, leaf_ids or "
+                          f"children, got {given}")
     children = sec["children"]
+    if (children is None) != (sec["root"] is None):
+        raise ConfigError("tree.root and tree.children go together")
     if children is not None:
         ids = set(children) | {c for kids in children.values() for c in kids}
-        nodes = []
-        leaf_counter = 0
-        for node_id in sorted(ids):
-            kids = tuple(children.get(node_id, ()))
-            if kids:
-                nodes.append(tree.ScatterNode(node_id=node_id, children=kids))
-            else:
-                nodes.append(tree.ScatterNode(
-                    node_id=node_id, subsystem=frozenset({leaf_counter})))
-                leaf_counter += 1
-        return tree.ScatterTree(nodes, sec["root"])
-    leaves = sec["leaf_ids"] if sec["leaf_ids"] is not None else sec["leaves"]
-    if leaves is None:
-        raise ConfigError("tree needs one of leaves, leaf_ids or children")
-    return tree.plan_tree(leaves, arity=sec["arity"])
+        n_leaves = sum(not children.get(node_id) for node_id in ids)
+    else:
+        leaves = sec[given[0]]
+        n_leaves = leaves if isinstance(leaves, int) else len(leaves)
+    # 2 ** cap.bit_length() > cap, so no larger power needs computing
+    leaf_dim = sec["leaf_dim"]
+    if leaf_dim ** min(n_leaves, _DIMENSION_CAP.bit_length()) \
+            > _DIMENSION_CAP:
+        raise ConfigError(f"tree root dimension {leaf_dim}**{n_leaves} "
+                          f"exceeds the cap {_DIMENSION_CAP}")
+    if children is None:
+        return tree.plan_tree(leaves, arity=sec["arity"])
+    return tree.ScatterTree(
+        [tree.ScatterNode(node_id=node_id,
+                          children=tuple(children.get(node_id, ())))
+         for node_id in sorted(ids)], sec["root"])
 
 
 @_config_values()
@@ -448,21 +459,15 @@ def _build_tree(sec: dict) -> tuple:
             raise ConfigError(f"override for unknown node {node_id!r}")
 
     nodes = dict(shape.nodes)
-    for node_id in shape.postorder():
-        node = shape.node(node_id)
-        dim = leaf_dim ** len(node.subsystem)
-        if dim > _DIMENSION_CAP:
-            raise ConfigError(f"tree node {node_id!r} dimension {dim} "
-                              f"exceeds the cap {_DIMENSION_CAP}")
-        if node.is_leaf:
-            continue
+    for node_id in shape.internal_ids():
+        dim = leaf_dim ** shape.leaf_counts[node_id]
         row = {**sec["nodes"], **overrides.get(node_id, {})}
         bip = Bipartition(np.arange(dim) < max(1, dim // 2))
         channel = tree.PumpChannel(bip, row["success_weight"])
         retry = tree.RetryPolicy(max_iters=row["max_iters"],
                                  delta_ramp=row["delta_ramp"],
                                  renaturalize=row["renaturalize"])
-        nodes[node_id] = replace(node, channel=channel,
+        nodes[node_id] = replace(nodes[node_id], channel=channel,
                                  bipartition=bip, delta=row["delta"],
                                  retry=retry)
     configured = tree.ScatterTree(list(nodes.values()), shape.root)

@@ -1,10 +1,12 @@
 """Hierarchical scattering tree with repeat-until-success at each node.
 
-Leaves hold atomic input states; every internal node tensors its
-children, runs its merge channel once, then alternates heralding
-measurements with (escalated) channel applications until success. A
-failed measurement never restarts completed children: recovery is local
-to the node, so per-node repetition counts simply add up.
+A tree is a shape of leaves: each leaf holds one atomic input state (one
+particle slot), and a node's size is the number of leaves under it. Every
+internal node tensors its children, runs its merge channel once, then
+alternates heralding measurements with (escalated) channel applications
+until success. A failed measurement never restarts completed children:
+recovery is local to the node, so per-node repetition counts simply add
+up.
 
 The heralding rules (``p_success_weight``, ``block_split`` under
 ``channel_decompose``, ``checked_angle`` and the one retry ramp
@@ -105,12 +107,11 @@ class RetryPolicy:
 
 @dataclass(frozen=True, eq=False)
 class ScatterNode:
-    """One tree node. Leaves carry only an id and a subsystem; internal
-    nodes add the channel, the heralding measurement and retry policy."""
+    """One tree node. A leaf is only an id; internal nodes add their
+    children, the channel, the heralding measurement and retry policy."""
 
     node_id: str
     children: tuple[str, ...] = ()
-    subsystem: frozenset[int] = frozenset()
     channel: Optional[Channel] = None
     bipartition: Optional[Bipartition] = None
     delta: float = math.pi / 2.0
@@ -125,8 +126,10 @@ class ScatterNode:
 
 
 class ScatterTree:
-    """Node table plus root id, with structural validation. An internal
-    node given no subsystem gets the union of its children's."""
+    """Node table plus root id, with structural validation.
+    ``leaf_counts`` maps every node to the number of leaves under it (1
+    for a leaf), filled in the one postorder pass that also proves every
+    node reachable, so validation is linear in the node count."""
 
     def __init__(self, nodes: Sequence[ScatterNode], root: str):
         self.nodes: dict[str, ScatterNode] = {}
@@ -154,25 +157,13 @@ class ScatterTree:
         # passes through the root
         if self.root in seen_child:
             raise ValueError(f"root {self.root!r} is a child")
-        order = self.postorder()
-        if set(order) != set(self.nodes):
+        self.leaf_counts: dict[str, int] = {}
+        for node_id in self.postorder():
+            kids = self.nodes[node_id].children
+            self.leaf_counts[node_id] = sum(
+                self.leaf_counts[c] for c in kids) if kids else 1
+        if len(self.leaf_counts) != len(self.nodes):
             raise ValueError("tree contains nodes unreachable from the root")
-        for node_id in order:
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                continue
-            union: set[int] = set()
-            for child in node.children:
-                if union & self.nodes[child].subsystem:
-                    raise ValueError(
-                        f"children of {node_id!r} share particles")
-                union |= self.nodes[child].subsystem
-            if not node.subsystem:
-                self.nodes[node_id] = replace(node, subsystem=frozenset(union))
-            elif set(node.subsystem) != union:
-                raise ValueError(
-                    f"node {node_id!r} subsystem is not the union "
-                    "of its children")
 
     def node(self, node_id: str) -> ScatterNode:
         return self.nodes[node_id]
@@ -215,8 +206,7 @@ def plan_tree(leaves: Union[int, Sequence[str]], arity: int = 2) -> ScatterTree:
         if not leaf_ids:
             raise ValueError("need at least one leaf")
 
-    nodes = [ScatterNode(node_id=lid, subsystem=frozenset({i}))
-             for i, lid in enumerate(leaf_ids)]
+    nodes = [ScatterNode(node_id=lid) for lid in leaf_ids]
     level = [n.node_id for n in nodes]
     table = {n.node_id: n for n in nodes}
     counter = 0
@@ -271,8 +261,7 @@ class TreeRunReport:
 
 
 def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
-             global_seed: int,
-             trace: Optional[TraceLog] = None) -> TreeRunReport:
+             global_seed: int) -> TreeRunReport:
     """Execute the tree post-order and return the run report.
 
     Each internal node owns a generator seeded from (global_seed,
@@ -280,8 +269,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
     execution order. NodeExhausted carries the partial report; records
     of completed children survive the failure.
     """
-    if trace is None:
-        trace = TraceLog()
+    trace = TraceLog()
     records: dict[str, NodeRecord] = {}
     states: dict[str, DensityMatrix] = {}
 

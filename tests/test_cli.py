@@ -175,6 +175,17 @@ class TestConfigSchema:
                      id="negative_validate_seed"),
         pytest.param("tree_synthetic.json", (("seed",), -1), "tree",
                      id="negative_tree_seed"),
+        pytest.param("tree_synthetic.json",
+                     (("tree",), {"leaves": 2, "root": "r",
+                                  "children": {"r": ["a", "b"]}}), "tree",
+                     id="tree_leaves_and_children"),
+        pytest.param("tree_synthetic.json", (("tree", "leaf_ids"), ["a", "b"]),
+                     "tree", id="tree_leaves_and_leaf_ids"),
+        pytest.param("tree_synthetic.json", (("tree", "root"), "node6"),
+                     "tree", id="tree_root_without_children"),
+        pytest.param("tree_synthetic.json",
+                     (("tree",), {"children": {"r": ["a", "b"]}}), "tree",
+                     id="tree_children_without_root"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())
@@ -318,8 +329,28 @@ class TestOneStatusLine:
                        "--out", str(tmp_path / "out")) == 2
         record = json.loads(capsys.readouterr().out)
         assert record["error"] == \
-            "tree node 'node6' dimension 65536 exceeds the cap 4096"
+            "tree root dimension 4**8 exceeds the cap 4096"
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("leaves", [200_000, 10 ** 9])
+    def test_over_cap_leaves_refused_before_planning(self, leaves, tmp_path,
+                                                     capsys, monkeypatch):
+        from mergosim import tree
+
+        def unplanned(*args, **kwargs):
+            raise AssertionError("plan_tree ran")
+
+        monkeypatch.setattr(tree, "plan_tree", unplanned)
+        cfg = patched("tree_synthetic.json", "tree", leaves=leaves)
+        path = write_config(tmp_path, cfg)
+        assert run_cli("tree", "--config", path,
+                       "--out", str(tmp_path / "out")) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        assert json.loads(line) == {
+            "status": "config_error",
+            "error": f"tree root dimension 2**{leaves} exceeds the cap 4096"}
 
     def test_memory_error(self, tmp_path, capsys, monkeypatch):
         from mergosim import cli

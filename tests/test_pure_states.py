@@ -166,8 +166,7 @@ def propagation_tree(rng, dims, mask):
                               Schedule(s0=0.5, s1=1.0))
     channel = PropagationChannel(sh, 0.0, 1.0, n_steps=4,
                                  escalation_factor=1.5)
-    nodes = [ScatterNode("a", subsystem=frozenset({0})),
-             ScatterNode("b", subsystem=frozenset({1})),
+    nodes = [ScatterNode("a"), ScatterNode("b"),
              ScatterNode("root", children=("a", "b"), channel=channel,
                          bipartition=Bipartition(mask), delta=0.8,
                          retry=RetryPolicy(max_iters=200, delta_ramp=1.1,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,10 +86,13 @@ class TestPlanner:
         tree = plan_tree(["h1", "h2"])
         assert set(tree.leaf_ids()) == {"h1", "h2"}
 
-    def test_subsystems_are_disjoint_unions(self):
+    def test_leaf_counts_add_up(self):
         tree = plan_tree(8)
-        root = tree.node(tree.root)
-        assert root.subsystem == frozenset(range(8))
+        assert tree.leaf_counts[tree.root] == 8
+        for node_id in tree.postorder():
+            kids = tree.node(node_id).children
+            assert tree.leaf_counts[node_id] == (
+                sum(tree.leaf_counts[c] for c in kids) if kids else 1)
 
 
 class TestStructureValidation:
@@ -99,12 +103,23 @@ class TestStructureValidation:
         with pytest.raises(ValueError):
             ScatterTree(nodes, "p")
 
-    def test_overlapping_subsystems_rejected(self):
-        nodes = [ScatterNode("a", subsystem=frozenset({0})),
-                 ScatterNode("b", subsystem=frozenset({0})),
-                 ScatterNode("p", children=("a", "b"))]
-        with pytest.raises(ValueError):
-            ScatterTree(nodes, "p")
+    def test_deep_caterpillar_validates_in_linear_memory(self):
+        """A spine 3,000 nodes deep, each with a leaf beside it: per-node
+        particle sets would hold ~d^2/2 entries (over 200 MB here)."""
+        depth = 3000
+        nodes = [ScatterNode(f"l{i}") for i in range(depth + 1)]
+        nodes += [ScatterNode(f"n{i}", children=(f"n{i + 1}", f"l{i}"))
+                  for i in range(depth - 1)]
+        nodes.append(ScatterNode(f"n{depth - 1}",
+                                 children=(f"l{depth - 1}", f"l{depth}")))
+        tracemalloc.start()
+        try:
+            tree = ScatterTree(nodes, "n0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert tree.leaf_counts["n0"] == depth + 1
 
 
 def recursive_postorder(tree):
@@ -130,15 +145,11 @@ def random_tree(rng, n_nodes):
         if len(kids) == 1:
             children[len(children)] = []
             kids.append(len(children) - 1)
-    nodes, leaf = [], 0
+    nodes = []
     for i, kids in children.items():
         rng.shuffle(kids)
-        if kids:
-            nodes.append(ScatterNode(f"n{i}", children=tuple(
-                f"n{k}" for k in kids)))
-        else:
-            nodes.append(ScatterNode(f"n{i}", subsystem=frozenset({leaf})))
-            leaf += 1
+        nodes.append(ScatterNode(f"n{i}", children=tuple(
+            f"n{k}" for k in kids)))
     return ScatterTree([nodes[k] for k in rng.permutation(len(nodes))], "n0")
 
 
@@ -148,6 +159,18 @@ class TestPostorder:
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(1, 200)))
         assert tree.postorder() == recursive_postorder(tree)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_leaf_counts_match_a_brute_force_count(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, int(rng.integers(1, 200)))
+
+        def leaves_under(node_id):
+            kids = tree.node(node_id).children
+            return sum(map(leaves_under, kids)) if kids else 1
+
+        assert tree.leaf_counts == {
+            node_id: leaves_under(node_id) for node_id in tree.nodes}
 
 
 class TestRunTree:
