@@ -116,7 +116,7 @@ _SECTIONS = {
                             "delta_ramp": (Above(float, 0.0), 1.0)},
                            None)},
     "tree": {"leaves": (AtLeast(int, 1), None), "leaf_ids": ([str], None),
-             "arity": (int, 2), "children": (Map([str]), None),
+             "arity": (int, None), "children": (Map([str]), None),
              "root": (str, None), "leaf_dim": (AtLeast(int, 1), 2),
              "leaf_state": (_INITIAL, {}), "nodes": (_NODE, {}),
              "overrides": (Map({k: (spec, OMIT)
@@ -413,7 +413,10 @@ def cmd_measure(cfg: dict, seed: int, fmt: str):
 def _tree_from_config(sec: dict):
     """The configured shape. A node's dimension is leaf_dim ** (leaves
     under it), largest at the root, so the root alone is checked against
-    the cap, from the config's leaf count before any node is built."""
+    the cap, from the config's leaf count before any node is built; the
+    leaf count itself, which bounds the node count, against the same
+    cap. ``arity`` shapes a planned tree only, so it is refused next to
+    ``children``."""
     from . import tree
 
     given = [key for key in ("leaves", "leaf_ids", "children")
@@ -424,6 +427,9 @@ def _tree_from_config(sec: dict):
     children = sec["children"]
     if (children is None) != (sec["root"] is None):
         raise ConfigError("tree.root and tree.children go together")
+    if children is not None and sec["arity"] is not None:
+        raise ConfigError("tree.arity plans leaves or leaf_ids; "
+                          "tree.children gives the shape")
     if children is not None:
         ids = set(children) | {c for kids in children.values() for c in kids}
         n_leaves = sum(not children.get(node_id) for node_id in ids)
@@ -436,8 +442,12 @@ def _tree_from_config(sec: dict):
             > _DIMENSION_CAP:
         raise ConfigError(f"tree root dimension {leaf_dim}**{n_leaves} "
                           f"exceeds the cap {_DIMENSION_CAP}")
+    if n_leaves > _DIMENSION_CAP:
+        raise ConfigError(f"tree has {n_leaves} leaves, above the cap "
+                          f"{_DIMENSION_CAP}")
     if children is None:
-        return tree.plan_tree(leaves, arity=sec["arity"])
+        arity = {} if sec["arity"] is None else {"arity": sec["arity"]}
+        return tree.plan_tree(leaves, **arity)
     return tree.ScatterTree(
         [tree.ScatterNode(node_id=node_id,
                           children=tuple(children.get(node_id, ())))

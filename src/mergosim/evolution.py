@@ -32,10 +32,12 @@ nonnegative vector that the start overlaps with no cancellation: Lanczos
 cannot settle on an excited level, and on a degenerate one it returns
 the level's projection of the start, the same vector on every run. The
 fixed-s autocorrelation C(t) of a ``StructuredHamiltonian`` comes from
-Chebyshev moments of the same product, summed against Bessel functions
-for every sample at once, when a work estimate puts that below one dense
-eigh; otherwise, as for any fixed dense Hamiltonian, it diagonalizes the
-real symmetric H(s) once.
+Chebyshev moments of the same stencil (its neighbour table
+``StructuredHamiltonian.stencil``, one gather and one einsum per
+recurrence step), summed against Bessel functions for every sample at
+once through Gauss-Chebyshev weights and a nonuniform FFT, when a work
+estimate puts that below one dense eigh; otherwise, as for any fixed
+dense Hamiltonian, it diagonalizes the real symmetric H(s) once.
 The dense ``evaluate``/``dense`` assembly stays as the oracle, the path
 to an excited eigenstate (a single-vector Lanczos cannot resolve a
 degenerate level below it) and that fallback.
@@ -70,23 +72,32 @@ KRYLOV_CHUNK = 64
 
 # Fixed-s autocorrelation from Chebyshev moments: relative pad of the
 # spectral interval, Kapteyn bound on the Bessel tail J_m(a t) at which
-# the series stops, and Bessel orders summed per matrix product.
+# the series stops, and recurrence steps whose moments are read at once.
+# The series is summed over Gauss-Chebyshev nodes by a nonuniform FFT:
+# grid oversampling, Gaussian half-width in grid points and nodes spread
+# at a time.
 SPECTRAL_PAD = 1e-12
 BESSEL_TOL = 1e-18
-BESSEL_BLOCK = 64
+MOMENT_BLOCK = 64
+NUFFT_OVERSAMPLE = 2
+NUFFT_HALF_WIDTH = 16
+NUFFT_CHUNK = 2048
 # Work estimate that picks Chebyshev moments or a dense eigh for a
 # fixed-s autocorrelation, in seconds (fit to both paths at n = 5 ...
 # 1681 on one Intel Xeon core, one BLAS thread, numpy 2.4). Dense:
 # DENSE_S_PER_N3 n^3 for the eigh plus DENSE_S_PER_PHASE per entry of
 # the n_samples x n phase matrix. Chebyshev with M Bessel orders:
-# CHEB_S_SETUP plus, per order, CHEB_S_PER_ORDER (half a stencil product
-# and one recurrence step, mostly call overhead) and CHEB_S_PER_ENTRY
-# per basis entry and per sample.
+# CHEB_S_SETUP, plus M / 2 recurrence steps of CHEB_S_PER_PRODUCT (call
+# overhead) and CHEB_S_PER_ENTRY per basis entry, plus CHEB_S_PER_SPREAD
+# per node and grid point to spread M nodes over 2 NUFFT_HALF_WIDTH
+# points each, plus CHEB_S_PER_SAMPLE n_samples log2 n_samples.
 DENSE_S_PER_N3 = 2.0e-10
 DENSE_S_PER_PHASE = 8.0e-8
-CHEB_S_SETUP = 3.0e-4
-CHEB_S_PER_ORDER = 1.7e-5
-CHEB_S_PER_ENTRY = 5.0e-9
+CHEB_S_SETUP = 2.5e-4
+CHEB_S_PER_PRODUCT = 6.5e-6
+CHEB_S_PER_ENTRY = 7.0e-9
+CHEB_S_PER_SPREAD = 2.5e-8
+CHEB_S_PER_SAMPLE = 7.0e-9
 
 # spectrum window name -> weights of length n
 WINDOWS = {"hann": np.hanning, "rect": np.ones, "none": np.ones}
@@ -414,24 +425,23 @@ def default_step_count(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
     return max(1, int(np.ceil((s_to - s_from) * h_norm / STEP_RESOLUTION)))
 
 
-def _bessel_orders(x: np.ndarray) -> np.ndarray:
-    """Per x > 0, the smallest order m > x at which Kapteyn's bound
+def _bessel_order(x: float) -> int:
+    """For x > 0, the smallest order m > x at which Kapteyn's bound
     |J_m(x)| <= exp(m (tanh u - u)), cosh u = m / x (Watson 8.7), is at
     most BESSEL_TOL. The bound falls with m, by a factor exp(-u) per
     order, so the terms past it sum to a few BESSEL_TOL. Integer
     bisection on m in (floor(x), 2 ceil(x) - ln(BESSEL_TOL) / 0.45]: at
     m >= 2x the exponent is below -0.45 m, so the upper end fits."""
-    def fits(m):
-        u = np.arccosh(np.maximum(m / x, 1.0))
-        return m * (np.tanh(u) - u) <= math.log(BESSEL_TOL)
+    def fits(m: int) -> bool:
+        u = math.acosh(max(m / x, 1.0))
+        return m * (math.tanh(u) - u) <= math.log(BESSEL_TOL)
 
-    lo = np.floor(x)
-    hi = 2.0 * np.ceil(x) + math.ceil(-math.log(BESSEL_TOL) / 0.45)
-    while np.any(hi - lo > 1.0):
-        mid = np.floor(0.5 * (lo + hi))
-        ok = fits(mid)
-        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
-    return hi.astype(int)
+    lo = math.floor(x)
+    hi = 2 * math.ceil(x) + math.ceil(-math.log(BESSEL_TOL) / 0.45)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 def _spectral_interval(sh: StructuredHamiltonian,
@@ -443,10 +453,9 @@ def _spectral_interval(sh: StructuredHamiltonian,
     return 0.5 * (lo + hi), 0.5 * (hi - lo) + pad
 
 
-def _real_columns(psi: np.ndarray) -> np.ndarray:
-    """psi as real columns, (Re psi, Im psi), or Re psi when it is real."""
-    return psi.real if not np.any(psi.imag) \
-        else np.column_stack([psi.real, psi.imag])
+def _real_parts(psi: np.ndarray) -> list:
+    """Re psi and Im psi, leaving out a part that is zero."""
+    return [part for part in (psi.real, psi.imag) if np.any(part)]
 
 
 def _chebyshev_moments(sh: StructuredHamiltonian, s: float, center: float,
@@ -457,59 +466,127 @@ def _chebyshev_moments(sh: StructuredHamiltonian, s: float, center: float,
     phi_k = T_k(H~) psi0 follows phi_k+1 = 2 H~ phi_k - phi_k-1, and the
     doubling identities mu_2k = 2 <phi_k|phi_k> - mu_0 and
     mu_2k-1 = 2 <phi_k|phi_k-1> - mu_1 read two moments per product. H~
-    is real symmetric, so a complex psi0 runs as the real columns
-    (Re psi0, Im psi0) and every moment is real.
+    is real symmetric, so the recurrence runs on each real part of psi0
+    (``_real_parts``) and adds up their dot products; every moment is
+    real.
+
+    After phi_1 = ``sh.product`` / a, each step is one gather and one
+    einsum through ``sh.stencil`` extended to the whole recurrence: its
+    weights times 2 / a with 2 (V(s) - b) / a on the diagonal, read in
+    (phi_k-1, phi_k), plus one row that reads -phi_k-1. The steps fill
+    the rows of a preallocated block, whose dot products are taken
+    MOMENT_BLOCK steps at a time.
     """
+    n, scale = sh.dim, 2.0 / half
     shifted = sh.potential(s) - center
-    prev = _real_columns(psi0)
-    cur = sh.product(shifted, prev) / half
-    mu = np.empty(2 * n_products + 1)
-    mu[0], mu[1] = np.vdot(prev, prev), np.vdot(cur, prev)
-    mu[2] = 2.0 * np.vdot(cur, cur) - mu[0]
-    for k in range(2, n_products + 1):
-        nxt = sh.product(shifted, cur)
-        nxt *= 2.0 / half
-        nxt -= prev
-        mu[2 * k - 1] = 2.0 * np.vdot(nxt, cur) - mu[1]
-        mu[2 * k] = 2.0 * np.vdot(nxt, nxt) - mu[0]
-        prev, cur = cur, nxt
+    index, weights = sh.stencil
+    step_index = np.concatenate([index + n, np.arange(n)[None]])
+    step_weights = np.concatenate([weights * scale, np.full((1, n), -1.0)])
+    step_weights[0] += shifted * scale
+    gathered = np.empty(step_index.shape)
+    rows = np.empty((MOMENT_BLOCK + 2, n))  # phi_k-1, phi_k, new rows
+    flat = rows.reshape(-1)
+    mu = np.zeros(2 * n_products + 1)  # <phi_k|phi_k>, <phi_k|phi_k-1>
+    for part in _real_parts(psi0):
+        rows[0], rows[1] = part, sh.product(shifted, part) / half
+        mu[:3] += part @ part, rows[1] @ part, rows[1] @ rows[1]
+        for k in range(1, n_products, MOMENT_BLOCK):
+            block = min(MOMENT_BLOCK, n_products - k)
+            for r in range(2, block + 2):
+                np.take(flat[(r - 2) * n:r * n], step_index, out=gathered,
+                        mode="clip")
+                np.einsum("ji,ji->i", step_weights, gathered, out=rows[r])
+            new = rows[2:block + 2]
+            mu[2 * k + 1:2 * (k + block):2] += np.einsum(
+                "ri,ri->r", new, rows[1:block + 1])
+            mu[2 * k + 2:2 * (k + block) + 1:2] += np.einsum(
+                "ri,ri->r", new, new)
+            rows[:2] = rows[block:block + 2]
+    mu[2::2] = 2.0 * mu[2::2] - mu[0]
+    mu[3::2] = 2.0 * mu[3::2] - mu[1]
     return mu
 
 
-def _bessel_series(x: np.ndarray, orders: np.ndarray,
-                   moments: np.ndarray) -> np.ndarray:
-    """sum_m (2 - delta_m0) (-i)^m J_m(x_j) mu_m for every x_j != 0.
+def _nonuniform_fft(weights: np.ndarray, nodes: np.ndarray,
+                    n_out: int) -> np.ndarray:
+    """F_j = sum_l weights_l exp(-i j nodes_l) for j = 0 ... n_out - 1.
 
-    J_m comes from Miller's backward recurrence
-    J_m = (2 (m + 1) / x) J_m+1 - J_m+2, run for all x at once. Sample j
-    starts at its own order N_j = ``orders[j]`` (nondecreasing) with
-    J_N+1 = 0 and J_N = 1: the true J_N is below BESSEL_TOL, so the
-    unnormalised values stay near 1 / BESSEL_TOL (no overflow) and the
-    start error is below BESSEL_TOL too. The sums are normalised by
-    J_0 + 2 sum_k J_2k = 1. Orders are summed BESSEL_BLOCK rows per
-    matrix product, so the J table is never held whole.
+    A type-1 nonuniform FFT by Gaussian gridding (Greengard & Lee, SIAM
+    Rev. 46, 443 (2004)) on the modes k = j - n_out // 2, which keeps the
+    deconvolution factor exp(k^2 tau) below exp(pi W / 12). The weights
+    are spread onto NUFFT_OVERSAMPLE n_out periodic grid points with the
+    heat kernel exp(-d^2 / 4 tau), W = NUFFT_HALF_WIDTH points on either
+    side of each node, NUFFT_CHUNK nodes at a time. One FFT and the
+    division by the kernel's Fourier coefficients sqrt(tau / pi)
+    exp(-k^2 tau) give F.
     """
-    top = int(orders[-1])
-    m = np.arange(top + 1)
-    scale = np.where(m == 0, 1.0, 2.0)  # 2 - delta_m0
-    coeff = scale * np.array([1, -1j, -1, 1j])[m % 4] * moments[:top + 1]
-    # rows: Re and Im of the series, then J_0 + 2 sum_k J_2k
-    weights = np.stack([coeff.real, coeff.imag, scale * (m % 2 == 0)])
-    starts = np.searchsorted(orders, np.arange(top + 2)).tolist()
-    buf = np.zeros((BESSEL_BLOCK + 2, len(x)))  # J_m+2, J_m+1, block rows
-    sums = np.zeros((3, len(x)))
-    for high in range(top, -1, -BESSEL_BLOCK):
-        block = range(high, max(high - BESSEL_BLOCK, -1), -1)
-        ratios = np.multiply.outer(np.arange(high + 1, block.stop + 1, -1),
-                                   2.0 / x)
-        for i, order in enumerate(block, start=2):
-            row = np.multiply(ratios[i - 2], buf[i - 1], out=buf[i])
-            row -= buf[i - 2]
-            row[starts[order]:starts[order + 1]] = 1.0
-        rows = len(block)
-        sums += weights[:, block.stop + 1:high + 1][:, ::-1] @ buf[2:rows + 2]
-        buf[:2] = buf[rows:rows + 2]
-    return (sums[0] + 1j * sums[1]) / sums[2]
+    shift, size = n_out // 2, NUFFT_OVERSAMPLE * n_out
+    spacing = 2.0 * math.pi / size
+    tau = math.pi * NUFFT_HALF_WIDTH / (
+        n_out ** 2 * NUFFT_OVERSAMPLE * (NUFFT_OVERSAMPLE - 0.5))
+    nodes = np.mod(nodes, 2.0 * math.pi) / spacing  # in grid steps
+    coeff = weights * np.exp(-1j * shift * spacing * nodes)
+    offsets = np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1)
+    # grid points are counted from -lead, a whole number of periods, and
+    # folded onto one period at the end; a node may round up to size
+    lead = size * -(-(NUFFT_HALF_WIDTH - 1) // size)
+    periods = -(-(lead + size + NUFFT_HALF_WIDTH + 1) // size)
+    grid = np.zeros(periods * size, dtype=complex)
+    for a in range(0, len(nodes), NUFFT_CHUNK):
+        x, c = nodes[a:a + NUFFT_CHUNK], coeff[a:a + NUFFT_CHUNK, None]
+        base = np.floor(x)
+        kernel = np.exp(np.square(offsets - (x - base)[:, None])
+                        * (-spacing * spacing / (4.0 * tau)))
+        points = ((base.astype(np.intp) + lead)[:, None] + offsets).ravel()
+        grid.real += np.bincount(points, (kernel * c.real).ravel(),
+                                 len(grid))
+        grid.imag += np.bincount(points, (kernel * c.imag).ravel(),
+                                 len(grid))
+    k = np.arange(n_out) - shift
+    return math.sqrt(math.pi / tau) / size * np.exp(k * k * tau) \
+        * np.fft.fft(grid.reshape(periods, size).sum(axis=0))[k % size]
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c at or above n. numpy's FFT takes such a
+    length directly; one with a large prime factor goes through
+    Bluestein's padded transforms, several times slower and holding
+    buffers some 40 times the input."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best, p35 = min(best, p), 3 * p35
+        p5 *= 5
+    return best
+
+
+def _chebyshev_series(moments: np.ndarray, step: float,
+                      n_samples: int) -> np.ndarray:
+    """sum_m (2 - delta_m0) (-i)^m J_m(j step) mu_m for j = 0 ...
+    n_samples - 1, with mu_m = ``moments[m]``.
+
+    Jacobi-Anger makes the sum over m of (2 - delta_m0) (-i)^m J_m(x)
+    T_m(y) equal to exp(-i x y). The L-point Gauss-Chebyshev rule, with
+    nodes y_l = cos theta_l, theta_l = pi (l + 1/2) / L, and weights
+    g_l = (1/L) sum_m (2 - delta_m0) mu_m cos(m theta_l) (a DCT-III, one
+    FFT of length 2L), reproduces every moment below L, taking those
+    past len(moments) as 0. So the series is sum_l g_l exp(-i j step y_l),
+    ``_nonuniform_fft`` at the nodes step y_l, up to the orders at or
+    above len(moments), whose J_m the caller keeps below BESSEL_TOL.
+    L is ``_smooth_length(len(moments))``, so the FFT has no large prime
+    factor.
+    """
+    size = _smooth_length(len(moments))
+    m = np.arange(len(moments))
+    scaled = np.where(m == 0, 1.0, 2.0) * moments \
+        * np.exp(-0.5j * math.pi * m / size)
+    weights = np.fft.fft(scaled, 2 * size)[:size].real / size
+    nodes = step * np.cos(math.pi * (np.arange(size) + 0.5) / size)
+    return _nonuniform_fft(weights, nodes, n_samples)
 
 
 def _chebyshev_autocorrelation(sh: StructuredHamiltonian, s: float,
@@ -518,56 +595,52 @@ def _chebyshev_autocorrelation(sh: StructuredHamiltonian, s: float,
     """C(t) = <psi0| exp(-i H(s) t) |psi0> from Chebyshev moments of the
     stencil product, with no n x n array.
 
-    With H~ = (H - b) / a spanning [-1, 1] (``plan`` is (b, a, orders),
-    see ``_chebyshev_plan``),
+    With H~ = (H - b) / a spanning [-1, 1] (``plan`` is (b, a, M), see
+    ``_chebyshev_plan``),
     exp(-i H t) = exp(-i b t) sum_m (2 - delta_m0) (-i)^m J_m(a t) T_m(H~)
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), so C(t) needs
     only the moments mu_m = <psi0|T_m(H~)|psi0> (Weisse et al.,
     Rev. Mod. Phys. 78, 275 (2006)). One moment series, M / 2 products
-    long with M the Bessel order of the last sample, serves every
-    sample; the t = 0 sample is mu_0. A zero-width spectrum (or
-    t_max = 0) gives mu_0 exp(-i b t).
+    long with M the Bessel order at a |t_max|, serves every sample
+    (``_chebyshev_series``); the t = 0 sample is mu_0. A zero-width
+    spectrum (or t_max = 0) gives mu_0 exp(-i b t).
     """
-    center, half, orders = plan
+    center, half, order = plan
     phase = np.exp(-1j * center * times)
-    if orders is None:
-        columns = _real_columns(psi0)
-        return np.vdot(columns, columns) * phase
-    x = half * times[1:]
-    orders = np.maximum.accumulate(orders)
-    moments = _chebyshev_moments(sh, s, center, half, psi0,
-                                 (int(orders[-1]) + 1) // 2)
-    values = np.empty(len(times), dtype=complex)
+    if order is None:
+        return sum(part @ part for part in _real_parts(psi0)) * phase
+    moments = _chebyshev_moments(sh, s, center, half, psi0, (order + 1) // 2)
+    values = _chebyshev_series(moments, half * (times[1] - times[0]),
+                               len(times))
     values[0] = moments[0]
-    values[1:] = _bessel_series(x, orders, moments)
     return phase * values
 
 
 def _chebyshev_plan(sh: StructuredHamiltonian, s: float,
                     times: np.ndarray) -> Optional[tuple]:
-    """(b, a, orders) for ``_chebyshev_autocorrelation`` when the work
+    """(b, a, M) for ``_chebyshev_autocorrelation`` when the work
     estimate (the DENSE_* and CHEB_* constants) puts Chebyshev moments
     below one dense eigh for C(t) at H(s), else None. b and a are the
-    center and half-width of ``_spectral_interval``; ``orders`` holds
-    ``_bessel_orders`` at |a t| per sample t != 0, or is None when
-    a t_max = 0. Both are computed once and serve the estimate and the
-    series."""
+    center and half-width of ``_spectral_interval``; M is
+    ``_bessel_order`` at a |t_max|, or None when a t_max = 0. Both are
+    computed once and serve the estimate and the series."""
     n, n_samples = sh.dim, len(times)
     center, half = _spectral_interval(sh, s)
     x_max = half * abs(times[-1])
     dense = DENSE_S_PER_N3 * n ** 3 + DENSE_S_PER_PHASE * n * n_samples
 
     def cheaper(order: float) -> bool:
-        return CHEB_S_SETUP + order * (
-            CHEB_S_PER_ORDER + CHEB_S_PER_ENTRY * (n + n_samples)) < dense
+        return CHEB_S_SETUP + CHEB_S_PER_SAMPLE * n_samples \
+            * math.log2(n_samples) + order * (
+                0.5 * (CHEB_S_PER_PRODUCT + CHEB_S_PER_ENTRY * n)
+                + 2 * NUFFT_HALF_WIDTH * CHEB_S_PER_SPREAD) < dense
 
-    # M > x_max: a series dearer than dense at x_max orders needs no M
+    # M > x_max: a series dearer than dense at x_max orders needs no M,
+    # and an x_max that overflowed to inf stays on the dense path
     if not cheaper(x_max):
         return None
-    orders = _bessel_orders(np.abs(half * times[1:])) if x_max else None
-    if orders is None or cheaper(int(orders[-1])):
-        return center, half, orders
-    return None
+    order = _bessel_order(x_max) if x_max else None
+    return (center, half, order) if cheaper(order or 0) else None
 
 
 def _dense_autocorrelation(h: np.ndarray, psi0: np.ndarray,

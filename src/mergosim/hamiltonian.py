@@ -378,13 +378,14 @@ class StructuredHamiltonian:
     T is the finite-difference kinetic energy of ``kinetic_registers``
     (see ``build_kinetic``): a sum of one 1D Dirichlet tridiagonal per
     (register, lattice axis), each acting on one tensor axis of the
-    basis, tabulated once in ``kinetic_axes``; the product, ``dense``,
-    the bounds and the DST-I forms ``kinetic_propagator`` and
-    ``kinetic_ground_state`` read only that table. The potential is
-    diagonal: the intra-fragment Coulomb energy ``v_frag``, the
-    inter-fragment coupling ``v_ab`` ramped by f and the trap ``v_trap``
-    ramped by g. ``apply(x, s)`` is H(s) x in O(n) per kinetic axis with
-    no n x n array and ``spectral_bounds(s)`` encloses its spectrum;
+    basis, tabulated once in ``kinetic_axes``; ``dense``, the bounds, the
+    DST-I forms ``kinetic_propagator`` and ``kinetic_ground_state`` and
+    the neighbour table ``stencil`` that the product gathers through read
+    only that table. The potential is diagonal: the intra-fragment
+    Coulomb energy ``v_frag``, the inter-fragment coupling ``v_ab``
+    ramped by f and the trap ``v_trap`` ramped by g. ``apply(x, s)`` is
+    H(s) x in O(n) per kinetic axis with no n x n array and
+    ``spectral_bounds(s)`` encloses its spectrum;
     ``dense(s)`` assembles the real symmetric matrix, and ``evaluate(s)``
     wraps it as a checked block, the oracle for everything that uses
     this structure.
@@ -425,21 +426,38 @@ class StructuredHamiltonian:
         """``_kinetic_axes`` of the kinetic registers."""
         return _kinetic_axes(self.basis, self.kinetic_registers)
 
+    @cached_property
+    def stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """T as a gather table (index, weights), both (1 + 2 axes) x n:
+        (T x)_i = sum_j weights_ji x[index_ji]. Row 0 is i itself with
+        T's constant diagonal 2 sum c; then, per kinetic axis, the lower
+        and the upper neighbour with -c, or i itself with weight 0 past
+        a Dirichlet end. ``product`` and the Chebyshev recurrence of
+        ``evolution`` both read it."""
+        n = self.dim
+        rows = np.arange(n)
+        index = [rows]
+        weights = [np.full(n, 2.0 * sum(c for _, _, c in self.kinetic_axes))]
+        for outer, m, c in self.kinetic_axes:
+            stride = n // (outer * m)
+            position = rows // stride % m
+            for inside, step in ((position > 0, -stride),
+                                 (position < m - 1, stride)):
+                index.append(np.where(inside, rows + step, rows))
+                weights.append(np.where(inside, -c, 0.0))
+        return np.stack(index), np.stack(weights)
+
     def apply(self, x: np.ndarray, s: float) -> np.ndarray:
         """H(s) x for an array whose first axis is the basis index."""
         return self.product(self.potential(s), x)
 
     def product(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(T + diag(v)) x: v x plus c (2 - shift - shift^T) along each
-        kinetic axis, Dirichlet at the lattice ends; ``apply`` at
-        v = ``potential(s)``, for callers that stay at one s."""
+        """(T + diag(v)) x: v x plus one gather of x through ``stencil``
+        summed against its weights; ``apply`` at v = ``potential(s)``,
+        for callers that stay at one s."""
+        index, weights = self.stencil
         out = v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
-        for outer, m, c in self.kinetic_axes:
-            xs = x.reshape(outer, m, -1)
-            stencil = 2.0 * xs
-            stencil[:, 1:] -= xs[:, :-1]
-            stencil[:, :-1] -= xs[:, 1:]
-            out += c * stencil.reshape(x.shape)
+        out += np.einsum("ji,ji...->i...", weights, x[index])
         return out
 
     def kinetic_propagator(self, ds: float

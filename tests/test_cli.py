@@ -186,6 +186,16 @@ class TestConfigSchema:
         pytest.param("tree_synthetic.json",
                      (("tree",), {"children": {"r": ["a", "b"]}}), "tree",
                      id="tree_children_without_root"),
+        pytest.param("tree_synthetic.json",
+                     (("tree",), {"leaves": 50_000, "leaf_dim": 1}), "tree",
+                     id="tree_leaves_over_the_cap"),
+        pytest.param("tree_synthetic.json",
+                     (("tree",), {"leaves": 10 ** 9, "leaf_dim": 1}), "tree",
+                     id="tree_billion_leaves"),
+        pytest.param("tree_synthetic.json",
+                     (("tree",), {"children": {"r": ["a", "b"]}, "root": "r",
+                                  "arity": 7}), "tree",
+                     id="tree_arity_with_children"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())
@@ -290,16 +300,16 @@ class TestOneStatusLine:
 
     @pytest.mark.parametrize("command, cfg, code, status", [
         pytest.param("tree", patched(
-            "tree_synthetic.json", "tree", leaves=None, root="a",
-            children={"a": ["b", "c"], "b": ["a", "d"]}),
+            "tree_synthetic.json", "tree", leaves=None, arity=None,
+            root="a", children={"a": ["b", "c"], "b": ["a", "d"]}),
             2, "config_error", id="cycle_through_the_root"),
         pytest.param("tree", patched(
-            "tree_synthetic.json", "tree", leaves=None, root="a",
-            children={"a": ["a", "c"]}),
+            "tree_synthetic.json", "tree", leaves=None, arity=None,
+            root="a", children={"a": ["a", "c"]}),
             2, "config_error", id="root_its_own_child"),
         pytest.param("tree", patched(
-            "tree_synthetic.json", "tree", leaves=None, root="n0",
-            children=caterpillar(1500), leaf_dim=1),
+            "tree_synthetic.json", "tree", leaves=None, arity=None,
+            root="n0", children=caterpillar(1500), leaf_dim=1),
             0, "ok", id="deep_caterpillar"),
         pytest.param("tree", patched("tree_synthetic.json", "tree",
                                      leaves=40),
@@ -307,6 +317,10 @@ class TestOneStatusLine:
         pytest.param("tree", patched("tree_synthetic.json", "tree",
                                      leaves=8, leaf_dim=4),
                      2, "config_error", id="root_kron_over_the_cap"),
+        pytest.param("evolve", patched(
+            "evolve_salt_1d.json", "evolve", autocorrelation={
+                "t_max": 1e308, "n_samples": 512, "fixed_s": 1.0}),
+            0, "ok", id="autocorrelation_t_max_overflow"),
         pytest.param("lz", patched("lz_rbcs.json", "lz", omega=1e300),
                      3, "runtime_error", id="lz_overflow"),
         pytest.param("cost", patched("cost_table.json", "cost",

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
                           _initial_vector, _typed, main)
-from mergosim.evolution import (DensityMatrix, _bessel_orders,
-                                _bessel_series, _chebyshev_autocorrelation,
+from mergosim.evolution import (DensityMatrix, _bessel_order,
+                                _chebyshev_autocorrelation,
                                 _chebyshev_moments, _chebyshev_plan,
+                                _chebyshev_series,
                                 _dense_autocorrelation,
                                 _lowest_tridiagonal_pair,
-                                _spectral_interval, autocorrelation,
+                                _smooth_length, _spectral_interval,
+                                autocorrelation,
                                 default_step_count, ground_state,
                                 hermitian_eigh, propagate)
 from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
@@ -563,10 +565,10 @@ def check_chebyshev(sh, s, psi0, times):
     """Chebyshev C(t) within 1e-10 of the dense eigh, and C(0) exactly
     mu_0, whichever path the work estimate prefers."""
     center, half = _spectral_interval(sh, s)
-    orders = _bessel_orders(np.abs(half * times[1:])) if half * times[-1] \
-        else None
-    cheb = _chebyshev_autocorrelation(sh, s, psi0, times,
-                                      (center, half, orders))
+    x_max = half * abs(times[-1])
+    cheb = _chebyshev_autocorrelation(
+        sh, s, psi0, times,
+        (center, half, _bessel_order(x_max) if x_max else None))
     dense = _dense_autocorrelation(sh.dense(s), psi0, times)
     assert np.max(np.abs(cheb - dense)) <= 1e-10
     if half:
@@ -615,10 +617,10 @@ def test_chebyshev_matches_dense_on_random_problems(problem, s, t_max,
 @pytest.mark.parametrize("x_max", [1e-9, 0.3, 40.0, 3000.0])
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
 def test_bessel_series_matches_the_bessel_integral(x_max, order):
-    """One unit moment at ``order`` gives (2 - delta_m0) (-i)^m J_m(x);
-    the oracle is J_m(x) = mean over tau of cos(m tau - x sin tau) on an
-    equispaced periodic grid, exact once it has more points than
-    x + m + 60."""
+    """One unit moment at ``order`` gives (2 - delta_m0) (-i)^m J_m(x)
+    at x = j x_max / 32; the oracle is J_m(x) = mean over tau of
+    cos(m tau - x sin tau) on an equispaced periodic grid, exact once it
+    has more points than x + m + 60."""
     x = np.linspace(0.0, x_max, 33)[1:]
     top = int(x_max + 10 * x_max ** (1 / 3) + 60)
     moments = np.zeros(top + 1)
@@ -626,10 +628,69 @@ def test_bessel_series_matches_the_bessel_integral(x_max, order):
     tau = 2 * np.pi * np.arange(2 * top + 1) / (2 * top + 1)
     j = np.cos(order * tau - np.outer(x, np.sin(tau))).mean(axis=1)
     expected = (1 if order == 0 else 2) * (-1j) ** order * j
-    orders = np.maximum.accumulate(_bessel_orders(x))
-    assert orders[-1] <= top
-    assert np.max(np.abs(_bessel_series(x, orders, moments)
+    assert _bessel_order(x_max) <= top
+    assert np.max(np.abs(_chebyshev_series(moments, x_max / 32, 33)[1:]
                          - expected)) <= 1e-13
+
+
+def test_series_fft_length_has_no_large_prime_factor():
+    """``_smooth_length`` is the smallest 2^a 3^b 5^c at or above n, so
+    the series' DCT (an FFT of length 2L) never goes through Bluestein's
+    padded transforms, whose buffers numpy does not report to
+    tracemalloc: at the 151,157 nodes of the n = 3969 run below they
+    lifted peak RSS by about 50 MB."""
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 2000):
+        length = _smooth_length(n)
+        assert length >= n and smooth(length)
+        assert not any(smooth(k) for k in range(n, length))
+
+
+@pytest.mark.parametrize("t_max, n_samples", [
+    pytest.param(40.0, 2, id="two_samples"),
+    pytest.param(40.0, 3, id="three_samples"),
+    pytest.param(40.0, 513, id="odd_samples"),
+    pytest.param(-40.0, 512, id="negative_t_max"),
+    pytest.param(400.0, 7, id="wrapped_step"),
+])
+def test_chebyshev_series_edge_cases(t_max, n_samples):
+    """Sample counts that leave the NUFFT grid tiny or odd, a negative
+    t_max, and steps a |dt| far above pi (a = 7.4 here, so every case
+    with fewer than ten samples wraps the nodes round the period many
+    times), on the benchmark merge with a real and a complex state."""
+    sh, s, psi0, _ = fixed_s_problem(bench_merge(0))
+    times = np.linspace(0.0, t_max, n_samples)
+    rng = np.random.default_rng(n_samples)
+    complex_psi = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
+    for state in (psi0, complex_psi / np.linalg.norm(complex_psi)):
+        check_chebyshev(sh, s, state, times)
+
+
+def test_fixed_s_autocorrelation_stays_small():
+    """n = 3969, the evolve_salt_1d geometry on 63 points: the Chebyshev
+    path with 151,155 Bessel orders holds O(n) recurrence rows and spreads
+    the Gauss-Chebyshev nodes in chunks. All nodes spread at once would
+    hold several 151,155 x 32 arrays (39 MB each); one real n x n array
+    is 126 MB."""
+    raw = shipped("evolve_salt_1d.json")
+    raw["grid"].update(points_per_axis=63, box_length=63.0)
+    sh, s, psi0, times = fixed_s_problem(raw)
+    assert sh.dim == 3969
+    plan = _chebyshev_plan(sh, s, times)
+    assert plan is not None and plan[2] == 151155
+    tracemalloc.start()
+    try:
+        _, values = autocorrelation(psi0, sh, times[-1], len(times), s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.abs(values) <= 1.0 + 1e-12)
+    assert peak < 24 * 2 ** 20
 
 
 def test_the_work_estimate_picks_the_path():
@@ -645,21 +706,21 @@ def test_the_work_estimate_picks_the_path():
 
 def test_one_interval_and_one_order_search_per_autocorrelation(monkeypatch):
     """The work estimate and the series share one spectral interval and
-    one Bessel order search, with the floats each computes alone."""
+    one Bessel order search, with the values each computes alone."""
     import mergosim.evolution as evolution
 
     sh, s, psi0, times = fixed_s_problem(bench_merge(0))
-    center, half, orders = _chebyshev_plan(sh, s, times)
+    center, half, order = _chebyshev_plan(sh, s, times)
     assert (center, half) == _spectral_interval(sh, s)
-    assert np.array_equal(orders, _bessel_orders(np.abs(half * times[1:])))
+    assert order == _bessel_order(half * abs(times[-1]))
     calls = []
-    for name in ("_spectral_interval", "_bessel_orders"):
+    for name in ("_spectral_interval", "_bessel_order"):
         def counted(*args, _f=getattr(evolution, name), _name=name):
             calls.append(_name)
             return _f(*args)
         monkeypatch.setattr(evolution, name, counted)
     autocorrelation(psi0, sh, times[-1], len(times), s)
-    assert sorted(calls) == ["_bessel_orders", "_spectral_interval"]
+    assert sorted(calls) == ["_bessel_order", "_spectral_interval"]
 
 
 def test_merge_evolve_runs_no_eigensolver(monkeypatch, tmp_path, capsys):
