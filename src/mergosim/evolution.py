@@ -16,9 +16,11 @@ map:
 
 The state picks how the map is applied (``DensityMatrix.map_rows``): a
 pure state is propagated as its vector, a mixed state on both sides,
-U rho U^dag = U (U rho)^dag. Both integrators are unitary to machine
-precision and second order in the step size. A pure state builds its
-density matrix only when asked, so a pure run stays O(n m) to the end.
+U rho U^dag = U (U rho)^dag (a diagonal state as its full matrix
+diag(d), since U diag(d) U^dag has coherences). Both integrators are
+unitary to machine precision and second order in the step size. A pure
+state builds its density matrix only when asked, so a pure run stays
+O(n m) to the end.
 
 The usual initial state, the ground state of a ``StructuredHamiltonian``,
 comes from ``ground_state``: Lanczos on the matrix-free product
@@ -106,12 +108,17 @@ WINDOWS = {"hann": np.hanning, "rect": np.ones, "none": np.ones}
 @dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state carrier; the one
-    place that tells a pure state from a mixed one. ``array`` is the
-    read-only ``vector`` of a pure state (None otherwise), or the matrix of
-    a mixed one. Row maps act on it (``map_rows``, ``mapped``), so a pure
-    state stays a vector and builds ``matrix`` |v><v| only when asked."""
+    place that tells its three forms apart. A pure state holds its
+    read-only ``vector``, a state with no coherence its read-only
+    ``diagonal`` (the populations, complex), any other state its matrix.
+    ``array`` is the vector of a pure state, else the matrix. Row maps
+    act on the held form (``map_rows``, ``mapped``, and ``scaled``, which
+    keeps a diagonal state diagonal), so a pure or diagonal state builds
+    ``matrix`` (|v><v| or diag(d)) only when asked, and tensor products,
+    populations and heralding branches of diagonal states stay O(n)."""
 
     vector: Optional[np.ndarray] = field(default=None, repr=False)
+    diagonal: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __init__(self, matrix: np.ndarray):
         object.__setattr__(self, "matrix", np.asarray(matrix, dtype=complex))
@@ -158,6 +165,29 @@ class DensityMatrix:
         return obj
 
     @classmethod
+    def from_diagonal(cls, populations: np.ndarray) -> "DensityMatrix":
+        """diag(d), checked as the constructor checks a matrix but in
+        O(n): a diagonal matrix is Hermitian when d is real and PSD when
+        d is nonnegative."""
+        d = np.array(populations, dtype=complex).ravel()
+        if not np.max(np.abs(d.imag), initial=0.0) <= HERMITIAN_TOL:
+            raise ValueError("density matrix is not Hermitian")
+        if not np.min(d.real, initial=0.0) >= EIGENVALUE_FLOOR:
+            raise ValueError("density matrix has a negative eigenvalue")
+        return cls._trusted_diagonal(d)
+
+    @classmethod
+    def _trusted_diagonal(cls, d: np.ndarray) -> "DensityMatrix":
+        """Wrap a fresh complex diagonal that is valid by construction
+        (``trusted``'s O(n) trace guard alone), and make it read-only."""
+        if not abs(np.sum(d).real - 1.0) <= TRACE_TOL:
+            raise ValueError("density matrix trace differs from one")
+        d.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "diagonal", d)
+        return obj
+
+    @classmethod
     def of(cls, x: np.ndarray) -> "DensityMatrix":
         """``from_pure`` of a vector, ``trusted`` of a matrix."""
         return cls.from_pure(x) if x.ndim == 1 else cls.trusted(x)
@@ -170,7 +200,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return cls.from_diagonal(np.full(dim, 1.0 / dim))
 
     @staticmethod
     def map_rows(x: np.ndarray, rows: Callable) -> np.ndarray:
@@ -185,8 +215,10 @@ class DensityMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """rho; a mixed state sets it at construction, a pure state
-        builds |v><v| here on first access."""
+        """rho; a dense state sets it at construction, a pure state
+        builds |v><v| and a diagonal one diag(d) here on first access."""
+        if self.vector is None:
+            return np.diag(self.diagonal)
         return np.outer(self.vector, self.vector.conj())
 
     @property
@@ -196,36 +228,63 @@ class DensityMatrix:
     @property
     def populations(self) -> np.ndarray:
         """diag(rho); conj(v_j) v_j equals diag(|v><v|) bit for bit."""
-        v = self.vector
-        return np.diag(self.matrix).real if v is None else (v.conj() * v).real
+        v, d = self.vector, self.diagonal
+        if v is not None:
+            return (v.conj() * v).real
+        return (np.diag(self.matrix) if d is None else d).real
 
     @property
     def dim(self) -> int:
-        return self.array.shape[0]
+        d = self.diagonal
+        return (self.array if d is None else d).shape[0]
 
     def trace(self) -> float:
-        return self.weight(self.array)
+        d = self.diagonal
+        return self.weight(self.array) if d is None \
+            else float(np.sum(d).real)
 
     def purity(self) -> float:
-        """tr(rho^2): (v^dag v)^2 for a pure state in O(n), else
-        sum |rho_ij|^2 for Hermitian rho in O(n^2)."""
+        """tr(rho^2): (v^dag v)^2 for a pure state and sum |d_j|^2 for a
+        diagonal one in O(n), else sum |rho_ij|^2 for Hermitian rho in
+        O(n^2)."""
         if self.vector is not None:
             return self.trace() ** 2
-        return float(np.vdot(self.matrix, self.matrix).real)
+        x = self.matrix if self.diagonal is None else self.diagonal
+        return float(np.vdot(x, x).real)
 
     def mapped(self, rows: Callable
                ) -> tuple[float, Optional["DensityMatrix"]]:
         """(w, M rho M^dag / w) with w = tr(M rho M^dag), a vector being
-        divided by its norm sqrt(w); the state is None unless w > 0."""
+        divided by its norm sqrt(w); the state is None unless w > 0. A
+        diagonal state is mapped as its matrix (see ``scaled``)."""
         x = self.map_rows(self.array, rows)
         w = self.weight(x)
         return w, self.of(x / (math.sqrt(w) if x.ndim == 1 else w)) \
             if w > 0.0 else None
 
+    def scaled(self, scale: np.ndarray
+               ) -> tuple[float, Optional["DensityMatrix"]]:
+        """``mapped`` under the row scaling M = diag(scale), which keeps
+        a diagonal state diagonal: d -> scale conj(scale d), the dense
+        path's float operations on the diagonal entries, summed and
+        divided as it does, so both forms give the same bits."""
+        d = self.diagonal
+        if d is None:
+            return self.mapped(row_scaling(scale))
+        x = scale * (scale * d).conj()
+        w = float(np.sum(x).real)
+        return w, self._trusted_diagonal(x / w) if w > 0.0 else None
+
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        """Two pure states give the kron of their vectors."""
+        """Two pure states give the kron of their vectors, two diagonal
+        states the kron of their diagonals, each taken as the raveled
+        outer product: the same products as np.kron, without its call
+        overhead."""
         if self.vector is not None and other.vector is not None:
-            return self.of(np.kron(self.vector, other.vector))
+            return self.of(np.outer(self.vector, other.vector).ravel())
+        if self.diagonal is not None and other.diagonal is not None:
+            return self._trusted_diagonal(
+                np.outer(self.diagonal, other.diagonal).ravel())
         return self.of(np.kron(self.matrix, other.matrix))
 
 
@@ -687,27 +746,37 @@ def autocorrelation(initial: np.ndarray,
         raise ValueError("need at least two samples")
     times = np.linspace(0.0, t_max, n_samples)
 
-    if fixed_s is not None:
-        plan = _chebyshev_plan(hamiltonian, fixed_s, times)
-        if plan is not None:
-            return times, _chebyshev_autocorrelation(hamiltonian, fixed_s,
-                                                     psi0, times, plan)
-        hamiltonian = hamiltonian.dense(fixed_s)
-    elif isinstance(hamiltonian, (ScheduledHamiltonian,
-                                  StructuredHamiltonian)):
-        if not 0.0 < t_max <= hamiltonian.schedule.s1:
-            raise ScheduleOutOfRange(
-                f"require 0 < t_max <= s1, got {t_max}")
-        dt = times[1] - times[0]
-        psi, values = psi0, [1.0]
-        for step in _step_maps(hamiltonian, times[:-1] + 0.5 * dt, dt):
-            psi = step(psi)
-            values.append(np.vdot(psi0, psi))
-        return times, np.array(values, dtype=complex)
-
-    h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
-        else np.asarray(hamiltonian)
-    return times, _dense_autocorrelation(h, psi0, times)
+    # a sample that overflows is reported once, below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fixed_s is not None:
+            plan = _chebyshev_plan(hamiltonian, fixed_s, times)
+            if plan is None:
+                values = _dense_autocorrelation(hamiltonian.dense(fixed_s),
+                                                psi0, times)
+            else:
+                values = _chebyshev_autocorrelation(hamiltonian, fixed_s,
+                                                    psi0, times, plan)
+        elif isinstance(hamiltonian, (ScheduledHamiltonian,
+                                      StructuredHamiltonian)):
+            if not 0.0 < t_max <= hamiltonian.schedule.s1:
+                raise ScheduleOutOfRange(
+                    f"require 0 < t_max <= s1, got {t_max}")
+            dt = times[1] - times[0]
+            psi, values = psi0, [1.0]
+            for step in _step_maps(hamiltonian, times[:-1] + 0.5 * dt, dt):
+                psi = step(psi)
+                values.append(np.vdot(psi0, psi))
+            values = np.array(values, dtype=complex)
+        else:
+            h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
+                else np.asarray(hamiltonian)
+            values = _dense_autocorrelation(h, psi0, times)
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        raise FloatingPointError(
+            f"C(t) is not finite at {np.sum(~finite)} of {n_samples} "
+            f"samples, the first at t = {times[np.argmin(finite)]}")
+    return times, values
 
 
 def spectrum(times: np.ndarray, values: np.ndarray,

@@ -6,7 +6,9 @@ internal node tensors its children, runs its merge channel once, then
 alternates heralding measurements with (escalated) channel applications
 until success. A failed measurement never restarts completed children:
 recovery is local to the node, so per-node repetition counts simply add
-up.
+up. States with no coherence (``PumpChannel`` output, maximally mixed
+leaves) stay diagonals through the tensor product and the heralding, so
+a pump tree holds no n x n array at any node.
 
 The heralding rules (``p_success_weight``, ``block_split`` under
 ``channel_decompose``, ``checked_angle`` and the one retry ramp
@@ -39,26 +41,25 @@ def derive_seed(global_seed: int, node_id: str) -> int:
 class PumpChannel:
     """Synthetic channel that outputs a fixed accepted-block weight.
 
-    Ignores the input and returns the mixture with weight ``p`` spread
-    uniformly over A and 1 - p over B; per-measurement success then
-    follows a geometric law, which is what the tree statistics tests
-    need to pin down.
+    Ignores the input and returns the diagonal mixture with weight ``p``
+    spread uniformly over A and 1 - p over B, one state built at
+    construction; per-measurement success then follows a geometric law,
+    which is what the tree statistics tests need to pin down.
     """
 
     def __init__(self, bipartition: Bipartition, p: float):
         if not 0.0 <= p <= 1.0:
             raise ValueError("pump weight must lie in [0, 1]")
-        self.bipartition = bipartition
-        self.p = p
-
-    def apply(self, state: DensityMatrix, iteration: int) -> DensityMatrix:
-        mask = self.bipartition.mask
+        mask = bipartition.mask
         n_a = int(np.sum(mask))
         n_b = mask.size - n_a
         # an empty side passes its weight to the other one
-        p = 1.0 if n_b == 0 else 0.0 if n_a == 0 else self.p
-        diag = np.where(mask, p / max(n_a, 1), (1.0 - p) / max(n_b, 1))
-        return DensityMatrix.trusted(np.diag(diag.astype(complex)))
+        p = 1.0 if n_b == 0 else 0.0 if n_a == 0 else p
+        self.output = DensityMatrix.from_diagonal(
+            np.where(mask, p / max(n_a, 1), (1.0 - p) / max(n_b, 1)))
+
+    def apply(self, state: DensityMatrix, iteration: int) -> DensityMatrix:
+        return self.output
 
 
 class PropagationChannel:

@@ -15,7 +15,9 @@ p_0 for a unit-trace input (dividing by p_0 itself would magnify any
 trace drift when p_0 is small). A pure state stays a vector: success
 maps psi -> Pi_A psi / sqrt(p_suc) and failure psi -> D psi / ||D psi||,
 with D = cos(delta) on A and 1 on B. Both are row scalings that
-``DensityMatrix.mapped`` applies to the state's own array.
+``DensityMatrix.scaled`` applies to the state's own form, so a state
+with no coherence stays its diagonal: the branches of diag(d) are the
+diagonals Pi_A d and D^2 d, each divided by its sum, in O(n).
 
 ``block_split`` is the one block split (``reconstruct_rho0`` and
 ``tree.channel_decompose`` read it) and ``ramped_delta`` the one retry
@@ -55,7 +57,7 @@ import numpy as np
 from .criteria import Bipartition
 from .errors import (Degenerate, EmptySector, MaxItersExceeded,
                      ZeroProbabilityBranch)
-from .evolution import DensityMatrix, row_scaling
+from .evolution import DensityMatrix
 from .grid import Basis
 
 DEGENERATE_TOL = 1e-15
@@ -136,14 +138,14 @@ class MeasurementBranches:
     def rho1(self) -> DensityMatrix:
         if not self.p1 > 0.0:
             raise ZeroProbabilityBranch("success branch has probability zero")
-        return self.state.mapped(row_scaling(self.bipartition.mask))[1]
+        return self.state.scaled(self.bipartition.mask)[1]
 
     @cached_property
     def rho0(self) -> DensityMatrix:
         if not self.p0 > DEGENERATE_TOL:
             raise ZeroProbabilityBranch("failure branch has probability zero")
         damp = np.where(self.bipartition.mask, math.cos(self.delta), 1.0)
-        return self.state.mapped(row_scaling(damp))[1]
+        return self.state.scaled(damp)[1]
 
 
 def measurement_branches(state: DensityMatrix, bipartition: Bipartition,

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,7 +322,7 @@ class TestOneStatusLine:
         pytest.param("evolve", patched(
             "evolve_salt_1d.json", "evolve", autocorrelation={
                 "t_max": 1e308, "n_samples": 512, "fixed_s": 1.0}),
-            0, "ok", id="autocorrelation_t_max_overflow"),
+            3, "runtime_error", id="autocorrelation_t_max_overflow"),
         pytest.param("lz", patched("lz_rbcs.json", "lz", omega=1e300),
                      3, "runtime_error", id="lz_overflow"),
         pytest.param("cost", patched("cost_table.json", "cost",
@@ -430,6 +432,23 @@ class TestEvolveCommand:
         assert sorted(p.name for p in out.iterdir()) == ["evolve_report.json"]
         assert (out / "evolve_report.json").read_bytes() == \
             (tmp_path / "ok" / "evolve_report.json").read_bytes()
+
+    def test_non_finite_autocorrelation_writes_no_table(self, tmp_path,
+                                                        capsys):
+        """t_max = 1e308 overflows the phases of 461 of the 512 samples:
+        the run exits 3 after the report and before correlation.csv or
+        spectrum.csv, with no RuntimeWarning."""
+        cfg = patched("evolve_salt_1d.json", "evolve", autocorrelation={
+            "t_max": 1e308, "n_samples": 512, "fixed_s": 1.0})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("evolve", "--config", write_config(tmp_path, cfg),
+                           "--out", str(out)) == 3
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "runtime_error"
+        assert record["error"].startswith("C(t) is not finite at 461 of 512")
+        assert sorted(p.name for p in out.iterdir()) == ["evolve_report.json"]
 
     def test_schema_windows_are_the_evolution_windows(self, tmp_path,
                                                       capsys):
@@ -565,6 +584,25 @@ class TestTreeCommand:
         configured, states = cli._build_tree(cli._section(cfg, "tree"))
         assert len(configured.internal_ids()) == 7
         assert len(built) <= 2
+
+    def test_twelve_leaf_tree_holds_no_dense_state(self, tmp_path):
+        """Every state of a pump tree is diagonal, so the 12-leaf tree
+        (root dimension 4096) peaks far below one dense 4096 x 4096
+        complex array (268 MB)."""
+        cfg = patched("tree_synthetic.json", "tree", leaves=12)
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = run_cli("tree", "--config", path,
+                           "--out", str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "tree_report.json")
+                            .read_text())
+        assert report["final_dim"] == 4096
+        assert peak < 8e6
 
     def test_seed_sweep_ensemble_mean(self, tmp_path):
         # seven nodes at P = 0.5: mean total repetitions near 14

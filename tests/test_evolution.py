@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,16 @@ class TestAutocorrelation:
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianHamiltonian):
             autocorrelation(np.array([1.0, 0.0]), h, 1.0, 8)
+
+    def test_overflowing_phases_raise_once(self):
+        """t E past the float range (here t > 6e307) makes the phase NaN:
+        one FloatingPointError, and no RuntimeWarning on the way."""
+        h = np.diag([1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="not finite at 3 of 8 samples"):
+                autocorrelation(np.array([0.6, 0.8]), h, 1e308, 8)
 
     def test_scheduled_matches_fixed_for_flat_schedule(self):
         h = np.diag([0.0, 1.0, 3.0])
