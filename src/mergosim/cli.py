@@ -605,10 +605,11 @@ def cmd_validate(cfg: dict, seed: int, fmt: str):
     criterion = _resolve(criteria_table, cid, "validate.criterion")
     if sec["symmetrize"]:
         criterion = symmetrize_criterion(criterion, declaration)
-    result = validate_symmetric(criterion, declaration, basis, seed=seed)
+    result = validate_symmetric(criterion, declaration, basis)
+    # every configuration is checked, so "sampled" is always false
     payload = {"status": "ok", "criterion": cid,
                "symmetric": result.symmetric,
-               "checked": result.checked, "sampled": result.sampled,
+               "checked": result.checked, "sampled": False,
                "counterexample": None}
     if result.counterexample is not None:
         perm, config = result.counterexample

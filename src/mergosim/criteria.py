@@ -9,9 +9,10 @@ permutation image of the rows is a register remap into that table, not
 a copy of the labels. Run on ``basis.labels`` the mask induces the A/B
 bipartition that the weak-measurement heralding acts on. A criterion is
 safe to measure only if it is invariant under the declared exchange
-permutations; ``validate_symmetric`` checks that by reading the rows and
-their generator images from one table, and ``symmetrize_criterion``
-repairs a criterion by OR-ing it over the group images.
+permutations; ``validate_symmetric`` checks that on every basis
+configuration by reading the rows and their generator images from one
+table, and ``symmetrize_criterion`` repairs a criterion by OR-ing it
+over the group images.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .grid import Basis, Configuration, GridSpec, ParticleSet
 from .symmetry import (Permutation, SymmetryDeclaration, generators,
                        group_elements)
 from .units import unit_convert
-
-EXHAUSTIVE_LIMIT = 4096
-SAMPLE_DRAWS = 10_000
 
 
 def _pair_distance(coords: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -210,41 +208,33 @@ class CriterionSymmetryResult:
     symmetric: bool
     counterexample: Optional[tuple[Permutation, Configuration]]
     checked: int
-    sampled: bool
 
 
 def validate_symmetric(criterion: Criterion,
-                       declaration: SymmetryDeclaration, basis: Basis,
-                       seed: int = 0) -> CriterionSymmetryResult:
+                       declaration: SymmetryDeclaration,
+                       basis: Basis) -> CriterionSymmetryResult:
     """Check criterion invariance under the generator permutations.
 
     Invariance under the generators implies invariance under the whole
-    group. Bases up to EXHAUSTIVE_LIMIT configurations are checked
-    exhaustively; larger ones on SAMPLE_DRAWS seeded uniform draws. One
-    pair table over the checked label rows classifies them and each
-    generator's image of them (a register remap); the counterexample is
-    the earliest row a generator moves across the split (the first such
-    generator on a tie), and ``checked`` counts rows up to it.
+    group. Every basis configuration is checked: one pair table over
+    ``basis.labels`` classifies the rows and each generator's image of
+    them (a register remap). The counterexample is the earliest row a
+    generator moves across the split (the first such generator on a
+    tie), and ``checked`` counts rows up to it.
     """
     gens = generators(declaration)
-    sampled = basis.size > EXHAUSTIVE_LIMIT
-    rows = (np.random.default_rng(seed).integers(0, basis.size,
-                                                 size=SAMPLE_DRAWS)
-            if sampled else None)
-    labels = basis.labels[rows] if sampled else basis.labels
     particles = basis.particles
     criterion.check_against(particles)
-    table = _PairTable(labels, basis.grid, particles)
+    table = _PairTable(basis.labels, basis.grid, particles)
     n_part = particles.n_particles
     ref = criterion._accepts_on(table, range(n_part))
-    first, culprit = len(labels), None
+    first, culprit = basis.size, None
     for gen in gens:
         moved = np.flatnonzero(
             criterion._accepts_on(table, gen.order(n_part)) != ref)
         if moved.size and moved[0] < first:
             first, culprit = int(moved[0]), gen
     if culprit is None:
-        return CriterionSymmetryResult(True, None, len(labels), sampled)
-    row = int(rows[first]) if sampled else first
+        return CriterionSymmetryResult(True, None, basis.size)
     return CriterionSymmetryResult(
-        False, (culprit, basis.configuration_at(row)), first + 1, sampled)
+        False, (culprit, basis.configuration_at(first)), first + 1)

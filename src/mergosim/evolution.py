@@ -24,11 +24,11 @@ O(n m) to the end.
 
 The usual initial state, the ground state of a ``StructuredHamiltonian``,
 comes from ``ground_state``: Lanczos on the matrix-free product
-``StructuredHamiltonian.apply``, O(n) memory per Krylov vector and no
-n x n array. It starts from the closed-form ground state of the kinetic
-stencil T (``StructuredHamiltonian.kinetic_ground_state``), so where
-H(s) = T (the free start of a merge of one-particle fragments) one step
-finds it. The start is positive and H = T + diag(V) has nonpositive
+``StructuredHamiltonian.product`` at V(s), O(n) memory per Krylov
+vector and no n x n array. It starts from the closed-form ground state
+of the kinetic stencil T (``StructuredHamiltonian.kinetic_ground_state``),
+so where H(s) = T (the free start of a merge of one-particle fragments)
+one step finds it. The start is positive and H = T + diag(V) has nonpositive
 off-diagonals, so by Perron-Frobenius its ground level holds a
 nonnegative vector that the start overlaps with no cancellation: Lanczos
 cannot settle on an excited level, and on a degenerate one it returns

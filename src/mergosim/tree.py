@@ -286,37 +286,34 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
             raise ValueError(f"node {node_id!r} is not configured")
 
         rng = np.random.default_rng(derive_seed(global_seed, node_id))
-        state = states[node.children[0]]
+        # a child's state is read by its parent alone
+        state = states.pop(node.children[0])
         for child in node.children[1:]:
-            state = state.tensor(states[child])
+            state = state.tensor(states.pop(child))
         if state.dim != node.bipartition.dim:
             raise ValueError(
                 f"node {node_id!r} bipartition dimension {node.bipartition.dim}"
                 f" does not match tensored state dimension {state.dim}")
 
+        # one channel application before each measurement: the merge,
+        # then a recovery after every failure but the last
         state = node.channel.apply(state, 0)
-        wall_steps = 1
         spec = WeakMeasurementSpec(node.bipartition, node.delta)
         # the node's first measurement record weighs its initial state
         first = len(trace)
-
-        def recovery(s: DensityMatrix, k: int) -> DensityMatrix:
-            nonlocal wall_steps
-            wall_steps += 1
-            return node.channel.apply(s, k)
-
         try:
             post, iterations = repeat_until_success(
-                state, spec, recovery, node.retry.max_iters, rng=rng,
-                delta_ramp=node.retry.delta_ramp, trace=trace,
+                state, spec, node.channel.apply, node.retry.max_iters,
+                rng=rng, delta_ramp=node.retry.delta_ramp, trace=trace,
                 node_id=node_id)
         except MaxItersExceeded as exc:
             records[node_id] = NodeRecord(
-                node_id, node.retry.max_iters, wall_steps,
+                node_id, node.retry.max_iters, node.retry.max_iters,
                 trace[first]["p_suc_before"], False)
             raise NodeExhausted(node_id, TreeRunReport(
                 records, final_state=None, trace=trace)) from exc
 
+        wall_steps = iterations
         if node.retry.renaturalize:
             post = node.channel.apply(post, 0)
             wall_steps += 1

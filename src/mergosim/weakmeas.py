@@ -241,8 +241,10 @@ def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
     """Measure, and on failure apply ``channel`` and measure again.
 
     ``channel(state, k)`` is the (possibly escalated) recovery evolution
-    applied after the k-th failed measurement; it must preserve trace
-    within 1e-9. The k-th measurement's angle is ``ramped_delta(spec.delta,
+    applied after the k-th failed measurement for k < ``max_iters``; it
+    must preserve trace within 1e-9. Nothing runs after the last
+    measurement, so an exhausted loop applies it ``max_iters - 1`` times.
+    The k-th measurement's angle is ``ramped_delta(spec.delta,
     delta_ramp, k)``. Randomness comes from ``rng`` as in
     ``weak_measure``. Returns the projected accepted-block state and the
     number of measurements used.
@@ -259,6 +261,8 @@ def repeat_until_success(state: DensityMatrix, spec: WeakMeasurementSpec,
             trace.record(node_id, k, branches, flag)
         if flag == 1:
             return branches.rho1, k
+        if k == max_iters:
+            break
         current = channel(branches.rho0, k)
         if not abs(current.trace() - 1.0) <= 1e-9:
             raise ValueError("channel failed to preserve trace")

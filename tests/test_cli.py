@@ -566,6 +566,9 @@ class TestTreeCommand:
         # children of the failing root completed exactly once
         assert report["nodes"]["node0"]["iterations"] == 1
         assert report["nodes"]["node1"]["iterations"] == 1
+        # the merge and three recoveries: none after the fourth failure
+        assert report["nodes"]["node2"]["iterations"] == 4
+        assert report["nodes"]["node2"]["wall_steps"] == 4
 
     def test_build_tree_constructs_the_tree_once(self, monkeypatch):
         """One tree for the planned shape and one for the configured
@@ -712,6 +715,42 @@ class TestValidateCommand:
         assert run_cli("validate", "--config", path, "--out", str(out)) == 0
         report = json.loads((out / "validate_report.json").read_text())
         assert report["symmetric"] is True
+
+    def test_report_ignores_the_seed(self, tmp_path):
+        """Every configuration is checked, so no byte of the report
+        depends on --seed."""
+        reports = []
+        for seed in (0, 3, 99):
+            out = tmp_path / f"seed{seed}"
+            assert run_cli("validate", "--config",
+                           str(CONFIG_DIR / "validate_h2o2.json"),
+                           "--out", str(out), "--seed", str(seed)) == 0
+            reports.append((out / "validate_report.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        report = json.loads(reports[0])
+        assert (report["symmetric"], report["sampled"],
+                report["checked"]) == (False, False, 255)
+        assert report["counterexample"]["permutation"] == [[0, 1], [1, 0]]
+        assert report["counterexample"]["labels"] == [[-4], [-1], [-3], [-2]]
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_rare_asymmetry_is_found(self, seed, tmp_path):
+        """On the H2O2 registers at m = 25 (390,625 configurations) only
+        the rows with both O-H distances at 24 bohr and their exchange
+        images break the symmetry; the first of them is row 15,024."""
+        cfg = json.loads((CONFIG_DIR / "validate_h2o2.json").read_text())
+        cfg["grid"].update(points_per_axis=25, box_length=25.0)
+        cfg["particles"]["cap"] = 25 ** 4
+        cfg["criteria"][0].update(unit="bohr", pairs=[[0, 2, 24.0, 0.5],
+                                                      [1, 3, 24.0, 0.5]])
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "val"
+        assert run_cli("validate", "--config", path, "--out", str(out),
+                       "--seed", str(seed)) == 0
+        report = json.loads((out / "validate_report.json").read_text())
+        assert (report["symmetric"], report["checked"]) == (False, 15_025)
+        assert report["counterexample"]["labels"] == \
+            [[-12], [12], [-12], [12]]
 
 
 class TestArtifacts:

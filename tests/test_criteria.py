@@ -152,13 +152,6 @@ class TestValidateSymmetric:
         assert sym_crit.accepts(np.array([cfg.labels]), basis.grid,
                                 basis.particles)[0]
 
-    def test_sampled_path_finds_counterexample(self, monkeypatch):
-        basis = h2o2_basis()
-        monkeypatch.setattr("mergosim.criteria.EXHAUSTIVE_LIMIT", 1000)
-        result = validate_symmetric(naive_h2o2_criterion(),
-                                    h2o2_declaration(), basis, seed=3)
-        assert result.sampled and not result.symmetric
-
 
 class TestSymmetryTheorem:
     def test_sufficiency_projectors_commute(self):

@@ -16,7 +16,8 @@ from mergosim.cli import main
 from mergosim.criteria import (CriterionSymmetryResult, GeometricCriterion,
                                bipartition, symmetrize_criterion,
                                validate_symmetric)
-from mergosim.grid import Basis, GridSpec, ParticleSet, enumerate_basis
+from mergosim.grid import (Basis, Configuration, GridSpec, ParticleSet,
+                           enumerate_basis)
 from mergosim.symmetry import SymmetryDeclaration, generators
 from mergosim.units import BOHR_PM, unit_convert
 
@@ -136,24 +137,23 @@ def test_every_lattice_distance_is_an_exact_tie(grid):
                 oracle.accepts(crit, grid, particles, cfg) == (threshold == d)
 
 
-def per_draw_validation(criterion, declaration, basis, n_samples, seed):
-    """The sampled check one draw at a time: the first draw that a
-    generator (the first such, on a tie) moves across the split."""
+def per_configuration_validation(criterion, declaration, basis):
+    """validate_symmetric one configuration at a time through the oracle:
+    the first configuration that a generator (the first such, on a tie)
+    moves across the split."""
     gens = generators(declaration)
     grid, particles = basis.grid, basis.particles
-    draws = np.random.default_rng(seed).integers(0, basis.size,
-                                                 size=n_samples)
-    for checked, i in enumerate(draws, start=1):
-        cfg = basis.configuration_at(int(i))
-        ref = oracle.accepts(criterion, grid, particles,
-                             (cfg.labels, cfg.spins))
-        for gen in gens:
-            image = gen.apply_to_configuration(cfg)
-            if oracle.accepts(criterion, grid, particles,
-                              (image.labels, image.spins)) != ref:
-                return CriterionSymmetryResult(False, (gen, cfg), checked,
-                                               True)
-    return CriterionSymmetryResult(True, None, n_samples, True)
+    configs = oracle.enumerate_configurations(grid, particles)
+    orders = [[g(k) for k in range(particles.n_particles)] for g in gens]
+    first = oracle.first_violation(
+        lambda cfg: oracle.accepts(criterion, grid, particles, cfg),
+        configs, orders)
+    if first is None:
+        return CriterionSymmetryResult(True, None, len(configs))
+    row, g = first
+    labels, spins = configs[row]
+    return CriterionSymmetryResult(
+        False, (gens[g], Configuration(labels, spins)), row + 1)
 
 
 H2O2 = ParticleSet(n_el=0, nuclear_masses=(29164.0, 29164.0, 1836.0, 1836.0),
@@ -169,8 +169,10 @@ SPIN_ELECTRON_THREE_NUCLEI = ParticleSet(
 
 # (grid, particles, declaration, criterion): register-ordered criteria
 # that break the symmetry, two of them on only a few per cent of the
-# draws, and their symmetrized repairs, which hold on every draw
-SAMPLED = {
+# configurations, and their symmetrized repairs, which hold on every
+# one. The 2D basis has 13,122 configurations and the shipped
+# validate_h2o2 one 6,561.
+GEOMETRIES = {
     "h2o2_bonds": (GridSpec(5, 1, 5.0), H2O2, H2O2_DECLARATION, H2O2_BONDS),
     "h2o2_two_stretched_bonds": (
         GridSpec(5, 1, 5.0), H2O2, H2O2_DECLARATION,
@@ -181,26 +183,25 @@ SAMPLED = {
         SymmetryDeclaration(bosonic_sets=((1, 2),)),
         # opposite lattice corners, 2 sqrt(2) * 4/3 Bohr apart
         GeometricCriterion("equilibrium", ((0, 2, 3.77, 0.05),))),
+    "h2o2_shipped": (
+        GridSpec(9, 1, 9.0), H2O2, H2O2_DECLARATION,
+        GeometricCriterion("equilibrium", ((0, 2, 95.0, 13.23),
+                                           (1, 3, 95.0, 13.23),
+                                           (0, 1, 147.0, 13.23)), "pm")),
 }
 
 
-@pytest.mark.parametrize("name", list(SAMPLED))
+@pytest.mark.parametrize("name", list(GEOMETRIES))
 @pytest.mark.parametrize("symmetrized", [False, True])
-def test_sampled_validation_equals_the_per_draw_loop(name, symmetrized,
-                                                     monkeypatch):
-    grid, particles, declaration, criterion = SAMPLED[name]
+def test_validation_equals_the_per_configuration_loop(name, symmetrized):
+    grid, particles, declaration, criterion = GEOMETRIES[name]
     basis = enumerate_basis(grid, particles, cap=20_000)
     if symmetrized:
         criterion = symmetrize_criterion(criterion, declaration)
-    monkeypatch.setattr("mergosim.criteria.EXHAUSTIVE_LIMIT", basis.size // 4)
-    monkeypatch.setattr("mergosim.criteria.SAMPLE_DRAWS", 800)
-    found = set()
-    for seed in range(5):
-        result = validate_symmetric(criterion, declaration, basis, seed=seed)
-        assert result == per_draw_validation(criterion, declaration, basis,
-                                             800, seed)
-        found.add(result.symmetric)
-    assert found == {symmetrized}
+    result = validate_symmetric(criterion, declaration, basis)
+    assert result == per_configuration_validation(criterion, declaration,
+                                                  basis)
+    assert result.symmetric == symmetrized
 
 
 def validate_measure_config(m=5):

@@ -60,7 +60,7 @@ def h2o2_config():
     declaration = SymmetryDeclaration(**cfg["symmetry"])
     row = cfg["criteria"][0]
     criterion = GeometricCriterion(row["mode"], row["pairs"], row["unit"])
-    return basis, declaration, criterion, cfg["seed"]
+    return basis, declaration, criterion
 
 
 @pytest.fixture
@@ -83,16 +83,16 @@ def test_bench_validation_computes_each_pair_distance_once(distances):
     basis = enumerate_basis(BENCH_GRID, H2O2)
     criterion = symmetrize_criterion(BENCH_BONDS, H2O2_DECLARATION)
     result = validate_symmetric(criterion, H2O2_DECLARATION, basis)
-    assert result == CriterionSymmetryResult(True, None, basis.size, False)
+    assert result == CriterionSymmetryResult(True, None, basis.size)
     assert len(distances) == len(set(distances)) <= 6
 
 
 def test_shipped_validation_computes_each_pair_distance_once(distances):
     """Unsymmetrized, the rows and two generator images need 9 constraint
     distances over 5 distinct pairs."""
-    basis, declaration, criterion, seed = h2o2_config()
-    result = validate_symmetric(criterion, declaration, basis, seed=seed)
-    assert result.sampled and not result.symmetric
+    basis, declaration, criterion = h2o2_config()
+    result = validate_symmetric(criterion, declaration, basis)
+    assert (result.symmetric, result.checked) == (False, 255)
     assert len(distances) == len(set(distances)) <= 5
 
 
@@ -105,18 +105,14 @@ def test_a_pair_and_its_reverse_share_one_distance(distances):
     assert np.array_equal(mask, d <= 2.5)
 
 
-def copied_validation(criterion, declaration, basis, seed):
-    """validate_symmetric with each generator image a copy of the checked
-    label rows, classified by the public ``accepts``."""
+def copied_validation(criterion, declaration, basis):
+    """validate_symmetric with each generator image a copy of the label
+    rows, classified by the public ``accepts``."""
     gens = generators(declaration)
-    sampled = basis.size > criteria.EXHAUSTIVE_LIMIT
-    rows = (np.random.default_rng(seed).integers(
-        0, basis.size, size=criteria.SAMPLE_DRAWS)
-        if sampled else np.arange(basis.size))
-    labels = basis.labels[rows]
+    labels = basis.labels
     grid, particles = basis.grid, basis.particles
     ref = criterion.accepts(labels, grid, particles)
-    first, culprit = rows.size, None
+    first, culprit = basis.size, None
     for gen in gens:
         image = labels[:, gen.order(particles.n_particles)]
         moved = np.flatnonzero(criterion.accepts(image, grid, particles)
@@ -124,10 +120,9 @@ def copied_validation(criterion, declaration, basis, seed):
         if moved.size and moved[0] < first:
             first, culprit = int(moved[0]), gen
     if culprit is None:
-        return CriterionSymmetryResult(True, None, rows.size, sampled)
+        return CriterionSymmetryResult(True, None, basis.size)
     return CriterionSymmetryResult(
-        False, (culprit, basis.configuration_at(int(rows[first]))),
-        first + 1, sampled)
+        False, (culprit, basis.configuration_at(first)), first + 1)
 
 
 def criteria_of(criterion, declaration):
@@ -159,26 +154,19 @@ def test_table_masks_equal_accepts_on_copied_images(name):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-@pytest.mark.parametrize("sampled", [False, True])
-def test_validation_equals_the_copied_image_loop(name, sampled, monkeypatch):
+def test_validation_equals_the_copied_image_loop(name):
     grid, particles, declaration, criterion = CASES[name]
     basis = enumerate_basis(grid, particles, cap=20_000)
-    monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT",
-                        basis.size // 4 if sampled else basis.size)
-    monkeypatch.setattr(criteria, "SAMPLE_DRAWS", 600)
     found = set()
     for crit in criteria_of(criterion, declaration):
-        for seed in range(3 if sampled else 1):
-            result = validate_symmetric(crit, declaration, basis, seed=seed)
-            assert result.sampled == sampled
-            assert result == copied_validation(crit, declaration, basis,
-                                               seed)
-            found.add(result.symmetric)
+        result = validate_symmetric(crit, declaration, basis)
+        assert result == copied_validation(crit, declaration, basis)
+        found.add(result.symmetric)
     assert found == {False, True}
 
 
 def test_shipped_validation_equals_the_copied_image_loop():
-    basis, declaration, criterion, seed = h2o2_config()
+    basis, declaration, criterion = h2o2_config()
     for crit in criteria_of(criterion, declaration):
-        assert validate_symmetric(crit, declaration, basis, seed=seed) == \
-            copied_validation(crit, declaration, basis, seed)
+        assert validate_symmetric(crit, declaration, basis) == \
+            copied_validation(crit, declaration, basis)

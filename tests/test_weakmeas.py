@@ -220,6 +220,22 @@ class TestRepeatUntilSuccess:
             repeat_until_success(rho, spec, lambda s, k: s, 25,
                                  rng=np.random.default_rng(0))
 
+    def test_no_channel_after_the_last_measurement(self):
+        """An exhausted loop recovers after every failure but the last:
+        k = 1, ..., max_iters - 1."""
+        rho = DensityMatrix.basis_state(2, 1)
+        spec = WeakMeasurementSpec(Bipartition([True, False]), math.pi / 2)
+        calls = []
+
+        def channel(state, k):
+            calls.append(k)
+            return state
+
+        with pytest.raises(MaxItersExceeded):
+            repeat_until_success(rho, spec, channel, 4,
+                                 rng=np.random.default_rng(0))
+        assert calls == [1, 2, 3]
+
     def test_trace_log_records(self):
         def pump(state, k):
             return DensityMatrix(np.diag([0.5, 0.5]).astype(complex))

@@ -4,8 +4,10 @@
 
 Each file in ``configs/`` runs through ``mergosim.cli.main``
 under the command its name starts with (``evolve_flat.json`` runs
-``evolve``), and three more runs follow: ``tree_synthetic`` with
-``--seed 99`` and ``lz_rbcs`` and ``cost_table`` with ``--format json``.
+``evolve``), and four more runs follow: ``tree_synthetic`` and
+``validate_h2o2`` with ``--seed 99``, and ``lz_rbcs`` and ``cost_table``
+with ``--format json``. ``validate`` checks every configuration and reads
+no seed, so its ``--seed 99`` rows equal its default-seed rows.
 Every run writes into a fresh temporary directory, and that path is
 masked out of its status line before the line is hashed, so two
 checkouts that write the same bytes print the same table. The table is
@@ -27,6 +29,7 @@ from pathlib import Path
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("evolve", "measure", "tree", "lz", "cost", "validate")
 EXTRA_RUNS = (("tree_synthetic", ("--seed", "99")),
+              ("validate_h2o2", ("--seed", "99")),
               ("lz_rbcs", ("--format", "json")),
               ("cost_table", ("--format", "json")))
 
