@@ -66,7 +66,12 @@ AtLeast = namedtuple("AtLeast", "kind low")
 Above = namedtuple("Above", "kind low")
 Choice = namedtuple("Choice", "options")
 
-_INITIAL = {"kind": (str, "basis_state"), "index": (int, 0)}
+
+def _initial(*kinds):
+    """(spec, default) of an initial state of one of ``kinds``."""
+    return {"kind": (Choice(kinds), "basis_state"), "index": (int, 0)}, {}
+
+
 _NODE = {"success_weight": (float, 1.0), "delta": (float, math.pi / 2.0),
          "max_iters": (AtLeast(int, 1), 64),
          "delta_ramp": (Above(float, 0.0), 1.0),
@@ -102,7 +107,8 @@ _SECTIONS = {
     "schedule": {"s0": (float, REQUIRED), "s1": (float, REQUIRED),
                  "f_shape": (str, "linear"), "g_shape": (str, "linear")},
     "evolve": {"s_from": (float, 0.0), "s_to": (float, None),
-               "n_steps": (AtLeast(int, 0), 0), "initial": (_INITIAL, {}),
+               "n_steps": (AtLeast(int, 0), 0),
+               "initial": _initial("basis_state", "uniform", "eigenstate"),
                "autocorrelation": ({"t_max": (Above(float, 0.0), REQUIRED),
                                     "n_samples": (AtLeast(int, 2),
                                                   REQUIRED),
@@ -111,14 +117,14 @@ _SECTIONS = {
     "criteria": [{"id": (str, REQUIRED), "mode": (str, REQUIRED),
                   "unit": (str, "bohr"), "pairs": ([[float]], REQUIRED)}],
     "measure": {"criterion": (str, REQUIRED), "delta": (float, REQUIRED),
-                "initial": (_INITIAL, {}),
+                "initial": _initial("basis_state", "uniform"),
                 "repeat": ({"max_iters": (AtLeast(int, 1), 64),
                             "delta_ramp": (Above(float, 0.0), 1.0)},
                            None)},
     "tree": {"leaves": (AtLeast(int, 1), None), "leaf_ids": ([str], None),
              "arity": (int, None), "children": (Map([str]), None),
              "root": (str, None), "leaf_dim": (AtLeast(int, 1), 2),
-             "leaf_state": (_INITIAL, {}), "nodes": (_NODE, {}),
+             "nodes": (_NODE, {}),
              "overrides": (Map({k: (spec, OMIT)
                                 for k, (spec, _) in _NODE.items()}), {})},
     "lz": {"mu": (_UNIT_VALUE, REQUIRED), "omega": (_UNIT_VALUE, REQUIRED),
@@ -326,15 +332,11 @@ def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
         return DensityMatrix.basis_state(dim, index).vector
     if kind == "uniform":
         return np.ones(dim, dtype=complex) / math.sqrt(dim)
-    if kind == "eigenstate":
-        if sh is None:
-            raise ConfigError("eigenstate initial state needs a Hamiltonian")
-        # Lanczos finds one vector; a level above a degenerate one
-        # needs the full spectrum
-        vec = ground_state(sh, s)[1] if index == 0 \
-            else hermitian_eigh(sh.dense(s))[1][:, index]
-        return vec.astype(complex)
-    raise ConfigError(f"unknown initial state kind {kind!r}")
+    # an eigenstate (evolve's schema alone allows one) of H(s): Lanczos
+    # finds one vector; a level above a degenerate one needs the spectrum
+    vec = ground_state(sh, s)[1] if index == 0 \
+        else hermitian_eigh(sh.dense(s))[1][:, index]
+    return vec.astype(complex)
 
 
 def cmd_evolve(cfg: dict, seed: int, fmt: str):
@@ -353,9 +355,11 @@ def cmd_evolve(cfg: dict, seed: int, fmt: str):
     if fixed_s is not None and not 0.0 <= fixed_s <= s1:
         raise ConfigError(f"evolve.autocorrelation.fixed_s must lie in "
                           f"[0, s1 = {s1}], got {fixed_s}")
-    if auto and fixed_s is None and auto["t_max"] > s1:
-        raise ConfigError(f"evolve.autocorrelation.t_max {auto['t_max']} "
-                          f"runs past s1 = {s1}; set fixed_s or lower it")
+    # a scheduled C(t) sweeps s over [0, t_max] from the initial state
+    if auto and fixed_s is None and (auto["t_max"] > s1 or s_from > 0.0):
+        raise ConfigError(f"evolve.autocorrelation without fixed_s needs "
+                          f"s_from = 0 and t_max <= s1 = {s1}, got s_from "
+                          f"{s_from}, t_max {auto['t_max']}; set fixed_s")
 
     basis = _build_basis(cfg)
     sh = _build_scheduled_hamiltonian(cfg, basis)
@@ -465,8 +469,9 @@ def _build_tree(sec: dict) -> tuple:
     leaf_dim = sec["leaf_dim"]
     overrides = sec["overrides"]
     for node_id in overrides:
-        if node_id not in shape.nodes:
-            raise ConfigError(f"override for unknown node {node_id!r}")
+        if node_id not in shape.nodes or shape.nodes[node_id].is_leaf:
+            raise ConfigError(f"override for {node_id!r}, not an internal "
+                              f"node")
 
     nodes = dict(shape.nodes)
     for node_id in shape.internal_ids():
@@ -482,11 +487,8 @@ def _build_tree(sec: dict) -> tuple:
                                  retry=retry)
     configured = tree.ScatterTree(list(nodes.values()), shape.root)
 
-    # states are immutable, so every leaf shares one
-    leaf_state = sec["leaf_state"]
-    state = DensityMatrix.maximally_mixed(leaf_dim) \
-        if leaf_state["kind"] == "maximally_mixed" \
-        else DensityMatrix.from_pure(_initial_vector(leaf_state, leaf_dim))
+    # a pump ignores its input, so every leaf shares one diagonal state
+    state = DensityMatrix.maximally_mixed(leaf_dim)
     return configured, dict.fromkeys(configured.leaf_ids(), state)
 
 

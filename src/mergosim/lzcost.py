@@ -119,7 +119,8 @@ def sweep_velocity(params: LZParams,
 @dataclass(frozen=True)
 class CostParams:
     """Inputs of the sub-normalization scalings. Volumes in Bohr^3,
-    omega_max in a.u.; m_max enters only the explicit trap bound."""
+    omega_max in a.u.; alpha_trap takes unit masses, so m_max (the
+    heaviest nuclear mass) enters no factor."""
 
     n_el: int
     n_nuc: int
@@ -163,12 +164,6 @@ def alpha_factors(params: CostParams) -> AlphaFactors:
         alpha_u=coulomb,
         alpha_trap=(params.omega_max ** 2 * params.n_nuc
                     * params.trap_volume ** (2.0 / 3.0)))
-
-
-def alpha_trap_mass_bound(params: CostParams) -> float:
-    """Explicit norm bound N_nuc * m_max * omega_max^2 * Omega_trap^(2/3)."""
-    return (params.n_nuc * params.m_max * params.omega_max ** 2
-            * params.trap_volume ** (2.0 / 3.0))
 
 
 @dataclass(frozen=True)

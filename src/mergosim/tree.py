@@ -8,7 +8,7 @@ until success. A failed measurement never restarts completed children:
 recovery is local to the node, so per-node repetition counts simply add
 up. States with no coherence (``PumpChannel`` output, maximally mixed
 leaves) stay diagonals through the tensor product and the heralding, so
-a pump tree holds no n x n array at any node.
+a pump tree over such leaves (every CLI tree) holds no n x n array.
 
 The heralding rules (``p_success_weight``, ``block_split`` under
 ``channel_decompose``, ``checked_angle`` and the one retry ramp

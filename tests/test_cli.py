@@ -198,6 +198,24 @@ class TestConfigSchema:
                      (("tree",), {"children": {"r": ["a", "b"]}, "root": "r",
                                   "arity": 7}), "tree",
                      id="tree_arity_with_children"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "leaf_state"),
+                      {"kind": "basis_state", "index": 0}), "tree",
+                     id="tree_leaf_state_not_a_key"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "overrides"),
+                      {"leaf0": {"max_iters": 1, "delta": 0.0}}), "tree",
+                     id="tree_leaf_override"),
+        pytest.param("measure_bond.json",
+                     (("measure", "initial"),
+                      {"kind": "eigenstate", "index": 0}), "measure",
+                     id="measure_eigenstate_initial"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve",),
+                      {"s_from": 1.0, "n_steps": 80,
+                       "initial": {"kind": "eigenstate", "index": 0},
+                       "autocorrelation": {"t_max": 1.0, "n_samples": 64}}),
+                     "evolve", id="scheduled_autocorrelation_after_s_from"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())
@@ -217,6 +235,25 @@ class TestConfigSchema:
         record = json.loads(captured.out.strip().splitlines()[-1])
         assert record["status"] == "config_error"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_measure_eigenstate_refused_at_load(self, tmp_path, capsys,
+                                                monkeypatch):
+        """measure has no Hamiltonian, so its schema names no eigenstate
+        kind: the config fails to load, before any basis is built."""
+        from mergosim import cli
+
+        def unbuilt(cfg):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(cli, "_build_basis", unbuilt)
+        cfg = patched("measure_bond.json", "measure",
+                      initial={"kind": "eigenstate", "index": 0})
+        assert run_cli("measure", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "config_error",
+            "error": "config.measure.initial.kind must be one of "
+                     "['basis_state', 'uniform'], got 'eigenstate'"}
 
     @pytest.mark.parametrize("command, config", [
         ("measure", "measure_bond.json"), ("validate", "validate_h2o2.json"),
@@ -589,23 +626,30 @@ class TestTreeCommand:
         assert len(built) <= 2
 
     def test_twelve_leaf_tree_holds_no_dense_state(self, tmp_path):
-        """Every state of a pump tree is diagonal, so the 12-leaf tree
-        (root dimension 4096) peaks far below one dense 4096 x 4096
-        complex array (268 MB)."""
-        cfg = patched("tree_synthetic.json", "tree", leaves=12)
-        path = write_config(tmp_path, cfg)
-        tracemalloc.start()
-        try:
-            code = run_cli("tree", "--config", path,
-                           "--out", str(tmp_path / "out"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        report = json.loads((tmp_path / "out" / "tree_report.json")
-                            .read_text())
-        assert report["final_dim"] == 4096
-        assert peak < 8e6
+        """Every leaf and every pump output is diagonal, so a tree of
+        root dimension 4096 peaks far below one dense 4096 x 4096 complex
+        array (268 MB) on every shape: the balanced 12-leaf tree, a
+        12-leaf caterpillar (a leaf beside every pumped node) and three
+        16-dimensional leaves."""
+        shapes = {
+            "balanced": dict(leaves=12),
+            "caterpillar": dict(leaves=None, arity=None, root="n0",
+                                children=caterpillar(11)),
+            "three_wide_leaves": dict(leaves=3, leaf_dim=16)}
+        for name, shape in shapes.items():
+            cfg = patched("tree_synthetic.json", "tree", **shape)
+            path = write_config(tmp_path, cfg, f"{name}.json")
+            out = tmp_path / name
+            tracemalloc.start()
+            try:
+                code = run_cli("tree", "--config", path, "--out", str(out))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, name
+            report = json.loads((out / "tree_report.json").read_text())
+            assert report["final_dim"] == 4096, name
+            assert peak < 8e6, name
 
     def test_seed_sweep_ensemble_mean(self, tmp_path):
         # seven nodes at P = 0.5: mean total repetitions near 14

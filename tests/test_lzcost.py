@@ -5,13 +5,19 @@ import pytest
 
 from mergosim.errors import UnsupportedUnit
 from mergosim.lzcost import (HBAR, CostParams, LZParams, alpha_factors,
-                             alpha_trap_mass_bound, d_e_mol, lcu_query_model,
-                             omega_eff_sq, p_landau_zener, reduced_mass,
+                             d_e_mol, lcu_query_model, omega_eff_sq,
+                             p_landau_zener, reduced_mass,
                              relative_binding_energy, sweep_velocity)
 from mergosim.units import AMU_IN_ELECTRON_MASSES, unit_convert
 
 
 # Closed forms the cross-checks below compare the shipped chain against.
+
+def alpha_trap_mass_bound(params: CostParams) -> float:
+    """Explicit norm bound N_nuc * m_max * omega_max^2 * Omega_trap^(2/3)."""
+    return (params.n_nuc * params.m_max * params.omega_max ** 2
+            * params.trap_volume ** (2.0 / 3.0))
+
 
 def harmonic_length(params: LZParams) -> float:
     """beta = sqrt(hbar / (mu * omega))."""
