@@ -68,8 +68,10 @@ Choice = namedtuple("Choice", "options")
 
 
 def _initial(*kinds):
-    """(spec, default) of an initial state of one of ``kinds``."""
-    return {"kind": (Choice(kinds), "basis_state"), "index": (int, 0)}, {}
+    """(spec, default) of an initial state of one of ``kinds``; the index
+    stays None when absent (see ``_initial_vector``)."""
+    return {"kind": (Choice(kinds), "basis_state"),
+            "index": (int, None)}, {}
 
 
 _NODE = {"success_weight": (float, 1.0), "delta": (float, math.pi / 2.0),
@@ -325,6 +327,10 @@ def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
     from .evolution import DensityMatrix, ground_state, hermitian_eigh
 
     kind, index = spec["kind"], spec["index"]
+    if kind == "uniform" and index is not None:
+        raise ConfigError(f"initial state kind 'uniform' takes no index, "
+                          f"got {index}")
+    index = 0 if index is None else index
     if kind in ("basis_state", "eigenstate") and not 0 <= index < dim:
         raise ConfigError(f"initial state index {index} outside the "
                           f"basis of size {dim}")

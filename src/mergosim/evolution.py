@@ -39,7 +39,10 @@ Chebyshev moments of the same stencil (its neighbour table
 recurrence step), summed against Bessel functions for every sample at
 once through Gauss-Chebyshev weights and a nonuniform FFT, when a work
 estimate puts that below one dense eigh; otherwise, as for any fixed
-dense Hamiltonian, it diagonalizes the real symmetric H(s) once.
+dense Hamiltonian, it diagonalizes the real symmetric H(s) once and
+sums the weights |<k|psi0>|^2 at the nodes E_k dt with the same
+nonuniform FFT. So every fixed-Hamiltonian C(t) is one series, weights
+at nodes, and no path builds an n_samples x n array of phases.
 The dense ``evaluate``/``dense`` assembly stays as the oracle, the path
 to an excited eigenstate (a single-vector Lanczos cannot resolve a
 degenerate level below it) and that fallback.
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -74,32 +77,37 @@ KRYLOV_CHUNK = 64
 
 # Fixed-s autocorrelation from Chebyshev moments: relative pad of the
 # spectral interval, Kapteyn bound on the Bessel tail J_m(a t) at which
-# the series stops, and recurrence steps whose moments are read at once.
-# The series is summed over Gauss-Chebyshev nodes by a nonuniform FFT:
-# grid oversampling, Gaussian half-width in grid points and nodes spread
-# at a time.
+# the series stops. Every fixed-s C(t) is summed at its nodes by one
+# nonuniform FFT: grid oversampling, Gaussian half-width in grid points
+# and nodes spread at a time. ROW_BLOCK bounds the rows computed at once:
+# Chebyshev recurrence steps whose moments are read together, and split
+# steps whose potential phases are taken with one exp.
 SPECTRAL_PAD = 1e-12
 BESSEL_TOL = 1e-18
-MOMENT_BLOCK = 64
+ROW_BLOCK = 64
 NUFFT_OVERSAMPLE = 2
 NUFFT_HALF_WIDTH = 16
 NUFFT_CHUNK = 2048
 # Work estimate that picks Chebyshev moments or a dense eigh for a
 # fixed-s autocorrelation, in seconds (fit to both paths at n = 5 ...
-# 1681 on one Intel Xeon core, one BLAS thread, numpy 2.4). Dense:
-# DENSE_S_PER_N3 n^3 for the eigh plus DENSE_S_PER_PHASE per entry of
-# the n_samples x n phase matrix. Chebyshev with M Bessel orders:
-# CHEB_S_SETUP, plus M / 2 recurrence steps of CHEB_S_PER_PRODUCT (call
-# overhead) and CHEB_S_PER_ENTRY per basis entry, plus CHEB_S_PER_SPREAD
-# per node and grid point to spread M nodes over 2 NUFFT_HALF_WIDTH
-# points each, plus CHEB_S_PER_SAMPLE n_samples log2 n_samples.
+# 1681 on one Intel Xeon core, one BLAS thread, numpy 2.4; the n^2 term
+# to n = 25 ... 729 on a 2-vCPU Intel Xeon, one OpenBLAS thread). Both
+# paths end in the same series, weights at nodes summed by
+# ``_nonuniform_fft``, which spreads each node over 2 NUFFT_HALF_WIDTH
+# grid points at NUFFT_S_PER_SPREAD per node and point; its FFT over the
+# samples is the same on both sides and left out. Dense: DENSE_S_PER_N3
+# n^3 for the eigh, DENSE_S_PER_N2 n^2 for its lower-order work, the
+# matrix build and the Hermiticity check (they dominate below n ~ 400),
+# and the spread of n nodes, one per eigenvalue. Chebyshev with M Bessel
+# orders: CHEB_S_SETUP, M / 2 recurrence steps of CHEB_S_PER_PRODUCT
+# (call overhead) and CHEB_S_PER_ENTRY per basis entry, and the spread
+# of M nodes.
 DENSE_S_PER_N3 = 2.0e-10
-DENSE_S_PER_PHASE = 8.0e-8
+DENSE_S_PER_N2 = 5.0e-8
 CHEB_S_SETUP = 2.5e-4
 CHEB_S_PER_PRODUCT = 6.5e-6
 CHEB_S_PER_ENTRY = 7.0e-9
-CHEB_S_PER_SPREAD = 2.5e-8
-CHEB_S_PER_SAMPLE = 7.0e-9
+NUFFT_S_PER_SPREAD = 2.5e-8
 
 # spectrum window name -> weights of length n
 WINDOWS = {"hann": np.hanning, "rect": np.ones, "none": np.ones}
@@ -327,12 +335,19 @@ def _step_maps(sh: Union[StructuredHamiltonian, ScheduledHamiltonian],
     whose first axis is the basis index: the split step exp(-i V ds/2)
     exp(-i T ds) exp(-i V ds/2) for a StructuredHamiltonian, else
     exp(-i H(s_k) ds), one eigendecomposition of ``evaluate(s_k)`` per
-    step."""
+    step. The split step's phases exp(-i V(s_k) ds/2) are taken for
+    ROW_BLOCK midpoints at a time (``potentials``), with one exp."""
     if isinstance(sh, StructuredHamiltonian):
         kinetic = sh.kinetic_propagator(ds)
-        for s in mids:
-            half = row_scaling(np.exp(-0.5j * ds * sh.potential(s)))
-            yield lambda x, half=half: half(kinetic(half(x)))
+
+        def step(x: np.ndarray, half: np.ndarray) -> np.ndarray:
+            half = half.reshape(half.shape + (1,) * (x.ndim - 1))
+            return half * kinetic(half * x)
+
+        for a in range(0, len(mids), ROW_BLOCK):
+            block = np.exp(-0.5j * ds * sh.potentials(mids[a:a + ROW_BLOCK]))
+            for half in block:
+                yield partial(step, half=half)
         return
     for s in mids:
         yield step_unitary(sh.evaluate(s).matrix, ds).__matmul__
@@ -534,7 +549,7 @@ def _chebyshev_moments(sh: StructuredHamiltonian, s: float, center: float,
     weights times 2 / a with 2 (V(s) - b) / a on the diagonal, read in
     (phi_k-1, phi_k), plus one row that reads -phi_k-1. The steps fill
     the rows of a preallocated block, whose dot products are taken
-    MOMENT_BLOCK steps at a time.
+    ROW_BLOCK steps at a time.
     """
     n, scale = sh.dim, 2.0 / half
     shifted = sh.potential(s) - center
@@ -543,14 +558,14 @@ def _chebyshev_moments(sh: StructuredHamiltonian, s: float, center: float,
     step_weights = np.concatenate([weights * scale, np.full((1, n), -1.0)])
     step_weights[0] += shifted * scale
     gathered = np.empty(step_index.shape)
-    rows = np.empty((MOMENT_BLOCK + 2, n))  # phi_k-1, phi_k, new rows
+    rows = np.empty((ROW_BLOCK + 2, n))  # phi_k-1, phi_k, new rows
     flat = rows.reshape(-1)
     mu = np.zeros(2 * n_products + 1)  # <phi_k|phi_k>, <phi_k|phi_k-1>
     for part in _real_parts(psi0):
         rows[0], rows[1] = part, sh.product(shifted, part) / half
         mu[:3] += part @ part, rows[1] @ part, rows[1] @ rows[1]
-        for k in range(1, n_products, MOMENT_BLOCK):
-            block = min(MOMENT_BLOCK, n_products - k)
+        for k in range(1, n_products, ROW_BLOCK):
+            block = min(ROW_BLOCK, n_products - k)
             for r in range(2, block + 2):
                 np.take(flat[(r - 2) * n:r * n], step_index, out=gathered,
                         mode="clip")
@@ -577,19 +592,27 @@ def _nonuniform_fft(weights: np.ndarray, nodes: np.ndarray,
     heat kernel exp(-d^2 / 4 tau), W = NUFFT_HALF_WIDTH points on either
     side of each node, NUFFT_CHUNK nodes at a time. One FFT and the
     division by the kernel's Fourier coefficients sqrt(tau / pi)
-    exp(-k^2 tau) give F.
+    exp(-k^2 tau) give F. The nodes are reduced to [-pi, pi], not
+    [0, 2 pi): a small negative node moved up by 2 pi would carry an
+    absolute rounding of eps 2 pi, which j multiplies into the phase of
+    F_j (some 1e-12 at 4096 samples).
     """
     shift, size = n_out // 2, NUFFT_OVERSAMPLE * n_out
     spacing = 2.0 * math.pi / size
     tau = math.pi * NUFFT_HALF_WIDTH / (
         n_out ** 2 * NUFFT_OVERSAMPLE * (NUFFT_OVERSAMPLE - 0.5))
-    nodes = np.mod(nodes, 2.0 * math.pi) / spacing  # in grid steps
-    coeff = weights * np.exp(-1j * shift * spacing * nodes)
+    # nodes reduced to [-pi, pi] by the exact fmod and one fold, which
+    # leaves a node already there unrounded
+    nodes = np.fmod(nodes, 2.0 * math.pi)
+    nodes = nodes - np.copysign(2.0 * math.pi, nodes) \
+        * (np.abs(nodes) > math.pi)
+    coeff = weights * np.exp(-1j * shift * nodes)
+    nodes = nodes / spacing  # in grid steps, within [-size / 2, size / 2]
     offsets = np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1)
     # grid points are counted from -lead, a whole number of periods, and
-    # folded onto one period at the end; a node may round up to size
-    lead = size * -(-(NUFFT_HALF_WIDTH - 1) // size)
-    periods = -(-(lead + size + NUFFT_HALF_WIDTH + 1) // size)
+    # folded onto one period at the end
+    lead = size * -(-(size // 2 + NUFFT_HALF_WIDTH - 1) // size)
+    periods = -(-(lead + size // 2 + NUFFT_HALF_WIDTH + 1) // size)
     grid = np.zeros(periods * size, dtype=complex)
     for a in range(0, len(nodes), NUFFT_CHUNK):
         x, c = nodes[a:a + NUFFT_CHUNK], coeff[a:a + NUFFT_CHUNK, None]
@@ -678,21 +701,21 @@ def _chebyshev_autocorrelation(sh: StructuredHamiltonian, s: float,
 def _chebyshev_plan(sh: StructuredHamiltonian, s: float,
                     times: np.ndarray) -> Optional[tuple]:
     """(b, a, M) for ``_chebyshev_autocorrelation`` when the work
-    estimate (the DENSE_* and CHEB_* constants) puts Chebyshev moments
-    below one dense eigh for C(t) at H(s), else None. b and a are the
-    center and half-width of ``_spectral_interval``; M is
+    estimate (the DENSE_*, CHEB_* and NUFFT_S_* constants) puts Chebyshev
+    moments below one dense eigh for C(t) at H(s), else None. b and a
+    are the center and half-width of ``_spectral_interval``; M is
     ``_bessel_order`` at a |t_max|, or None when a t_max = 0. Both are
     computed once and serve the estimate and the series."""
-    n, n_samples = sh.dim, len(times)
+    n = sh.dim
     center, half = _spectral_interval(sh, s)
     x_max = half * abs(times[-1])
-    dense = DENSE_S_PER_N3 * n ** 3 + DENSE_S_PER_PHASE * n * n_samples
+    spread = 2 * NUFFT_HALF_WIDTH * NUFFT_S_PER_SPREAD
+    dense = DENSE_S_PER_N3 * n ** 3 + DENSE_S_PER_N2 * n ** 2 + spread * n
 
     def cheaper(order: float) -> bool:
-        return CHEB_S_SETUP + CHEB_S_PER_SAMPLE * n_samples \
-            * math.log2(n_samples) + order * (
-                0.5 * (CHEB_S_PER_PRODUCT + CHEB_S_PER_ENTRY * n)
-                + 2 * NUFFT_HALF_WIDTH * CHEB_S_PER_SPREAD) < dense
+        return CHEB_S_SETUP + order * (
+            0.5 * (CHEB_S_PER_PRODUCT + CHEB_S_PER_ENTRY * n)
+            + spread) < dense
 
     # M > x_max: a series dearer than dense at x_max orders needs no M,
     # and an x_max that overflowed to inf stays on the dense path
@@ -704,8 +727,16 @@ def _chebyshev_plan(sh: StructuredHamiltonian, s: float,
 
 def _dense_autocorrelation(h: np.ndarray, psi0: np.ndarray,
                            times: np.ndarray) -> np.ndarray:
-    """C(t) from one eigendecomposition of a fixed Hermitian matrix, in
-    real arithmetic when h is real."""
+    """C(t) = sum_k |<k|psi0>|^2 exp(-i E_k t) from one eigendecomposition
+    of a fixed Hermitian matrix, in real arithmetic when h is real, on
+    the uniform grid ``times`` that starts at 0.
+
+    The weights |<k|psi0>|^2 sit at the nodes E_k dt and one
+    ``_nonuniform_fft`` sums them for every sample, as the Chebyshev path
+    sums its Gauss-Chebyshev weights; C(0) is the weight sum. A sample
+    whose |E_k| t overflows for a level of nonzero weight has no finite
+    phase and is returned as NaN.
+    """
     if not hermiticity_deviation(h) <= HERMITIAN_TOL:
         raise NonHermitianHamiltonian("H(s) is not Hermitian")
     w, v = hermitian_eigh(h)
@@ -714,8 +745,16 @@ def _dense_autocorrelation(h: np.ndarray, psi0: np.ndarray,
     else:
         overlaps = v.T @ np.column_stack([psi0.real, psi0.imag])
         weights = np.sum(overlaps * overlaps, axis=1)
-    phases = np.exp(-1j * np.outer(times, w))
-    return phases @ weights
+    live = weights > 0.0
+    w, weights = w[live], weights[live]
+    nodes = w * (times[1] - times[0])
+    if np.all(np.isfinite(nodes)):
+        values = _nonuniform_fft(weights, nodes, len(times))
+    else:  # |E_k| dt overflows: no sample past t = 0 is finite
+        values = np.full(len(times), np.nan, dtype=complex)
+    values[0] = np.sum(weights)
+    values[~np.isfinite(np.max(np.abs(w), initial=0.0) * times)] = np.nan
+    return values
 
 
 def autocorrelation(initial: np.ndarray,
@@ -728,7 +767,8 @@ def autocorrelation(initial: np.ndarray,
     """C(t) = <psi0 | psi(t)> on a uniform t-grid including t = 0.
 
     A fixed Hamiltonian (OperatorBlock or matrix) is diagonalized once,
-    in real arithmetic when it is a real matrix. A StructuredHamiltonian
+    in real arithmetic when it is a real matrix, and its weights summed
+    by a nonuniform FFT (``_dense_autocorrelation``). A StructuredHamiltonian
     with ``fixed_s`` is read at that s: C(t) comes from Chebyshev moments
     of its stencil product (``_chebyshev_autocorrelation``) or from a
     dense eigh of ``dense(fixed_s)``, whichever the work estimate

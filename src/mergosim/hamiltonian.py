@@ -418,8 +418,14 @@ class StructuredHamiltonian:
 
     def potential(self, s: float) -> np.ndarray:
         """The diagonal of V(s)."""
-        f, g = self.schedule.profiles(s)
-        return self.v_frag + f * self.v_ab + g * self.v_trap
+        return self.potentials([s])[0]
+
+    def potentials(self, s_values) -> np.ndarray:
+        """The diagonal of V(s) for each s in ``s_values``, one row each,
+        formed as one array: v_frag + f(s) v_ab + g(s) v_trap, the same
+        float operations per entry for one s as for many."""
+        f, g = np.array([self.schedule.profiles(s) for s in s_values]).T
+        return self.v_frag + f[:, None] * self.v_ab + g[:, None] * self.v_trap
 
     @cached_property
     def kinetic_axes(self) -> tuple[tuple[int, int, float], ...]:

@@ -73,13 +73,17 @@ def d_e_mol(params: LZParams) -> float:
             * math.sqrt(3.0 * params.omega + params.omega_a))
 
 
+def _bound_numerator(params: LZParams) -> float:
+    """v times the exponent of ``landau_zener_bound``."""
+    e_rel = relative_binding_energy(params)
+    return (4.0 * math.sqrt(math.pi / params.mu)
+            * math.sqrt(HBAR * params.omega * e_rel / (3.0 + e_rel))
+            * math.exp(-0.5 * e_rel - 1.5))
+
+
 def landau_zener_bound(params: LZParams) -> float:
     """Simplified bound on p_LZ in terms of the relative binding energy."""
-    e_rel = relative_binding_energy(params)
-    exponent = (4.0 * math.sqrt(math.pi / params.mu)
-                * math.sqrt(HBAR * params.omega * e_rel / (3.0 + e_rel))
-                * math.exp(-0.5 * e_rel - 1.5) / params.v)
-    return math.exp(-exponent)
+    return math.exp(-(_bound_numerator(params) / params.v))
 
 
 @dataclass(frozen=True)
@@ -109,11 +113,21 @@ def p_landau_zener(params: LZParams) -> LZResult:
 def sweep_velocity(params: LZParams,
                    v_values: Sequence[float]) -> list[tuple[float, LZResult]]:
     """Evaluate the chain across evolution speeds (p_LZ -> 1 as v -> inf,
-    -> 0 as v -> 0)."""
-    # the constructor costs half of dataclasses.replace per point
-    return [(float(v), p_landau_zener(LZParams(params.mu, params.omega,
-                                               params.omega_a, float(v))))
-            for v in v_values]
+    -> 0 as v -> 0): ``p_landau_zener`` at each v, its v-independent
+    factors computed once. Each point takes the same float operations in
+    the same order, so it gives the same bits."""
+    w_eff2, grad = omega_eff_sq(params), d_e_mol(params)
+    hbar_grad, numerator = HBAR * grad, _bound_numerator(params)
+    e_rel = relative_binding_energy(params)
+    sweep = []
+    for v in map(float, v_values):
+        if v <= 0:
+            raise ValueError("v must be strictly positive")
+        gamma = w_eff2 / (hbar_grad * v)
+        p_lz = math.exp(-2.0 * math.pi * gamma)
+        sweep.append((v, LZResult(gamma, p_lz, math.exp(-(numerator / v)),
+                                  1.0 - p_lz, w_eff2, grad, e_rel)))
+    return sweep
 
 
 @dataclass(frozen=True)

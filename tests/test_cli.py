@@ -216,6 +216,14 @@ class TestConfigSchema:
                        "initial": {"kind": "eigenstate", "index": 0},
                        "autocorrelation": {"t_max": 1.0, "n_samples": 64}}),
                      "evolve", id="scheduled_autocorrelation_after_s_from"),
+        pytest.param("measure_bond.json",
+                     (("measure", "initial"),
+                      {"kind": "uniform", "index": 999}), "measure",
+                     id="measure_uniform_with_index"),
+        pytest.param("evolve_flat.json",
+                     (("evolve", "initial"),
+                      {"kind": "uniform", "index": 0}), "evolve",
+                     id="evolve_uniform_with_index"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())

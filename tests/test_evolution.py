@@ -228,6 +228,21 @@ class TestAutocorrelation:
                                match="not finite at 3 of 8 samples"):
                 autocorrelation(np.array([0.6, 0.8]), h, 1e308, 8)
 
+    def test_an_overflowing_step_phase_raises(self):
+        """E dt itself past the float range leaves no node to sum: every
+        sample after t = 0 is reported."""
+        h = np.diag([1.0, 1e308])
+        with pytest.raises(FloatingPointError,
+                           match="not finite at 7 of 8 samples"):
+            autocorrelation(np.array([0.6, 0.8]), h, 100.0, 8)
+
+    def test_a_level_of_zero_weight_has_no_phase(self):
+        """A level the state does not overlap adds nothing, even where
+        its phase would overflow."""
+        h = np.diag([1.0, 1e308])
+        times, values = autocorrelation(np.array([1.0, 0.0]), h, 100.0, 8)
+        assert np.max(np.abs(values - np.exp(-1j * times))) <= 1e-13
+
     def test_scheduled_matches_fixed_for_flat_schedule(self):
         h = np.diag([0.0, 1.0, 3.0])
         block = OperatorBlock(h, "external")

@@ -111,6 +111,24 @@ class TestLandauZener:
         for v, result in sweep_velocity(rbcs_params(), [1e-10, 1e-8]):
             assert result.p_suc == pytest.approx(1.0 - result.p_lz)
 
+    def test_sweep_gives_the_bits_of_the_full_chain(self):
+        """The sweep computes the v-independent factors once; every
+        point still equals ``p_landau_zener`` at that v, field for field."""
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            params = LZParams(mu=float(rng.uniform(1, 1e5)),
+                              omega=float(10 ** rng.uniform(-12, 0)),
+                              omega_a=float(10 ** rng.uniform(-12, 0)),
+                              v=1.0)
+            v_values = 10 ** rng.uniform(-14, 3, 7)
+            for v, result in sweep_velocity(params, v_values):
+                assert result == p_landau_zener(LZParams(
+                    params.mu, params.omega, params.omega_a, v))
+
+    def test_sweep_rejects_a_nonpositive_velocity(self):
+        with pytest.raises(ValueError, match="v must be strictly positive"):
+            sweep_velocity(rbcs_params(), [1e-9, 0.0])
+
     def test_rbcs_regime_contains_eighty_percent(self):
         sweep = sweep_velocity(rbcs_params(),
                                np.geomspace(1e-11, 1e-6, 200))

@@ -1,10 +1,12 @@
 """The structured H(s), its matrix-free product, Lanczos ground state,
-split-operator propagation and Chebyshev fixed-s autocorrelation, pinned
+split-operator propagation and both fixed-s autocorrelation paths, pinned
 to the dense oracle: the four dense blocks the command line used to
 assemble, dense eigendecompositions and exponentials of ``build_kinetic``,
-the midpoint-rule path and the dense-eigh autocorrelation."""
+the midpoint-rule path and the exact autocorrelation sum with one phase
+per sample and level (``phase_sum``)."""
 
 import ast
+import importlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -221,6 +223,31 @@ def test_split_agrees_with_dense_on_the_salt_config():
     fidelity = np.vdot(psi, oracle.final_state.matrix @ psi).real
     assert 1.0 - fidelity < 1e-8
     assert np.allclose(split.final_state.matrix, np.outer(psi, psi.conj()))
+
+
+def test_split_steps_in_blocks_give_the_per_step_bits():
+    """Phases taken for ROW_BLOCK midpoints at once (``potentials``, one
+    exp) give the bits of one ``potential(s)`` and one exp per step, on
+    a vector and on a density matrix, across several blocks."""
+    _, _, sh = build(light_merge())
+    n_steps, ds = 150, 8.0 / 150
+    mids = (np.arange(n_steps) + 0.5) * ds
+    assert all(np.array_equal(row, sh.potential(s))
+               for row, s in zip(sh.potentials(mids), mids))
+    kinetic = sh.kinetic_propagator(ds)
+    psi = dense_ground_state(sh).astype(complex)
+    rho = np.outer(psi, psi.conj())
+    for s in mids:
+        half = np.exp(-0.5j * ds * sh.potential(s))
+        psi = half * kinetic(half * psi)
+        rho = half[:, None] * kinetic(half[:, None] * rho)
+        rho = half[:, None] * kinetic(half[:, None] * rho.conj().T)
+    state = DensityMatrix.from_pure(dense_ground_state(sh))
+    pure = propagate(state, sh, 0.0, 8.0, n_steps).final_state
+    assert np.array_equal(pure.vector, psi)
+    mixed = propagate(DensityMatrix.trusted(state.matrix), sh, 0.0, 8.0,
+                      n_steps).final_state
+    assert np.array_equal(mixed.matrix, rho)
 
 
 def test_split_error_is_second_order():
@@ -561,18 +588,32 @@ def fixed_s_problem(raw):
             np.linspace(0.0, auto["t_max"], auto["n_samples"]))
 
 
+def phase_sum(h, psi0, times):
+    """C(t) = sum_k |<k|psi0>|^2 exp(-i E_k t) summed exactly, through
+    the n_samples x n matrix of phases exp(-i E_k t_j): the oracle for
+    both fixed-s paths, which sum the same weights by a nonuniform FFT."""
+    w, v = np.linalg.eigh(h)
+    return np.exp(-1j * np.outer(times, w)) @ (np.abs(v.conj().T @ psi0) ** 2)
+
+
 def check_chebyshev(sh, s, psi0, times):
-    """Chebyshev C(t) within 1e-10 of the dense eigh, and C(0) exactly
+    """Chebyshev C(t) within 1e-10 of the exact sum, and C(0) exactly
     mu_0, whichever path the work estimate prefers."""
     center, half = _spectral_interval(sh, s)
     x_max = half * abs(times[-1])
     cheb = _chebyshev_autocorrelation(
         sh, s, psi0, times,
         (center, half, _bessel_order(x_max) if x_max else None))
-    dense = _dense_autocorrelation(sh.dense(s), psi0, times)
-    assert np.max(np.abs(cheb - dense)) <= 1e-10
+    assert np.max(np.abs(cheb - phase_sum(sh.dense(s), psi0, times))) <= 1e-10
     if half:
         assert cheb[0] == _chebyshev_moments(sh, s, center, half, psi0, 1)[0]
+
+
+def check_dense(h, psi0, times):
+    """The dense path (eigh, then the NUFFT) within 1e-12 of the exact
+    sum."""
+    values = _dense_autocorrelation(h, psi0, times)
+    assert np.max(np.abs(values - phase_sum(h, psi0, times))) <= 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
@@ -591,6 +632,43 @@ def test_chebyshev_autocorrelation_matches_dense(case):
     if case == "evolve_flat":  # H = 0: the zero-width branch
         assert _spectral_interval(sh, s) == (0.0, 0.0)
     check_chebyshev(sh, s, psi0, times)
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_dense_autocorrelation_matches_the_phase_sum(case):
+    sh, s, psi0, times = fixed_s_problem(LANCZOS_CASES[case]())
+    check_dense(sh.dense(s), psi0, times)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 40), st.sampled_from([1e-3, 1.0, 30.0]),
+       st.floats(-50.0, 50.0), st.integers(2, 300),
+       st.integers(0, 2 ** 32 - 1))
+def test_dense_matches_the_phase_sum_on_random_hermitian_matrices(
+        n, scale, t_max, n_samples, seed):
+    """Complex-Hermitian H (the complex eigh) and real symmetric H (the
+    real one), complex states, nodes E_k dt that wrap the period."""
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0 /= np.linalg.norm(psi0)
+    times = np.linspace(0.0, t_max, n_samples)
+    for h in (mat + mat.conj().T, mat.real + mat.real.T):
+        check_dense(scale * h, psi0, times)
+
+
+def test_dense_matches_the_phase_sum_on_the_spectrum_oracle_case():
+    """Acceptance 8's 50 instances, through ``autocorrelation``: 8 x 8
+    complex-Hermitian H scaled to |E| <= 3, 4096 samples to t = 409.5."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = (mat + mat.conj().T) / 2
+        h *= 3.0 / np.max(np.abs(np.linalg.eigvalsh(h)))
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi /= np.linalg.norm(psi)
+        times, values = autocorrelation(psi, h, 409.5, 4096)
+        assert np.max(np.abs(values - phase_sum(h, psi, times))) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -693,14 +771,18 @@ def test_fixed_s_autocorrelation_stays_small():
     assert peak < 24 * 2 ** 20
 
 
-def test_the_work_estimate_picks_the_path():
+def test_the_work_estimate_picks_the_path(monkeypatch):
     """Dense where its eigh is cheap (the shipped evolve configs keep
-    their bytes), Chebyshev on the evolve_merge benchmark geometry."""
+    their bytes), Chebyshev on the evolve_merge benchmark geometry and on
+    the benchmark's own config (``bench/workloads.py``)."""
     for name in ("evolve_salt_1d.json", "evolve_flat.json"):
         sh, s, _, times = fixed_s_problem(shipped(name))
         assert _chebyshev_plan(sh, s, times) is None
-    for seed in range(12):
-        sh, s, _, times = fixed_s_problem(bench_merge(seed))
+    monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    for raw in [workloads.evolve_config(0)] + [bench_merge(seed)
+                                               for seed in range(12)]:
+        sh, s, _, times = fixed_s_problem(raw)
         assert _chebyshev_plan(sh, s, times) is not None
 
 
