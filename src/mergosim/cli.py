@@ -290,11 +290,10 @@ def _build_scheduled_hamiltonian(cfg: dict, basis):
                               coulomb_diagonal, trap_diagonal)
 
     sec = _section(cfg, "hamiltonian")
-    regs = set(range(basis.particles.n_particles))
-    sub_a = sec["subsystem_a"] if sec["subsystem_a"] is not None \
-        else sorted(regs)
+    regs = list(range(basis.particles.n_particles))
+    sub_a = sec["subsystem_a"] if sec["subsystem_a"] is not None else regs
     sub_b = sec["subsystem_b"]
-    if set(sub_a) | set(sub_b) != regs or set(sub_a) & set(sub_b):
+    if sorted(sub_a + sub_b) != regs:
         raise ConfigError("subsystem_a and subsystem_b must partition "
                           "the particle registers")
     softening = sec["softening"] if sec["softening"] is not None \

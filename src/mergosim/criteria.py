@@ -77,7 +77,7 @@ class GeometricCriterion:
     """Distance constraints on nucleus pairs, all of which must hold.
 
     ``constraints`` rows are (j, k, target, eps) in equilibrium mode and
-    (j, k, threshold) in proximity mode; j, k index nuclei (not
+    (j, k, threshold) in proximity mode; j, k index two nuclei (not
     registers). Distances are read in ``unit`` ("bohr" or "pm").
     """
 
@@ -98,6 +98,8 @@ class GeometricCriterion:
                 raise ValueError(f"nucleus indices must be integers, got "
                                  f"{row[0]}, {row[1]}")
             j, k = int(row[0]), int(row[1])
+            if j == k:
+                raise ValueError(f"constraint names nucleus {j} twice")
             values = tuple(float(x) for x in row[2:])
             if any(v <= 0 for v in values):
                 raise ValueError("distance targets and tolerances must be "

@@ -28,8 +28,9 @@ comes from ``ground_state``: Lanczos on the matrix-free product
 vector and no n x n array. It starts from the closed-form ground state
 of the kinetic stencil T (``StructuredHamiltonian.kinetic_ground_state``),
 so where H(s) = T (the free start of a merge of one-particle fragments)
-one step finds it. The start is positive and H = T + diag(V) has nonpositive
-off-diagonals, so by Perron-Frobenius its ground level holds a
+one step finds it with no eigensolver (past one step, the Ritz pair is
+from ``np.linalg.eigh``). The start is positive and H = T + diag(V) has
+nonpositive off-diagonals, so by Perron-Frobenius its ground level holds a
 nonnegative vector that the start overlaps with no cancellation: Lanczos
 cannot settle on an excited level, and on a degenerate one it returns
 the level's projection of the start, the same vector on every run. The
@@ -376,58 +377,6 @@ def propagate(state: DensityMatrix,
                              norm_drift=drift, steps=n_steps, s_grid=mids)
 
 
-def _lowest_tridiagonal_pair(alpha: list, beta: list
-                             ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the symmetric tridiagonal with diagonal
-    ``alpha`` and off-diagonal ``beta``, in O(k) per pass: bisection on
-    the Sturm count (the LDL^T pivots of T - x), then two inverse
-    iteration solves with T - lo, positive definite because every pivot
-    at lo is positive. Eigenvalue accuracy is 4 eps max(||T||, 1).
-
-    The solves start from y_i = (-1)^i. With positive ``beta`` (Lanczos
-    makes it so) the lowest eigenvector alternates in sign strictly
-    (Perron-Frobenius on D T D, D = diag((-1)^i)), so the start overlaps
-    it with no cancellation; an all-ones start can be orthogonal to it,
-    as on the 2 x 2 diag(x, y) from a uniform Lanczos start."""
-    k = len(alpha)
-    off = [0.0] + [b * b for b in beta]
-    radius = np.abs(np.r_[beta, 0.0]) + np.abs(np.r_[0.0, beta])
-    lo = float(np.min(np.asarray(alpha) - radius))
-    hi = float(min(alpha))
-    tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
-
-    def pivots(x: float) -> Optional[list]:
-        """The pivots of T - x, or None once one is not positive (an
-        eigenvalue lies at or below x)."""
-        d, out = 1.0, []
-        for a, b2 in zip(alpha, off):
-            d = a - x - b2 / d
-            if d <= 0.0:
-                return None
-            out.append(d)
-        return out
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pivots(mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    d = pivots(lo)
-    while d is None:  # lo sits on the eigenvalue to the last bit
-        lo -= tol
-        d = pivots(lo)
-    y = [(-1.0) ** i for i in range(k)]
-    for _ in range(2):
-        for i in range(1, k):  # forward: L z = y
-            y[i] -= beta[i - 1] / d[i - 1] * y[i - 1]
-        y[k - 1] /= d[k - 1]
-        for i in range(k - 2, -1, -1):  # back: D L^T y = z
-            y[i] = (y[i] - beta[i] * y[i + 1]) / d[i]
-        y = (np.asarray(y) / np.linalg.norm(y)).tolist()
-    return hi, np.asarray(y)
-
-
 def ground_state(sh: StructuredHamiltonian,
                  s: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair (E0, v) of H(s) by Lanczos on ``sh.product``.
@@ -444,13 +393,14 @@ def ground_state(sh: StructuredHamiltonian,
     pass against the whole Krylov basis (full reorthogonalisation). The
     basis grows by KRYLOV_CHUNK rows and reaches n x n only if the run
     needs all n iterations, where the Krylov space is the whole space and
-    the answer exact. The Ritz pair is checked on a geometric schedule
-    and taken once the residual estimate |beta_k y_k| is at most
-    RITZ_TOL. It is accepted only when the true residual ||H v - E0 v||
-    is at most max(RITZ_TOL, 64 eps ||H||), with ||H|| bounded by the
-    ends of ``spectral_bounds``; otherwise ``MaxItersExceeded`` is
-    raised. V(s) is evaluated once. v is real, of unit norm, and its
-    largest-magnitude component is positive.
+    the answer exact. The Ritz pair, from ``np.linalg.eigh`` of the k x k
+    tridiagonal (a one-step space is its own pair), is checked on a
+    geometric schedule and taken once the residual estimate |beta_k y_k|
+    is at most RITZ_TOL. It is accepted only when the true residual
+    ||H v - E0 v|| is at most max(RITZ_TOL, 64 eps ||H||), with ||H||
+    bounded by the ends of ``spectral_bounds``; otherwise
+    ``MaxItersExceeded`` is raised. V(s) is evaluated once. v is real,
+    of unit norm, and its largest-magnitude component is positive.
     """
     n = sh.dim
     potential = sh.potential(s)
@@ -468,7 +418,12 @@ def ground_state(sh: StructuredHamiltonian,
         w -= (krylov[:k] @ w) @ krylov[:k]
         b = float(np.linalg.norm(w))
         if k >= check or k == n or b <= RITZ_TOL:
-            energy, y = _lowest_tridiagonal_pair(alpha, beta)
+            if k == 1:
+                energy, y = alpha[0], np.ones(1)
+            else:
+                t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+                ritz, vectors = np.linalg.eigh(t)
+                energy, y = float(ritz[0]), vectors[:, 0]
             if b * abs(y[-1]) <= RITZ_TOL or k == n:
                 break
             check = max(k + 1, int(CHECK_GROWTH * check))

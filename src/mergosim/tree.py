@@ -195,7 +195,8 @@ def plan_tree(leaves: Union[int, Sequence[str]], arity: int = 2) -> ScatterTree:
     """Balanced merge plan: chunk the current level into groups of
     ``arity``; singleton chunks pass through without a node. Binary
     plans over N leaves therefore emit exactly N - 1 internal nodes at
-    depth ceil(log2 N)."""
+    depth ceil(log2 N). Internal nodes are named node0, node1, ... in
+    the order they are made, skipping any name a leaf holds."""
     if arity < 2:
         raise ValueError("arity must be at least 2")
     if isinstance(leaves, int):
@@ -218,6 +219,8 @@ def plan_tree(leaves: Union[int, Sequence[str]], arity: int = 2) -> ScatterTree:
             if len(chunk) == 1:
                 next_level.append(chunk[0])
                 continue
+            while f"node{counter}" in table:
+                counter += 1
             node_id = f"node{counter}"
             counter += 1
             table[node_id] = ScatterNode(node_id=node_id,

@@ -224,6 +224,20 @@ class TestConfigSchema:
                      (("evolve", "initial"),
                       {"kind": "uniform", "index": 0}), "evolve",
                      id="evolve_uniform_with_index"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian", "subsystem_a"), [0, 0]), "evolve",
+                     id="repeated_subsystem_register"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian",),
+                      {"subsystem_a": [0, 0], "subsystem_b": [1],
+                       "include_kinetic": False, "softening": 1.0}),
+                     "evolve", id="repeated_subsystem_register_no_kinetic"),
+        pytest.param("measure_bond.json",
+                     (("criteria", 0, "pairs"), [[0, 0, 1.5]]), "measure",
+                     id="criterion_pair_names_one_nucleus_twice"),
+        pytest.param("validate_h2o2.json",
+                     (("criteria", 0, "pairs"), [[0, 0, 95.0, 13.23]]),
+                     "validate", id="validated_pair_names_one_nucleus_twice"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / base).read_text())
@@ -689,6 +703,20 @@ class TestTreeCommand:
         assert run_cli("tree", "--config", path, "--out", str(out)) == 0
         report = json.loads((out / "tree_report.json").read_text())
         assert set(report["nodes"]) == {"root", "x", "y"}
+
+    @pytest.mark.parametrize("leaf_ids", [["node0", "b", "c"],
+                                          ["a", "b", "node1"]])
+    def test_leaf_ids_named_like_planned_nodes(self, leaf_ids, tmp_path):
+        """The planner names internal nodes node{k} and skips a name a
+        leaf holds, so three leaves get two internal nodes of their own."""
+        cfg = patched("tree_synthetic.json", "tree", leaves=None,
+                      leaf_ids=leaf_ids)
+        out = tmp_path / "out"
+        assert run_cli("tree", "--config", write_config(tmp_path, cfg),
+                       "--out", str(out)) == 0
+        report = json.loads((out / "tree_report.json").read_text())
+        assert set(leaf_ids) <= set(report["nodes"])
+        assert len(set(report["nodes"]) - set(leaf_ids)) == 2
 
 
 class TestLZCommand:

@@ -73,7 +73,8 @@ def criterion_cases(draw):
     unit = draw(st.sampled_from(["bohr", "pm"]))
     rows = []
     for _ in range(draw(st.integers(1, 3))):
-        j, k = (draw(st.integers(0, n_nuc - 1)) for _ in range(2))
+        j, k = draw(st.lists(st.integers(0, n_nuc - 1), min_size=2,
+                             max_size=2, unique=True))
         target = in_unit(distance(), unit)
         if mode == "proximity":
             rows.append((j, k, target))

@@ -23,7 +23,6 @@ from mergosim.evolution import (DensityMatrix, _bessel_order,
                                 _chebyshev_moments, _chebyshev_plan,
                                 _chebyshev_series,
                                 _dense_autocorrelation,
-                                _lowest_tridiagonal_pair,
                                 _smooth_length, _spectral_interval,
                                 autocorrelation,
                                 default_step_count, ground_state,
@@ -346,35 +345,6 @@ def test_apply_matches_the_dense_matrix(problem, s, columns, seed):
     x = psi if columns == 0 else np.random.default_rng(seed).normal(
         size=(sh.dim, columns))
     assert np.max(np.abs(sh.apply(x, s) - block @ x)) <= 1e-12
-
-
-@settings(max_examples=80)
-@given(st.integers(1, 40), st.sampled_from([1e-3, 1.0, 1e3]),
-       st.integers(0, 2 ** 32 - 1))
-def test_lowest_tridiagonal_pair_matches_eigh(k, scale, seed):
-    """The Ritz solve against LAPACK on unreduced tridiagonals (positive
-    off-diagonal, as Lanczos makes them) over six decades of scale."""
-    rng = np.random.default_rng(seed)
-    alpha = scale * rng.normal(size=k)
-    beta = scale * rng.uniform(1e-3, 1.0, size=k - 1)
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    w = np.linalg.eigvalsh(t)
-    energy, y = _lowest_tridiagonal_pair(alpha.tolist(), beta.tolist())
-    eps_norm = np.finfo(float).eps * max(1.0, np.linalg.norm(t, np.inf))
-    assert abs(energy - w[0]) <= 8 * eps_norm
-    assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
-    assert np.linalg.norm(t @ y - energy * y) <= 64 * eps_norm
-
-
-def test_lowest_tridiagonal_pair_on_equal_diagonals():
-    """Lanczos from a uniform start on diag(x, y) makes
-    T = [[a, b], [b, a]], whose all-ones vector is the upper eigenvector:
-    the inverse iteration must not start there."""
-    a, b = 0.993625355, 0.257835085
-    energy, y = _lowest_tridiagonal_pair([a, a], [b])
-    t = np.array([[a, b], [b, a]])
-    assert abs(energy - (a - b)) <= 4 * np.finfo(float).eps
-    assert np.linalg.norm(t @ y - energy * y) <= 8 * np.finfo(float).eps
 
 
 # Ground levels whose gap is at most DEGENERATE_GAP are degenerate:
