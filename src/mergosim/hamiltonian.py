@@ -277,9 +277,11 @@ def trap_diagonal(basis: Basis, trap: TrapSpec) -> np.ndarray:
     if len(trap.centers) != particles.n_nuc:
         raise ValueError("one trap center per nucleus required")
     half = grid.box_length / 2.0
-    for c in trap.centers:
+    for c, w in zip(trap.centers, trap.frequencies):
         if len(c) != grid.dims:
             raise ValueError("trap center dimensionality mismatch")
+        if len(w) != grid.dims:
+            raise ValueError("trap frequency dimensionality mismatch")
         if any(abs(x) > half for x in c):
             raise CenterOutsideBox(f"trap center {c} outside the box")
     coords = basis.labels[:, particles.n_el:] * grid.spacing

@@ -8,10 +8,11 @@ Everything here is a closed-form calculator in atomic units (hbar = 1):
     p_LZ        = exp(-2*pi * omega_eff^2 / (|dE_mol - dE_atom| * v))
 
 plus the simplified bound written in terms of the relative binding
-energy E~ = omega_a/omega. The sub-normalization factors alpha_T,
-alpha_V, alpha_U, alpha_trap are order-of-magnitude scalings with every
-prefactor fixed to one ("scaling units"); only their exponents carry
-meaning.
+energy E~ = omega_a/omega. ``sweep_velocity`` evaluates the chain;
+``p_landau_zener`` is its one-point case. The sub-normalization factors
+alpha_T, alpha_V, alpha_U, alpha_trap are order-of-magnitude scalings
+with every prefactor fixed to one ("scaling units"); only their
+exponents carry meaning.
 """
 
 from __future__ import annotations
@@ -74,16 +75,11 @@ def d_e_mol(params: LZParams) -> float:
 
 
 def _bound_numerator(params: LZParams) -> float:
-    """v times the exponent of ``landau_zener_bound``."""
+    """v times the exponent of the simplified bound on p_LZ."""
     e_rel = relative_binding_energy(params)
     return (4.0 * math.sqrt(math.pi / params.mu)
             * math.sqrt(HBAR * params.omega * e_rel / (3.0 + e_rel))
             * math.exp(-0.5 * e_rel - 1.5))
-
-
-def landau_zener_bound(params: LZParams) -> float:
-    """Simplified bound on p_LZ in terms of the relative binding energy."""
-    return math.exp(-(_bound_numerator(params) / params.v))
 
 
 @dataclass(frozen=True)
@@ -92,30 +88,21 @@ class LZResult:
     p_lz: float
     p_lz_bound: float
     p_suc: float
-    omega_eff_sq: float
     d_e_mol: float
     e_rel: float
 
 
 def p_landau_zener(params: LZParams) -> LZResult:
-    """Full diabatic-transition probability and companion quantities."""
-    w_eff2 = omega_eff_sq(params)
-    # separated atoms sit on a flat surface, dE_atom = 0
-    grad = d_e_mol(params)
-    gamma = w_eff2 / (HBAR * grad * params.v)
-    p_lz = math.exp(-2.0 * math.pi * gamma)
-    return LZResult(gamma=gamma, p_lz=p_lz,
-                    p_lz_bound=landau_zener_bound(params),
-                    p_suc=1.0 - p_lz, omega_eff_sq=w_eff2, d_e_mol=grad,
-                    e_rel=relative_binding_energy(params))
+    """The chain at ``params.v``: the one-point ``sweep_velocity``."""
+    return sweep_velocity(params, [params.v])[0][1]
 
 
 def sweep_velocity(params: LZParams,
                    v_values: Sequence[float]) -> list[tuple[float, LZResult]]:
     """Evaluate the chain across evolution speeds (p_LZ -> 1 as v -> inf,
-    -> 0 as v -> 0): ``p_landau_zener`` at each v, its v-independent
-    factors computed once. Each point takes the same float operations in
-    the same order, so it gives the same bits."""
+    -> 0 as v -> 0), its v-independent factors computed once. The
+    separated atoms sit on a flat surface, dE_atom = 0, so the gradient
+    is the molecular one alone."""
     w_eff2, grad = omega_eff_sq(params), d_e_mol(params)
     hbar_grad, numerator = HBAR * grad, _bound_numerator(params)
     e_rel = relative_binding_energy(params)
@@ -126,7 +113,7 @@ def sweep_velocity(params: LZParams,
         gamma = w_eff2 / (hbar_grad * v)
         p_lz = math.exp(-2.0 * math.pi * gamma)
         sweep.append((v, LZResult(gamma, p_lz, math.exp(-(numerator / v)),
-                                  1.0 - p_lz, w_eff2, grad, e_rel)))
+                                  1.0 - p_lz, grad, e_rel)))
     return sweep
 
 
@@ -193,7 +180,6 @@ class LCUQueryEstimate:
     prep_branches: int
     sel_ancillas: int
     block_encoding_repetitions: float
-    bits: int
 
 
 def lcu_query_model(params: CostParams, bits: int) -> LCUQueryEstimate:
@@ -202,5 +188,4 @@ def lcu_query_model(params: CostParams, bits: int) -> LCUQueryEstimate:
     return LCUQueryEstimate(
         prep_branches=3 * params.n_nuc,
         sel_ancillas=bits,
-        block_encoding_repetitions=alpha_factors(params).alpha_trap,
-        bits=bits)
+        block_encoding_repetitions=alpha_factors(params).alpha_trap)

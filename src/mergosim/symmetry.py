@@ -219,16 +219,11 @@ class SymmetryReport:
     """Worst-case deviation from the declared exchange sector."""
 
     max_deviation: float
-    per_generator: tuple[tuple[Permutation, float], ...]
-
-    @property
-    def symmetric(self) -> bool:
-        return self.max_deviation < 1e-10
 
 
 def symmetry_check(state, declaration: SymmetryDeclaration,
                    basis: Basis) -> SymmetryReport:
-    """Deviation under every generator permutation.
+    """Largest deviation under the generator permutations.
 
     A vector (raw, or a pure state's) is scored with the 2-norm of
     U psi - sgn psi, so the exchange sign counts; a mixed state's matrix
@@ -236,12 +231,10 @@ def symmetry_check(state, declaration: SymmetryDeclaration,
     """
     x = state.array if isinstance(state, DensityMatrix) \
         else np.asarray(state, dtype=complex).ravel()
-    details = []
     worst = 0.0
     for gen in generators(declaration):
         moved = apply_permutation(gen, basis, x)
         dev = float(np.linalg.norm(moved - gen.sign * x) if x.ndim == 1
                     else np.max(np.abs(moved - x)))
-        details.append((gen, dev))
         worst = max(worst, dev)
-    return SymmetryReport(worst, tuple(details))
+    return SymmetryReport(worst)

@@ -207,6 +207,11 @@ def plan_tree(leaves: Union[int, Sequence[str]], arity: int = 2) -> ScatterTree:
         leaf_ids = [str(x) for x in leaves]
         if not leaf_ids:
             raise ValueError("need at least one leaf")
+        seen: set[str] = set()
+        for lid in leaf_ids:
+            if lid in seen:
+                raise ValueError(f"duplicate leaf id {lid!r}")
+            seen.add(lid)
 
     nodes = [ScatterNode(node_id=lid) for lid in leaf_ids]
     level = [n.node_id for n in nodes]

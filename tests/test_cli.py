@@ -75,6 +75,11 @@ class TestConfigSchema:
         pytest.param("evolve_salt_1d.json",
                      (("hamiltonian", "trap", "centers"), [[-100.0], [1.0]]),
                      "evolve", id="trap_center_outside_box"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian", "trap"),
+                      {"centers": [[-1.0], [1.0]],
+                       "frequencies": [[0.02, 0.5], [0.02, 0.5]]}),
+                     "evolve", id="trap_frequency_row_past_grid_dims"),
         pytest.param("evolve_salt_1d.json", (("evolve", "s_from"), 5.0),
                      "evolve", id="s_from_past_schedule_end"),
         pytest.param("evolve_salt_1d.json",
@@ -717,6 +722,19 @@ class TestTreeCommand:
         report = json.loads((out / "tree_report.json").read_text())
         assert set(leaf_ids) <= set(report["nodes"])
         assert len(set(report["nodes"]) - set(leaf_ids)) == 2
+
+    @pytest.mark.parametrize("leaf_ids", [["a", "a", "b"],
+                                          ["a", "b", "a", "c"]])
+    def test_repeated_leaf_id_is_named(self, leaf_ids, tmp_path, capsys):
+        """A repeated leaf id is refused as such, before the planner
+        merges the two leaves into one node."""
+        cfg = patched("tree_synthetic.json", "tree", leaves=None,
+                      leaf_ids=leaf_ids)
+        assert run_cli("tree", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")) == 2
+        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert record["status"] == "config_error"
+        assert "duplicate" in record["error"] and "'a'" in record["error"]
 
 
 class TestLZCommand:

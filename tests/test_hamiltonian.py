@@ -160,6 +160,18 @@ class TestTrap:
         with pytest.raises(ValueError):
             TrapSpec(((0.0, 0.0),), ((0.1, 0.2),), isotropic=True)
 
+    @pytest.mark.parametrize("row", [(0.1,), (0.1, 0.2, 0.3)])
+    def test_frequency_row_must_match_the_grid(self, row):
+        """A row is one frequency per axis: on a 2D grid a row of one is
+        not broadcast and a row of three is not left to numpy."""
+        basis = enumerate_basis(GridSpec(3, 2, 3.0),
+                                ParticleSet(n_el=0, nuclear_masses=(1836.0,),
+                                            nuclear_charges=(1.0,)))
+        trap = TrapSpec(((0.0, 0.0),), (row,), isotropic=False)
+        with pytest.raises(ValueError,
+                           match="trap frequency dimensionality mismatch"):
+            build_trap(basis, trap)
+
 
 class TestSchedule:
     @pytest.mark.parametrize("shape", ["linear", "smoothstep"])
