@@ -339,6 +339,9 @@ def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
         return np.ones(dim, dtype=complex) / math.sqrt(dim)
     # an eigenstate (evolve's schema alone allows one) of H(s): Lanczos
     # finds one vector; a level above a degenerate one needs the spectrum
+    if index > 0 and dim > _DIMENSION_CAP:
+        raise ConfigError(f"eigenstate {index} needs a dense {dim} x {dim} "
+                          f"diagonalization, above the cap {_DIMENSION_CAP}")
     vec = ground_state(sh, s)[1] if index == 0 \
         else hermitian_eigh(sh.dense(s))[1][:, index]
     return vec.astype(complex)

@@ -385,9 +385,9 @@ class StructuredHamiltonian:
     the neighbour table ``stencil`` that the product gathers through read
     only that table. The potential is diagonal: the intra-fragment
     Coulomb energy ``v_frag``, the inter-fragment coupling ``v_ab``
-    ramped by f and the trap ``v_trap`` ramped by g. ``apply(x, s)`` is
-    H(s) x in O(n) per kinetic axis with no n x n array and
-    ``spectral_bounds(s)`` encloses its spectrum;
+    ramped by f and the trap ``v_trap`` ramped by g.
+    ``product(potential(s), x)`` is H(s) x in O(n) per kinetic axis with
+    no n x n array and ``spectral_bounds(s)`` encloses its spectrum;
     ``dense(s)`` assembles the real symmetric matrix, and ``evaluate(s)``
     wraps it as a checked block, the oracle for everything that uses
     this structure.
@@ -455,14 +455,10 @@ class StructuredHamiltonian:
                 weights.append(np.where(inside, -c, 0.0))
         return np.stack(index), np.stack(weights)
 
-    def apply(self, x: np.ndarray, s: float) -> np.ndarray:
-        """H(s) x for an array whose first axis is the basis index."""
-        return self.product(self.potential(s), x)
-
     def product(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(T + diag(v)) x: v x plus one gather of x through ``stencil``
-        summed against its weights; ``apply`` at v = ``potential(s)``,
-        for callers that stay at one s."""
+        """(T + diag(v)) x for an array whose first axis is the basis
+        index: v x plus one gather of x through ``stencil`` summed against
+        its weights; H(s) x at v = ``potential(s)``."""
         index, weights = self.stencil
         out = v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
         out += np.einsum("ji,ji...->i...", weights, x[index])

@@ -88,8 +88,6 @@ class LZResult:
     p_lz: float
     p_lz_bound: float
     p_suc: float
-    d_e_mol: float
-    e_rel: float
 
 
 def p_landau_zener(params: LZParams) -> LZResult:
@@ -103,9 +101,8 @@ def sweep_velocity(params: LZParams,
     -> 0 as v -> 0), its v-independent factors computed once. The
     separated atoms sit on a flat surface, dE_atom = 0, so the gradient
     is the molecular one alone."""
-    w_eff2, grad = omega_eff_sq(params), d_e_mol(params)
-    hbar_grad, numerator = HBAR * grad, _bound_numerator(params)
-    e_rel = relative_binding_energy(params)
+    w_eff2, hbar_grad = omega_eff_sq(params), HBAR * d_e_mol(params)
+    numerator = _bound_numerator(params)
     sweep = []
     for v in map(float, v_values):
         if v <= 0:
@@ -113,7 +110,7 @@ def sweep_velocity(params: LZParams,
         gamma = w_eff2 / (hbar_grad * v)
         p_lz = math.exp(-2.0 * math.pi * gamma)
         sweep.append((v, LZResult(gamma, p_lz, math.exp(-(numerator / v)),
-                                  1.0 - p_lz, grad, e_rel)))
+                                  1.0 - p_lz)))
     return sweep
 
 

@@ -40,7 +40,9 @@ class SymmetryDeclaration:
             if len(s) > MAX_SET_SIZE:
                 raise ValueError(
                     f"declared set {s} exceeds {MAX_SET_SIZE} registers")
-            if len(set(s)) != len(s) or seen & set(s):
+            if dup := [r for r, nxt in zip(s, s[1:]) if r == nxt]:
+                raise ValueError(f"declared set {s} repeats register {dup[0]}")
+            if seen & set(s):
                 raise ValueError("declared register sets must be disjoint")
             seen |= set(s)
 

@@ -144,19 +144,21 @@ class ScatterTree:
     def _validate(self) -> None:
         if self.root not in self.nodes:
             raise ValueError(f"root {self.root!r} not among the nodes")
-        seen_child: set[str] = set()
-        for node in self.nodes.values():
+        parent: dict[str, str] = {}
+        for node_id, node in self.nodes.items():
             if len(node.children) == 1:
-                raise ValueError(f"node {node.node_id!r} has a single child")
+                raise ValueError(f"node {node_id!r} has a single child")
             for child in node.children:
                 if child not in self.nodes:
                     raise ValueError(f"unknown child {child!r}")
-                if child in seen_child:
+                if parent.get(child) == node_id:
+                    raise ValueError(f"node {node_id!r} lists {child!r} twice")
+                if child in parent:
                     raise ValueError(f"child {child!r} has two parents")
-                seen_child.add(child)
+                parent[child] = node_id
         # with one parent per node, a cycle reachable from the root
         # passes through the root
-        if self.root in seen_child:
+        if self.root in parent:
             raise ValueError(f"root {self.root!r} is a child")
         self.leaf_counts: dict[str, int] = {}
         for node_id in self.postorder():
@@ -237,7 +239,6 @@ def plan_tree(leaves: Union[int, Sequence[str]], arity: int = 2) -> ScatterTree:
 
 @dataclass(frozen=True)
 class NodeRecord:
-    node_id: str
     iterations: int
     wall_steps: int
     p_suc_initial: float
@@ -288,7 +289,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
             if node_id not in atomic_states:
                 raise ValueError(f"no atomic state for leaf {node_id!r}")
             states[node_id] = atomic_states[node_id]
-            records[node_id] = NodeRecord(node_id, 0, 0, 1.0, True)
+            records[node_id] = NodeRecord(0, 0, 1.0, True)
             continue
         if node.channel is None or node.bipartition is None:
             raise ValueError(f"node {node_id!r} is not configured")
@@ -316,7 +317,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
                 node_id=node_id)
         except MaxItersExceeded as exc:
             records[node_id] = NodeRecord(
-                node_id, node.retry.max_iters, node.retry.max_iters,
+                node.retry.max_iters, node.retry.max_iters,
                 trace[first]["p_suc_before"], False)
             raise NodeExhausted(node_id, TreeRunReport(
                 records, final_state=None, trace=trace)) from exc
@@ -326,7 +327,7 @@ def run_tree(tree: ScatterTree, atomic_states: Mapping[str, DensityMatrix],
             post = node.channel.apply(post, 0)
             wall_steps += 1
         states[node_id] = post
-        records[node_id] = NodeRecord(node_id, iterations, wall_steps,
+        records[node_id] = NodeRecord(iterations, wall_steps,
                                       trace[first]["p_suc_before"], True)
 
     return TreeRunReport(records, final_state=states[tree.root], trace=trace)

@@ -243,10 +243,16 @@ class TestConfigSchema:
         pytest.param("validate_h2o2.json",
                      (("criteria", 0, "pairs"), [[0, 0, 95.0, 13.23]]),
                      "validate", id="validated_pair_names_one_nucleus_twice"),
+        pytest.param("validate_h2o2.json",
+                     (("symmetry", "fermionic_sets"), [[2, 2]],
+                      "declared set (2, 2) repeats register 2"),
+                     "validate", id="symmetry_set_repeats_a_register"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
+        """``mutation`` is (key path, value), or (key path, value, the
+        error text) where the reason itself is under test."""
         cfg = json.loads((CONFIG_DIR / base).read_text())
-        (*parents, key), value = mutation
+        (*parents, key), value, *reason = mutation
         target = cfg
         for step in parents:
             target = target[step]
@@ -261,6 +267,8 @@ class TestConfigSchema:
         assert "Traceback" not in captured.out + captured.err
         record = json.loads(captured.out.strip().splitlines()[-1])
         assert record["status"] == "config_error"
+        if reason:
+            assert record["error"] == reason[0]
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_measure_eigenstate_refused_at_load(self, tmp_path, capsys,
@@ -451,6 +459,28 @@ class TestOneStatusLine:
 
 
 class TestEvolveCommand:
+    def test_excited_eigenstate_above_the_dense_cap(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """An eigenstate past the ground state comes from the dense
+        spectrum, so above the cap it is refused before any n x n matrix
+        is built (n = 65**2 = 4225 here)."""
+        from mergosim import evolution
+
+        def undiagonalized(matrix):
+            raise AssertionError("the dense spectrum was computed")
+
+        monkeypatch.setattr(evolution, "hermitian_eigh", undiagonalized)
+        cfg = patched("evolve_salt_1d.json", "evolve",
+                      initial={"kind": "eigenstate", "index": 1})
+        cfg["grid"]["points_per_axis"] = 65
+        cfg["particles"]["cap"] = 5000
+        assert run_cli("evolve", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "config_error",
+            "error": "eigenstate 1 needs a dense 4225 x 4225 "
+                     "diagonalization, above the cap 4096"}
+
     def test_zero_hamiltonian_flat_autocorrelation(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli("evolve", "--config",
@@ -735,6 +765,17 @@ class TestTreeCommand:
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert record["status"] == "config_error"
         assert "duplicate" in record["error"] and "'a'" in record["error"]
+
+    def test_child_listed_twice_is_named(self, tmp_path, capsys):
+        """A child repeated under one parent is refused as a repeat that
+        names both, not as a child with two parents."""
+        cfg = patched("tree_synthetic.json", "tree", leaves=None, arity=None,
+                      root="root", children={"root": ["a", "a"]})
+        assert run_cli("tree", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")) == 2
+        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert record == {"status": "config_error",
+                          "error": "node 'root' lists 'a' twice"}
 
 
 class TestLZCommand:

@@ -191,7 +191,7 @@ def test_descending_kinetic_registers_match_the_dense_oracle(case):
     x = np.random.default_rng(0).normal(size=(basis.size, 3))
     for s in lanczos_points(sh.schedule):
         h = dense.evaluate(s).matrix
-        assert np.max(np.abs(sh.apply(x, s) - h @ x)) <= 1e-12
+        assert np.max(np.abs(sh.product(sh.potential(s), x) - h @ x)) <= 1e-12
         energy, vec = ground_state(sh, s)
         assert abs(energy - np.linalg.eigvalsh(h)[0]) <= 1e-12
         assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12
@@ -336,15 +336,15 @@ def test_dense_keeps_the_norm_and_matches_on_both_sides(problem):
 @given(structured_problems(), st.floats(0.0, 1.0), st.integers(0, 3),
        st.integers(0, 2 ** 32 - 1))
 def test_apply_matches_the_dense_matrix(problem, s, columns, seed):
-    """apply is H(s) x on vectors and on matrices; dense is the real part
-    of the checked block, bit for bit."""
+    """product at v = potential(s) is H(s) x on vectors and on matrices;
+    dense is the real part of the checked block, bit for bit."""
     sh, psi, _ = problem
     block = sh.evaluate(s).matrix
     assert np.array_equal(sh.dense(s), block.real)
     assert sh.dense(s).dtype == np.float64
     x = psi if columns == 0 else np.random.default_rng(seed).normal(
         size=(sh.dim, columns))
-    assert np.max(np.abs(sh.apply(x, s) - block @ x)) <= 1e-12
+    assert np.max(np.abs(sh.product(sh.potential(s), x) - block @ x)) <= 1e-12
 
 
 # Ground levels whose gap is at most DEGENERATE_GAP are degenerate:
