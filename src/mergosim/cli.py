@@ -23,10 +23,10 @@ with this module. Each command imports the layers it runs when it runs,
 so ``lz`` and ``cost`` never load the dynamics, and ``evolve`` never
 loads the measurement or tree layers.
 
-Exit codes: 0 success, 2 config error (an unreadable config or an
---out that cannot be created included), 3 runtime error (a failed
-artifact write, an arithmetic overflow or running out of memory
-included), 4 a scattering node exhausted its retries.
+Exit codes: 0 success, 2 config error (an unreadable config, an unusable
+--out and a basis or dense H(s) over the cap included), 3 runtime error
+(a failed artifact write, an arithmetic overflow or running out of
+memory included), 4 a scattering node exhausted its retries.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ _UNIT_VALUE = OneOf((float, {"value": (float, REQUIRED),
                              "unit": (str, REQUIRED)}))
 
 _TRAP_CENTERS = ([[float]], REQUIRED)
-# evolution.WINDOWS's names and grid.DEFAULT_DIMENSION_CAP, spelled out
-# so loading a config imports no dynamics (tests keep each pair equal)
-_WINDOWS, _DIMENSION_CAP = ("hann", "rect", "none"), 4096
+# evolution.WINDOWS's names, spelled out so loading a config imports no
+# dynamics (a test keeps them equal)
+_WINDOWS = ("hann", "rect", "none")
 _COST_FIELDS = ("n_el", "n_nuc", "grid_points", "box_volume", "trap_volume",
                 "omega_max")
 
@@ -95,7 +95,7 @@ _SECTIONS = {
     "particles": {"n_el": (int, REQUIRED), "nuclear_masses": ([float], []),
                   "nuclear_charges": ([float], []),
                   "electron_spin": (bool, False), "nuclear_spin": (bool, False),
-                  "cap": (AtLeast(int, 1), _DIMENSION_CAP)},
+                  "cap": (AtLeast(int, 1), None)},
     "symmetry": {"bosonic_sets": ([[int]], []),
                  "fermionic_sets": ([[int]], [])},
     "hamiltonian": {
@@ -228,14 +228,12 @@ def load_config(path: str) -> dict:
 @contextlib.contextmanager
 def _config_values():
     """Report a ValueError, unknown unit, trap center outside the box,
-    criterion pair naming a missing nucleus, zero-softening coincidence or
-    basis over its cap raised while config values become objects as the
-    config error."""
+    criterion pair naming a missing nucleus or zero-softening coincidence
+    raised while config values become objects as the config error."""
     try:
         yield
     except (ValueError, CenterOutsideBox, UnsupportedUnit,
-            PairIndexOutOfRange, SingularCoulomb,
-            DimensionCapExceeded) as exc:
+            PairIndexOutOfRange, SingularCoulomb) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -253,10 +251,11 @@ def _resolve(table: dict, cid: str, where: str):
 
 @_config_values()
 def _build_basis(cfg: dict):
-    from .grid import GridSpec, ParticleSet, enumerate_basis
+    from .grid import (DEFAULT_DIMENSION_CAP, GridSpec, ParticleSet,
+                       enumerate_basis)
 
     particles = dict(_section(cfg, "particles"))
-    cap = particles.pop("cap")
+    cap = particles.pop("cap") or DEFAULT_DIMENSION_CAP
     return enumerate_basis(GridSpec(**_section(cfg, "grid")),
                            ParticleSet(**particles), cap=cap)
 
@@ -339,9 +338,6 @@ def _initial_vector(spec: dict, dim: int, sh=None, s: float = 0.0
         return np.ones(dim, dtype=complex) / math.sqrt(dim)
     # an eigenstate (evolve's schema alone allows one) of H(s): Lanczos
     # finds one vector; a level above a degenerate one needs the spectrum
-    if index > 0 and dim > _DIMENSION_CAP:
-        raise ConfigError(f"eigenstate {index} needs a dense {dim} x {dim} "
-                          f"diagonalization, above the cap {_DIMENSION_CAP}")
     vec = ground_state(sh, s)[1] if index == 0 \
         else hermitian_eigh(sh.dense(s))[1][:, index]
     return vec.astype(complex)
@@ -425,11 +421,12 @@ def cmd_measure(cfg: dict, seed: int, fmt: str):
 def _tree_from_config(sec: dict):
     """The configured shape. A node's dimension is leaf_dim ** (leaves
     under it), largest at the root, so the root alone is checked against
-    the cap, from the config's leaf count before any node is built; the
-    leaf count itself, which bounds the node count, against the same
-    cap. ``arity`` shapes a planned tree only, so it is refused next to
+    the cap, and so is the leaf count, which bounds the node count: a
+    planned tree's before it is planned, a ``children`` tree's once it is
+    built. ``arity`` shapes a planned tree only, so it is refused next to
     ``children``."""
     from . import tree
+    from .grid import DEFAULT_DIMENSION_CAP as cap
 
     given = [key for key in ("leaves", "leaf_ids", "children")
              if sec[key] is not None]
@@ -442,28 +439,27 @@ def _tree_from_config(sec: dict):
     if children is not None and sec["arity"] is not None:
         raise ConfigError("tree.arity plans leaves or leaf_ids; "
                           "tree.children gives the shape")
-    if children is not None:
-        ids = set(children) | {c for kids in children.values() for c in kids}
-        n_leaves = sum(not children.get(node_id) for node_id in ids)
-    else:
+    if children is None:
         leaves = sec[given[0]]
         n_leaves = leaves if isinstance(leaves, int) else len(leaves)
+    else:
+        ids = set(children) | {c for kids in children.values() for c in kids}
+        shape = tree.ScatterTree(
+            [tree.ScatterNode(node_id=node_id,
+                              children=tuple(children.get(node_id, ())))
+             for node_id in sorted(ids)], sec["root"])
+        n_leaves = shape.leaf_counts[shape.root]
     # 2 ** cap.bit_length() > cap, so no larger power needs computing
     leaf_dim = sec["leaf_dim"]
-    if leaf_dim ** min(n_leaves, _DIMENSION_CAP.bit_length()) \
-            > _DIMENSION_CAP:
+    if leaf_dim ** min(n_leaves, cap.bit_length()) > cap:
         raise ConfigError(f"tree root dimension {leaf_dim}**{n_leaves} "
-                          f"exceeds the cap {_DIMENSION_CAP}")
-    if n_leaves > _DIMENSION_CAP:
-        raise ConfigError(f"tree has {n_leaves} leaves, above the cap "
-                          f"{_DIMENSION_CAP}")
-    if children is None:
-        arity = {} if sec["arity"] is None else {"arity": sec["arity"]}
-        return tree.plan_tree(leaves, **arity)
-    return tree.ScatterTree(
-        [tree.ScatterNode(node_id=node_id,
-                          children=tuple(children.get(node_id, ())))
-         for node_id in sorted(ids)], sec["root"])
+                          f"exceeds the cap {cap}")
+    if n_leaves > cap:
+        raise ConfigError(f"tree has {n_leaves} leaves, above the cap {cap}")
+    if children is not None:
+        return shape
+    arity = {} if sec["arity"] is None else {"arity": sec["arity"]}
+    return tree.plan_tree(leaves, **arity)
 
 
 @_config_values()
@@ -681,7 +677,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             path = os.path.join(args.out, name)
             _WRITERS[os.path.splitext(name)[1]](path, data)
             artifacts.append(path)
-    except ConfigError as exc:
+    except (ConfigError, DimensionCapExceeded) as exc:
         return emit_error("config_error", exc, 2)
     except NodeExhausted as exc:
         return emit_error("node_exhausted", exc, 4, node_id=exc.node_id)

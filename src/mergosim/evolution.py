@@ -44,9 +44,9 @@ dense Hamiltonian, it diagonalizes the real symmetric H(s) once and
 sums the weights |<k|psi0>|^2 at the nodes E_k dt with the same
 nonuniform FFT. So every fixed-Hamiltonian C(t) is one series, weights
 at nodes, and no path builds an n_samples x n array of phases.
-The dense ``evaluate``/``dense`` assembly stays as the oracle, the path
-to an excited eigenstate (a single-vector Lanczos cannot resolve a
-degenerate level below it) and that fallback.
+``StructuredHamiltonian.dense``, refused above the dimension cap, stays
+as the oracle, the path to an excited eigenstate (a single-vector
+Lanczos cannot resolve a degenerate level below it) and that fallback.
 """
 
 from __future__ import annotations

@@ -26,9 +26,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CenterOutsideBox, NonHermitianHamiltonian,
-                     ScheduleOutOfRange, SingularCoulomb)
-from .grid import Basis, ParticleSet
+from .errors import (CenterOutsideBox, DimensionCapExceeded,
+                     NonHermitianHamiltonian, ScheduleOutOfRange,
+                     SingularCoulomb)
+from .grid import DEFAULT_DIMENSION_CAP, Basis, ParticleSet
 
 VALID_TAGS = ("kinetic", "coulomb_ee", "coulomb_nn", "coulomb_ne",
               "trap", "external", "total")
@@ -388,9 +389,9 @@ class StructuredHamiltonian:
     ramped by f and the trap ``v_trap`` ramped by g.
     ``product(potential(s), x)`` is H(s) x in O(n) per kinetic axis with
     no n x n array and ``spectral_bounds(s)`` encloses its spectrum;
-    ``dense(s)`` assembles the real symmetric matrix, and ``evaluate(s)``
-    wraps it as a checked block, the oracle for everything that uses
-    this structure.
+    ``dense(s)`` assembles the real symmetric matrix, the oracle for
+    everything that uses this structure and the one n x n build of H(s),
+    refused above ``DEFAULT_DIMENSION_CAP`` configurations.
     """
 
     basis: Basis
@@ -493,13 +494,15 @@ class StructuredHamiltonian:
         return start / np.linalg.norm(start)
 
     def dense(self, s: float) -> np.ndarray:
-        """H(s) as a real symmetric float64 matrix."""
+        """H(s) as a real symmetric float64 matrix; DimensionCapExceeded,
+        before any allocation, above ``DEFAULT_DIMENSION_CAP``."""
+        n = self.dim
+        if n > DEFAULT_DIMENSION_CAP:
+            raise DimensionCapExceeded(f"a dense {n} x {n} H(s) is above "
+                                       f"the cap {DEFAULT_DIMENSION_CAP}")
         mat = _kinetic_matrix(self.basis, self.kinetic_axes)
-        mat[np.diag_indices(self.dim)] += self.potential(s)
+        mat[np.diag_indices(n)] += self.potential(s)
         return mat
-
-    def evaluate(self, s: float) -> OperatorBlock:
-        return OperatorBlock(self.dense(s), "total")
 
     def norm_max(self, s: float) -> float:
         """max |H(s)_ij| read from the stencil and the diagonals: the

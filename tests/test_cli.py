@@ -478,8 +478,34 @@ class TestEvolveCommand:
                        "--out", str(tmp_path / "out")) == 2
         assert json.loads(capsys.readouterr().out) == {
             "status": "config_error",
-            "error": "eigenstate 1 needs a dense 4225 x 4225 "
-                     "diagonalization, above the cap 4096"}
+            "error": "a dense 4225 x 4225 H(s) is above the cap 4096"}
+
+    def test_dense_autocorrelation_above_the_dense_cap(self, tmp_path,
+                                                       capsys, monkeypatch):
+        """At t_max = 1e7 the work estimate puts one dense eigh below the
+        Chebyshev series, so the fixed-s C(t) needs the dense H(s); at
+        n = 4225 it is refused before the matrix is built, after the
+        report and before correlation.csv or spectrum.csv."""
+        from mergosim import evolution
+
+        def undiagonalized(matrix):
+            raise AssertionError("the dense spectrum was computed")
+
+        monkeypatch.setattr(evolution, "hermitian_eigh", undiagonalized)
+        cfg = patched("evolve_salt_1d.json", "evolve", autocorrelation={
+            "t_max": 1e7, "n_samples": 512, "fixed_s": 1.0})
+        cfg["grid"]["points_per_axis"] = 65
+        cfg["particles"]["cap"] = 5000
+        out = tmp_path / "out"
+        assert run_cli("evolve", "--config", write_config(tmp_path, cfg),
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        assert json.loads(line) == {
+            "status": "config_error",
+            "error": "a dense 4225 x 4225 H(s) is above the cap 4096"}
+        assert sorted(p.name for p in out.iterdir()) == ["evolve_report.json"]
 
     def test_zero_hamiltonian_flat_autocorrelation(self, tmp_path):
         out = tmp_path / "out"
@@ -564,14 +590,30 @@ class TestEvolveCommand:
             "error": "config.evolve.autocorrelation.window must be one of "
                      "['hann', 'rect', 'none'], got 'bogus'"}
 
-    def test_schema_cap_is_the_grid_default(self):
-        """The schema spells the basis cap out, so loading a config
-        imports no grid; it stays the cap ``enumerate_basis`` takes by
-        default."""
-        from mergosim.cli import _SECTIONS
-        from mergosim.grid import DEFAULT_DIMENSION_CAP
-
-        assert _SECTIONS["particles"]["cap"][1] == DEFAULT_DIMENSION_CAP
+    @pytest.mark.parametrize("points, code", [
+        pytest.param(63, 0, id="3969_runs"),
+        pytest.param(65, 2, id="4225_refused")])
+    def test_absent_cap_is_the_grid_default(self, points, code, tmp_path,
+                                            capsys):
+        """With no particles.cap a basis takes ``enumerate_basis``'s own
+        cap, 4096: 63**2 = 3969 configurations run, 65**2 = 4225 are
+        refused."""
+        cfg = patched("evolve_salt_1d.json", "evolve", n_steps=2,
+                      autocorrelation=None)
+        cfg["grid"]["points_per_axis"] = points
+        del cfg["particles"]["cap"]
+        assert run_cli("evolve", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")) == code
+        [line] = capsys.readouterr().out.strip().splitlines()
+        record = json.loads(line)
+        if code:
+            assert record == {
+                "status": "config_error",
+                "error": "basis size 4225 exceeds the configured cap 4096"}
+        else:
+            report = json.loads(
+                (tmp_path / "out" / "evolve_report.json").read_text())
+            assert record["status"] == "ok" and report["dim"] == 3969
 
     def test_evolve_imports_numpy_but_not_scipy(self, tmp_path):
         """numpy is the only numerical dependency: an evolve run (Lanczos

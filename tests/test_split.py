@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from mergosim.cli import (_CONFIG, _build_basis, _build_scheduled_hamiltonian,
                           _initial_vector, _typed, main)
+from mergosim.errors import DimensionCapExceeded
 from mergosim.evolution import (DensityMatrix, _bessel_order,
                                 _chebyshev_autocorrelation,
                                 _chebyshev_moments, _chebyshev_plan,
@@ -121,7 +122,7 @@ def dense_assembly(cfg, basis, schedule):
 
 
 def dense_ground_state(sh, s=0.0):
-    return hermitian_eigh(sh.evaluate(s).matrix)[1][:, 0].astype(complex)
+    return hermitian_eigh(sh.dense(s))[1][:, 0].astype(complex)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -130,7 +131,7 @@ def test_structured_evaluate_matches_dense_assembly(case):
     dense = dense_assembly(cfg, basis, sh.schedule)
     s1 = sh.schedule.s1
     for s in (0.0, 0.21 * s1, sh.schedule.s0, 0.77 * s1, s1):
-        diff = sh.evaluate(s).matrix - dense.evaluate(s).matrix
+        diff = sh.dense(s) - dense.evaluate(s).matrix
         assert np.max(np.abs(diff)) <= 1e-12
 
 
@@ -337,11 +338,11 @@ def test_dense_keeps_the_norm_and_matches_on_both_sides(problem):
        st.integers(0, 2 ** 32 - 1))
 def test_apply_matches_the_dense_matrix(problem, s, columns, seed):
     """product at v = potential(s) is H(s) x on vectors and on matrices;
-    dense is the real part of the checked block, bit for bit."""
+    dense is a real, exactly symmetric matrix."""
     sh, psi, _ = problem
-    block = sh.evaluate(s).matrix
-    assert np.array_equal(sh.dense(s), block.real)
-    assert sh.dense(s).dtype == np.float64
+    block = sh.dense(s)
+    assert np.array_equal(block, block.T)
+    assert block.dtype == np.float64
     x = psi if columns == 0 else np.random.default_rng(seed).normal(
         size=(sh.dim, columns))
     assert np.max(np.abs(sh.product(sh.potential(s), x) - block @ x)) <= 1e-12
@@ -464,7 +465,7 @@ def test_free_start_takes_one_lanczos_step(monkeypatch, tmp_path, capsys):
 def test_excited_eigenstate_start_is_the_dense_column():
     _, basis, sh = build(light_merge())
     spec = {"kind": "eigenstate", "index": 1}
-    dense = hermitian_eigh(sh.evaluate(0.0).matrix)[1][:, 1]
+    dense = hermitian_eigh(sh.dense(0.0))[1][:, 1]
     assert np.array_equal(_initial_vector(spec, basis.size, sh, 0.0), dense)
 
 
@@ -498,6 +499,40 @@ def test_eigenstate_start_and_propagation_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("m", [63, 65])
+def test_dense_is_gated_by_the_cap(m, monkeypatch):
+    """dense(s) goes on to build H(s) at n = 63**2 = 3969, below the cap
+    4096, and at n = 65**2 = 4225 raises before anything is allocated
+    (one real 4225 x 4225 array is 143 MB); the kinetic matrix, its first
+    n x n array, is never built here."""
+    from mergosim import hamiltonian
+
+    def unbuilt(*args):
+        raise AssertionError("the n x n kinetic matrix was built")
+
+    monkeypatch.setattr(hamiltonian, "_kinetic_matrix", unbuilt)
+    basis = enumerate_basis(GridSpec(m, 1, float(m)),
+                            ParticleSet(0, (1836.0, 1836.0), (1.0, -1.0)),
+                            cap=5000)
+    zeros = np.zeros(basis.size)
+    sh = StructuredHamiltonian(basis, (0, 1), zeros, zeros, zeros,
+                               Schedule(1.0, 2.0))
+    if m == 63:
+        with pytest.raises(AssertionError, match="kinetic matrix"):
+            sh.dense(1.0)
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapExceeded) as caught:
+            sh.dense(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == \
+        "a dense 4225 x 4225 H(s) is above the cap 4096"
+    assert peak < 2 ** 20
 
 
 def test_lanczos_evaluates_the_schedule_a_fixed_number_of_times(monkeypatch):
