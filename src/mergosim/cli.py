@@ -24,7 +24,8 @@ so ``lz`` and ``cost`` never load the dynamics, and ``evolve`` never
 loads the measurement or tree layers.
 
 Exit codes: 0 success, 2 config error (an unreadable config, an unusable
---out and a basis or dense H(s) over the cap included), 3 runtime error
+--out, a basis or dense H(s) over the cap and a table of more than
+MAX_TABLE_ROWS rows included), 3 runtime error
 (a failed artifact write, an arithmetic overflow or running out of
 memory included), 4 a scattering node exhausted its retries.
 """
@@ -51,6 +52,8 @@ from .errors import (CenterOutsideBox, ConfigError, DimensionCapExceeded,
 from .units import unit_convert
 
 SCHEMA_VERSION = 1
+# the most rows a written table (correlation.csv, lz_sweep) may have
+MAX_TABLE_ROWS = 65_536
 
 # A spec is int, float, str or bool; [item] for a list of items; a dict
 # key -> (spec, default) for an object; Map(item) for an object with free
@@ -243,6 +246,13 @@ def _section(cfg: dict, name: str):
     return cfg[name]
 
 
+def _row_count(count: int, where: str):
+    """Refuse a table of more than MAX_TABLE_ROWS rows."""
+    if count > MAX_TABLE_ROWS:
+        raise ConfigError(f"{where} asks for {count} rows, above "
+                          f"{MAX_TABLE_ROWS}")
+
+
 def _resolve(table: dict, cid: str, where: str):
     if cid not in table:
         raise ConfigError(f"{where} {cid!r} does not resolve")
@@ -365,10 +375,18 @@ def cmd_evolve(cfg: dict, seed: int, fmt: str):
                           f"s_from = 0 and t_max <= s1 = {s1}, got s_from "
                           f"{s_from}, t_max {auto['t_max']}; set fixed_s")
 
+    if auto:
+        _row_count(auto["n_samples"], "evolve.autocorrelation.n_samples")
+
     basis = _build_basis(cfg)
     sh = _build_scheduled_hamiltonian(cfg, basis)
     n_steps = sec["n_steps"] or default_step_count(sh, s_from, s_to)
     psi0 = _initial_vector(sec["initial"], basis.size, sh, s_from)
+    # C(t) reads only psi0 and H, so a failing one stops the run before
+    # the sweep and before any artifact is written
+    if auto:
+        times, values = autocorrelation(psi0, sh, auto["t_max"],
+                                        auto["n_samples"], fixed_s)
     report = propagate(DensityMatrix.from_pure(psi0), sh, s_from, s_to, n_steps)
 
     yield "evolve_report.json", {
@@ -377,8 +395,6 @@ def cmd_evolve(cfg: dict, seed: int, fmt: str):
         "purity": report.final_state.purity(),
         "trace": report.final_state.trace()}
     if auto:
-        times, values = autocorrelation(psi0, sh, auto["t_max"],
-                                        auto["n_samples"], fixed_s)
         yield "correlation.csv", (["t_au", "re", "im"],
                                   [times, values.real, values.imag])
         freqs, intensity = spectrum(times, values, window=auto["window"])
@@ -543,7 +559,9 @@ def cmd_lz(cfg: dict, seed: int, fmt: str):
         v_values = v_sec["values"]
         if not v_values:
             raise ConfigError("lz.v.values must list at least one velocity")
+        _row_count(len(v_values), "lz.v.values")
     else:
+        _row_count(v_sec["points"], "lz.v.points")
         space = {"log": np.geomspace, "linear": np.linspace}[v_sec["scale"]]
         v_values = list(space(v_sec["min"], v_sec["max"], v_sec["points"]))
 

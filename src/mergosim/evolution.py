@@ -279,7 +279,8 @@ class DensityMatrix:
         divided as it does, so both forms give the same bits."""
         d = self.diagonal
         if d is None:
-            return self.mapped(row_scaling(scale))
+            return self.mapped(lambda x: scale.reshape(
+                scale.shape + (1,) * (x.ndim - 1)) * x)
         x = scale * (scale * d).conj()
         w = float(np.sum(x).real)
         return w, self._trusted_diagonal(x / w) if w > 0.0 else None
@@ -295,13 +296,6 @@ class DensityMatrix:
             return self._trusted_diagonal(
                 np.outer(self.diagonal, other.diagonal).ravel())
         return self.of(np.kron(self.matrix, other.matrix))
-
-
-def row_scaling(scale: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> diag(scale) x on arrays whose first axis is the basis index."""
-    def rows(x: np.ndarray) -> np.ndarray:
-        return scale.reshape(scale.shape + (1,) * (x.ndim - 1)) * x
-    return rows
 
 
 @dataclass(frozen=True, eq=False)

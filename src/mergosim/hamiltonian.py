@@ -31,8 +31,6 @@ from .errors import (CenterOutsideBox, DimensionCapExceeded,
                      SingularCoulomb)
 from .grid import DEFAULT_DIMENSION_CAP, Basis, ParticleSet
 
-VALID_TAGS = ("kinetic", "coulomb_ee", "coulomb_nn", "coulomb_ne",
-              "trap", "external", "total")
 HERMITICITY_TOL = 1e-12
 # bytes of one row block of the Hermiticity check's temporaries
 _CHECK_BLOCK_BYTES = 1 << 22
@@ -51,7 +49,8 @@ def hermiticity_deviation(mat: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OperatorBlock:
-    """Hermitian dense matrix over the enumerated configuration basis."""
+    """Hermitian dense matrix over the enumerated configuration basis;
+    ``tag`` is a free label that the non-Hermitian error names."""
 
     matrix: np.ndarray
     tag: str
@@ -61,8 +60,6 @@ class OperatorBlock:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        if self.tag not in VALID_TAGS:
-            raise ValueError(f"unknown operator tag {self.tag!r}")
         dev = hermiticity_deviation(mat)
         if not dev <= HERMITICITY_TOL:
             raise NonHermitianHamiltonian(
@@ -151,18 +148,6 @@ def _resolve_pairs(particles: ParticleSet, pairs) -> list[tuple[int, int]]:
     return explicit
 
 
-def _pair_tag(particles: ParticleSet, pair_list: list[tuple[int, int]]) -> str:
-    kinds = {(particles.is_nucleus(i), particles.is_nucleus(j))
-             for i, j in pair_list}
-    if kinds == {(False, False)}:
-        return "coulomb_ee"
-    if kinds == {(True, True)}:
-        return "coulomb_nn"
-    if kinds <= {(False, True), (True, False)}:
-        return "coulomb_ne"
-    return "external"
-
-
 def _softened_sum(n: int, terms, softening: float,
                   soft2: float) -> np.ndarray:
     """sum of q / sqrt(|a - b|^2 + soft2) over (q, a, b, culprit) terms,
@@ -197,17 +182,14 @@ def coulomb_diagonal(basis: Basis, softening: float,
 
 
 def build_coulomb(basis: Basis, softening: float,
-                  pairs="all", tag: Optional[str] = None) -> OperatorBlock:
+                  pairs="all") -> OperatorBlock:
     """Diagonal Coulomb block over the selected particle pairs.
 
     ``pairs`` is "all" or an explicit list of register pairs (used for
-    inter-fragment H_AB).
+    inter-fragment H_AB). Tagged "coulomb".
     """
-    diag = coulomb_diagonal(basis, softening, pairs)
-    if tag is None:
-        tag = _pair_tag(basis.particles,
-                        _resolve_pairs(basis.particles, pairs))
-    return _diagonal_block(diag, tag)
+    return _diagonal_block(coulomb_diagonal(basis, softening, pairs),
+                           "coulomb")
 
 
 def point_charge_diagonal(basis: Basis, centers: Sequence[Sequence[float]],

@@ -247,6 +247,28 @@ class TestConfigSchema:
                      (("symmetry", "fermionic_sets"), [[2, 2]],
                       "declared set (2, 2) repeats register 2"),
                      "validate", id="symmetry_set_repeats_a_register"),
+        pytest.param("measure_bond.json",
+                     (("measure",), DELETE,
+                      "missing required section 'measure'"),
+                     "measure", id="missing_required_section"),
+        pytest.param("measure_bond.json",
+                     (("criteria",), [{"id": "bond", "mode": "proximity",
+                                       "pairs": [[0, 1, 1.5]]}] * 2,
+                      "duplicate criterion id 'bond'"),
+                     "measure", id="duplicate_criterion_id"),
+        pytest.param("evolve_salt_1d.json",
+                     (("evolve", "autocorrelation", "n_samples"), 65_537,
+                      "evolve.autocorrelation.n_samples asks for 65537 "
+                      "rows, above 65536"),
+                     "evolve", id="autocorrelation_samples_over_the_bound"),
+        pytest.param("lz_rbcs.json",
+                     (("lz", "v", "points"), 65_537,
+                      "lz.v.points asks for 65537 rows, above 65536"),
+                     "lz", id="velocity_points_over_the_bound"),
+        pytest.param("lz_rbcs.json",
+                     (("lz", "v"), {"values": [1e-8] * 65_537},
+                      "lz.v.values asks for 65537 rows, above 65536"),
+                     "lz", id="velocity_values_over_the_bound"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         """``mutation`` is (key path, value), or (key path, value, the
@@ -340,6 +362,25 @@ class TestConfigSchema:
         [line] = captured.out.strip().splitlines()
         assert json.loads(line)["status"] == "runtime_error"
         assert [p.name for p in tmp_path.iterdir()] == ["cost_table.csv"]
+
+    @pytest.mark.parametrize("content, error", [
+        pytest.param(None, "cannot read config: ", id="unreadable"),
+        pytest.param('{"schema_version": 1,', "config is not valid JSON: ",
+                     id="malformed_json")])
+    def test_unloadable_config(self, content, error, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "out"
+        assert run_cli("evolve", "--config", str(path),
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        [line] = captured.out.strip().splitlines()
+        record = json.loads(line)
+        assert record["status"] == "config_error"
+        assert record["error"].startswith(error)
+        assert not out.exists()
 
     def test_wrong_schema_version(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "evolve_flat.json").read_text())
@@ -458,6 +499,10 @@ class TestOneStatusLine:
         assert list(tmp_path.iterdir()) == []
 
 
+def unswept(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
 class TestEvolveCommand:
     def test_excited_eigenstate_above_the_dense_cap(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -484,14 +529,15 @@ class TestEvolveCommand:
                                                        capsys, monkeypatch):
         """At t_max = 1e7 the work estimate puts one dense eigh below the
         Chebyshev series, so the fixed-s C(t) needs the dense H(s); at
-        n = 4225 it is refused before the matrix is built, after the
-        report and before correlation.csv or spectrum.csv."""
+        n = 4225 it is refused before the matrix is built, before the
+        sweep and before any artifact is written."""
         from mergosim import evolution
 
         def undiagonalized(matrix):
             raise AssertionError("the dense spectrum was computed")
 
         monkeypatch.setattr(evolution, "hermitian_eigh", undiagonalized)
+        monkeypatch.setattr(evolution, "propagate", unswept)
         cfg = patched("evolve_salt_1d.json", "evolve", autocorrelation={
             "t_max": 1e7, "n_samples": 512, "fixed_s": 1.0})
         cfg["grid"]["points_per_axis"] = 65
@@ -505,7 +551,7 @@ class TestEvolveCommand:
         assert json.loads(line) == {
             "status": "config_error",
             "error": "a dense 4225 x 4225 H(s) is above the cap 4096"}
-        assert sorted(p.name for p in out.iterdir()) == ["evolve_report.json"]
+        assert list(out.iterdir()) == []
 
     def test_zero_hamiltonian_flat_autocorrelation(self, tmp_path):
         out = tmp_path / "out"
@@ -530,34 +576,33 @@ class TestEvolveCommand:
         assert report["dim"] == 81
         assert (out / "spectrum.csv").exists()
 
-    def test_report_survives_a_failed_autocorrelation(self, tmp_path,
-                                                      monkeypatch, capsys):
-        """The report is written before the autocorrelation runs, so a
-        run that fails there exits 3 and keeps a normal run's report."""
+    def test_failed_autocorrelation_writes_nothing(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """C(t) runs before the sweep, so a run that fails there exits 3
+        with no artifact written and no propagation."""
         import mergosim.evolution as evolution
-
-        config = str(CONFIG_DIR / "evolve_flat.json")
-        assert run_cli("evolve", "--config", config,
-                       "--out", str(tmp_path / "ok")) == 0
 
         def broken(*args, **kwargs):
             raise ValueError("autocorrelation failed")
 
         monkeypatch.setattr(evolution, "autocorrelation", broken)
-        capsys.readouterr()
+        monkeypatch.setattr(evolution, "propagate", unswept)
         out = tmp_path / "failed"
-        assert run_cli("evolve", "--config", config, "--out", str(out)) == 3
-        assert json.loads(capsys.readouterr().out)["status"] == \
-            "runtime_error"
-        assert sorted(p.name for p in out.iterdir()) == ["evolve_report.json"]
-        assert (out / "evolve_report.json").read_bytes() == \
-            (tmp_path / "ok" / "evolve_report.json").read_bytes()
+        assert run_cli("evolve", "--config",
+                       str(CONFIG_DIR / "evolve_flat.json"),
+                       "--out", str(out)) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "runtime_error", "error": "autocorrelation failed"}
+        assert list(out.iterdir()) == []
 
     def test_non_finite_autocorrelation_writes_no_table(self, tmp_path,
-                                                        capsys):
+                                                        capsys, monkeypatch):
         """t_max = 1e308 overflows the phases of 461 of the 512 samples:
-        the run exits 3 after the report and before correlation.csv or
-        spectrum.csv, with no RuntimeWarning."""
+        the run exits 3 before the sweep and before any artifact is
+        written, with no RuntimeWarning."""
+        from mergosim import evolution
+
+        monkeypatch.setattr(evolution, "propagate", unswept)
         cfg = patched("evolve_salt_1d.json", "evolve", autocorrelation={
             "t_max": 1e308, "n_samples": 512, "fixed_s": 1.0})
         out = tmp_path / "out"
@@ -568,7 +613,7 @@ class TestEvolveCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["status"] == "runtime_error"
         assert record["error"].startswith("C(t) is not finite at 461 of 512")
-        assert sorted(p.name for p in out.iterdir()) == ["evolve_report.json"]
+        assert list(out.iterdir()) == []
 
     def test_schema_windows_are_the_evolution_windows(self, tmp_path,
                                                       capsys):
@@ -632,6 +677,63 @@ class TestEvolveCommand:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip().splitlines()[-1] == "0 []"
+
+
+class TestMeasureCommand:
+    def test_repeat_until_success(self, tmp_path):
+        """A ``measure.repeat`` run ends on its first accepted draw in a
+        pure accepted state; its k-th measurement takes the ramped angle."""
+        from mergosim.weakmeas import ramped_delta
+
+        cfg = patched("measure_bond.json", "measure",
+                      repeat={"max_iters": 64, "delta_ramp": 1.5})
+        out = tmp_path / "out"
+        assert run_cli("measure", "--config", write_config(tmp_path, cfg),
+                       "--out", str(out)) == 0
+        report = json.loads((out / "measure_report.json").read_text())
+        assert report["iterations"] >= 1
+        assert report["post_purity"] == pytest.approx(1.0, abs=1e-12)
+        lines = [json.loads(line) for line in
+                 (out / "measure_trace.jsonl").read_text().splitlines()]
+        assert [r["iteration"] for r in lines] == \
+            list(range(1, report["iterations"] + 1))
+        assert [r["delta"] for r in lines] == \
+            [ramped_delta(0.6, 1.5, k) for k in range(1, len(lines) + 1)]
+        assert [r["flag"] for r in lines] == [0] * (len(lines) - 1) + [1]
+
+    def test_repeat_exhausted_writes_nothing(self, tmp_path, capsys):
+        """Seed 0's first draw fails, so one allowed measurement exits 3
+        before any artifact is written."""
+        cfg = patched("measure_bond.json", "measure",
+                      repeat={"max_iters": 1, "delta_ramp": 1.5})
+        out = tmp_path / "out"
+        assert run_cli("measure", "--config", write_config(tmp_path, cfg),
+                       "--seed", "0", "--out", str(out)) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "runtime_error",
+            "error": "no success within 1 measurements at node 'measure'"}
+        assert list(out.iterdir()) == []
+
+    def test_basis_state_start(self, tmp_path):
+        """A basis state |i> has p_suc = mask[i]: 1 inside the accepted
+        block, 0 outside."""
+        from mergosim import cli
+        from mergosim.criteria import bipartition
+
+        cfg = load_config(str(CONFIG_DIR / "measure_bond.json"))
+        basis = cli._build_basis(cfg)
+        mask = bipartition(cli._build_criteria(cfg, basis.particles)["bond"],
+                           basis).mask
+        assert mask.any() and not mask.all()
+        for index in (int(np.argmax(mask)), int(np.argmin(mask))):
+            cfg = patched("measure_bond.json", "measure", initial={
+                "kind": "basis_state", "index": index})
+            out = tmp_path / str(index)
+            assert run_cli("measure", "--config",
+                           write_config(tmp_path, cfg), "--out",
+                           str(out)) == 0
+            report = json.loads((out / "measure_report.json").read_text())
+            assert report["p_suc"] == float(mask[index])
 
 
 class TestTreeCommand:

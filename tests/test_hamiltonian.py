@@ -96,17 +96,6 @@ class TestCoulomb:
                            for c, q in zip(centers, charges))
             assert diag[i] == pytest.approx(expected, abs=1e-14)
 
-    def test_pair_selection_tags(self):
-        grid = GridSpec(3, 1, 3.0)
-        particles = ParticleSet(n_el=2, nuclear_masses=(10.0, 10.0),
-                                nuclear_charges=(1.0, 1.0))
-        basis = enumerate_basis(grid, particles, cap=200)
-        assert build_coulomb(basis, 0.5, pairs=[(0, 1)]).tag == "coulomb_ee"
-        assert build_coulomb(basis, 0.5, pairs=[(2, 3)]).tag == "coulomb_nn"
-        assert build_coulomb(basis, 0.5, pairs=[
-            (0, 2), (0, 3), (1, 2), (1, 3)]).tag == "coulomb_ne"
-        assert build_coulomb(basis, 0.5, pairs=[(0, 1), (0, 2)]).tag == "external"
-
     def test_swap_identical_particles_leaves_diagonal_unchanged(self):
         basis = enumerate_basis(GridSpec(3, 1, 3.0), ParticleSet(n_el=2))
         diag = coulomb_diagonal(basis, 0.2)
@@ -240,10 +229,6 @@ class TestOperatorBlock:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianHamiltonian):
             OperatorBlock(np.array([[0.0, 1.0], [0.0, 0.0]]), "external")
-
-    def test_rejects_unknown_tag(self):
-        with pytest.raises(ValueError):
-            OperatorBlock(np.eye(2), "bogus")
 
     @pytest.mark.parametrize("n", [1, 2, 7, 700, 1100])
     def test_blocked_deviation_equals_the_whole_matrix_formula(self, n):

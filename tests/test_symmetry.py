@@ -166,6 +166,24 @@ class TestSymmetryCheck:
             assert np.linalg.norm(u @ sym - perm.sign * sym) < 1e-12
 
 
+    def test_mixed_matrix_state(self):
+        """A mixed state held as its matrix is scored by max |U rho U^dag
+        - rho|: a mixture of exchange-antisymmetric pair states passes,
+        a mixture of product pair states does not."""
+        basis = two_particle_basis()
+        decl = SymmetryDeclaration(fermionic_sets=((0, 1),))
+        pairs = [pair_state(basis, -1, 1)[0], pair_state(basis, -1, 0)[0]]
+
+        def mixture(states):
+            return DensityMatrix(0.5 * sum(np.outer(v, v.conj())
+                                           for v in states))
+
+        symmetric = mixture([antisymmetrize(v, decl, basis) for v in pairs])
+        assert symmetry_check(symmetric, decl, basis).max_deviation <= 1e-12
+        assert symmetry_check(mixture(pairs), decl,
+                              basis).max_deviation > 0.1
+
+
 class TestH2O2Registers:
     def h2o2_basis(self):
         # four nuclei on a 1d m=9 grid: O O H H register order
