@@ -24,10 +24,11 @@ so ``lz`` and ``cost`` never load the dynamics, and ``evolve`` never
 loads the measurement or tree layers.
 
 Exit codes: 0 success, 2 config error (an unreadable config, an unusable
---out, a basis or dense H(s) over the cap and a table of more than
-MAX_TABLE_ROWS rows included), 3 runtime error
-(a failed artifact write, an arithmetic overflow or running out of
-memory included), 4 a scattering node exhausted its retries.
+--out, a basis or dense H(s) over the cap, a table of more than
+MAX_TABLE_ROWS rows and an overflow while config values become objects
+included), 3 runtime error (a failed artifact write, a later arithmetic
+overflow or running out of memory included), 4 a scattering node
+exhausted its retries.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def _initial(*kinds):
 
 _NODE = {"success_weight": (float, 1.0), "delta": (float, math.pi / 2.0),
          "max_iters": (AtLeast(int, 1), 64),
-         "delta_ramp": (Above(float, 0.0), 1.0),
-         "renaturalize": (bool, False)}
+         "delta_ramp": (Above(float, 0.0), 1.0)}
 _UNIT_VALUE = OneOf((float, {"value": (float, REQUIRED),
                              "unit": (str, REQUIRED)}))
 
@@ -118,14 +118,11 @@ _SECTIONS = {
                                     "n_samples": (AtLeast(int, 2),
                                                   REQUIRED),
                                     "window": (Choice(_WINDOWS), "hann"),
-                                    "fixed_s": (float, None)}, None)},
+                                    "fixed_s": (float, REQUIRED)}, None)},
     "criteria": [{"id": (str, REQUIRED), "mode": (str, REQUIRED),
                   "unit": (str, "bohr"), "pairs": ([[float]], REQUIRED)}],
     "measure": {"criterion": (str, REQUIRED), "delta": (float, REQUIRED),
-                "initial": _initial("basis_state", "uniform"),
-                "repeat": ({"max_iters": (AtLeast(int, 1), 64),
-                            "delta_ramp": (Above(float, 0.0), 1.0)},
-                           None)},
+                "initial": _initial("basis_state", "uniform")},
     "tree": {"leaves": (AtLeast(int, 1), None), "leaf_ids": ([str], None),
              "arity": (int, None), "children": (Map([str]), None),
              "root": (str, None), "leaf_dim": (AtLeast(int, 1), 2),
@@ -232,12 +229,17 @@ def load_config(path: str) -> dict:
 def _config_values():
     """Report a ValueError, unknown unit, trap center outside the box,
     criterion pair naming a missing nucleus or zero-softening coincidence
-    raised while config values become objects as the config error."""
+    raised while config values become objects as the config error, and
+    so a float overflow, division by zero or invalid value on the way."""
     try:
-        yield
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
     except (ValueError, CenterOutsideBox, UnsupportedUnit,
             PairIndexOutOfRange, SingularCoulomb) as exc:
         raise ConfigError(str(exc)) from exc
+    except FloatingPointError as exc:
+        raise ConfigError(f"a config value leaves the float range: "
+                          f"{exc}") from exc
 
 
 def _section(cfg: dict, name: str):
@@ -365,17 +367,10 @@ def cmd_evolve(cfg: dict, seed: int, fmt: str):
         raise ConfigError(f"evolve needs 0 <= s_from < s_to <= s1 = "
                           f"{s1}, got [{s_from}, {s_to}]")
     auto = sec["autocorrelation"]
-    fixed_s = auto["fixed_s"] if auto else None
-    if fixed_s is not None and not 0.0 <= fixed_s <= s1:
-        raise ConfigError(f"evolve.autocorrelation.fixed_s must lie in "
-                          f"[0, s1 = {s1}], got {fixed_s}")
-    # a scheduled C(t) sweeps s over [0, t_max] from the initial state
-    if auto and fixed_s is None and (auto["t_max"] > s1 or s_from > 0.0):
-        raise ConfigError(f"evolve.autocorrelation without fixed_s needs "
-                          f"s_from = 0 and t_max <= s1 = {s1}, got s_from "
-                          f"{s_from}, t_max {auto['t_max']}; set fixed_s")
-
     if auto:
+        if not 0.0 <= auto["fixed_s"] <= s1:
+            raise ConfigError(f"evolve.autocorrelation.fixed_s must lie in "
+                              f"[0, s1 = {s1}], got {auto['fixed_s']}")
         _row_count(auto["n_samples"], "evolve.autocorrelation.n_samples")
 
     basis = _build_basis(cfg)
@@ -386,7 +381,7 @@ def cmd_evolve(cfg: dict, seed: int, fmt: str):
     # the sweep and before any artifact is written
     if auto:
         times, values = autocorrelation(psi0, sh, auto["t_max"],
-                                        auto["n_samples"], fixed_s)
+                                        auto["n_samples"], auto["fixed_s"])
     report = propagate(DensityMatrix.from_pure(psi0), sh, s_from, s_to, n_steps)
 
     yield "evolve_report.json", {
@@ -410,27 +405,19 @@ def cmd_measure(cfg: dict, seed: int, fmt: str):
     criteria_table = _build_criteria(cfg, basis.particles)
     sec = _section(cfg, "measure")
     cid = sec["criterion"]
-    bip = bipartition(
-        _resolve(criteria_table, cid, "measure.criterion"), basis)
+    criterion = _resolve(criteria_table, cid, "measure.criterion")
     state = DensityMatrix.from_pure(_initial_vector(sec["initial"], basis.size))
-    repeat = sec["repeat"]
     with _config_values():
-        spec = weakmeas.WeakMeasurementSpec(bip, sec["delta"])
-    rng = np.random.default_rng(seed)
+        spec = weakmeas.WeakMeasurementSpec(bipartition(criterion, basis),
+                                            sec["delta"])
+    outcome = weakmeas.weak_measure(state, spec, np.random.default_rng(seed))
+    branches = outcome.branches
     trace = weakmeas.TraceLog()
-    if repeat:
-        post, iters = weakmeas.repeat_until_success(
-            state, spec, lambda s, k: s, repeat["max_iters"], rng=rng,
-            delta_ramp=repeat["delta_ramp"], trace=trace, node_id="measure")
-        payload = {"iterations": iters, "post_purity": post.purity()}
-    else:
-        outcome = weakmeas.weak_measure(state, spec, rng)
-        trace.record("measure", 1, outcome.branches, outcome.flag)
-        payload = {"flag": outcome.flag, "probability": outcome.probability,
-                   "p1": outcome.branches.p1, "p0": outcome.branches.p0}
-    # the first measurement weighs the initial state
-    payload.update(status="ok", criterion=cid, p_suc=trace[0]["p_suc_before"])
-    yield "measure_report.json", payload
+    trace.record("measure", 1, branches, outcome.flag)
+    yield "measure_report.json", {
+        "status": "ok", "criterion": cid, "flag": outcome.flag,
+        "probability": outcome.probability, "p_suc": branches.p_suc,
+        "p1": branches.p1, "p0": branches.p0}
     yield "measure_trace.jsonl", trace
 
 
@@ -500,8 +487,7 @@ def _build_tree(sec: dict) -> tuple:
         bip = Bipartition(np.arange(dim) < max(1, dim // 2))
         channel = tree.PumpChannel(bip, row["success_weight"])
         retry = tree.RetryPolicy(max_iters=row["max_iters"],
-                                 delta_ramp=row["delta_ramp"],
-                                 renaturalize=row["renaturalize"])
+                                 delta_ramp=row["delta_ramp"])
         nodes[node_id] = replace(nodes[node_id], channel=channel,
                                  bipartition=bip, delta=row["delta"],
                                  retry=retry)
@@ -629,7 +615,8 @@ def cmd_validate(cfg: dict, seed: int, fmt: str):
     criterion = _resolve(criteria_table, cid, "validate.criterion")
     if sec["symmetrize"]:
         criterion = symmetrize_criterion(criterion, declaration)
-    result = validate_symmetric(criterion, declaration, basis)
+    with _config_values():
+        result = validate_symmetric(criterion, declaration, basis)
     # every configuration is checked, so "sampled" is always false
     payload = {"status": "ok", "criterion": cid,
                "symmetric": result.symmetric,

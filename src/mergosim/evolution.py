@@ -708,28 +708,29 @@ def _dense_autocorrelation(h: np.ndarray, psi0: np.ndarray,
 
 def autocorrelation(initial: np.ndarray,
                     hamiltonian: Union[OperatorBlock, np.ndarray,
-                                       ScheduledHamiltonian,
                                        StructuredHamiltonian],
                     t_max: float, n_samples: int,
                     fixed_s: Optional[float] = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """C(t) = <psi0 | psi(t)> on a uniform t-grid including t = 0.
+    """C(t) = <psi0 | psi(t)> of a fixed Hamiltonian on a uniform t-grid
+    including t = 0.
 
-    A fixed Hamiltonian (OperatorBlock or matrix) is diagonalized once,
-    in real arithmetic when it is a real matrix, and its weights summed
-    by a nonuniform FFT (``_dense_autocorrelation``). A StructuredHamiltonian
-    with ``fixed_s`` is read at that s: C(t) comes from Chebyshev moments
-    of its stencil product (``_chebyshev_autocorrelation``) or from a
-    dense eigh of ``dense(fixed_s)``, whichever the work estimate
-    (``_chebyshev_plan``) puts lower. A scheduled Hamiltonian without
-    ``fixed_s`` is stepped as ``propagate`` steps it, with t read as the
-    schedule parameter s, so it needs 0 < t_max <= s1. ``fixed_s`` with
-    any other Hamiltonian raises ValueError.
+    An OperatorBlock or matrix, without ``fixed_s``, is diagonalized
+    once, in real arithmetic when it is a real matrix, and its weights
+    summed by a nonuniform FFT (``_dense_autocorrelation``). A
+    StructuredHamiltonian is read at ``fixed_s``: C(t) comes from
+    Chebyshev moments of its stencil product
+    (``_chebyshev_autocorrelation``) or from a dense eigh of
+    ``dense(fixed_s)``, whichever the work estimate (``_chebyshev_plan``)
+    puts lower. Any other pairing, a ScheduledHamiltonian included,
+    raises ValueError.
     """
-    if fixed_s is not None and not isinstance(hamiltonian,
-                                              StructuredHamiltonian):
-        raise ValueError(f"fixed_s needs a StructuredHamiltonian, got "
-                         f"{type(hamiltonian).__name__}")
+    structured = isinstance(hamiltonian, StructuredHamiltonian)
+    if (structured != (fixed_s is not None)
+            or isinstance(hamiltonian, ScheduledHamiltonian)):
+        raise ValueError(f"C(t) needs a matrix or OperatorBlock without "
+                         f"fixed_s, or a StructuredHamiltonian with it; got "
+                         f"{type(hamiltonian).__name__}, fixed_s {fixed_s}")
     psi0 = DensityMatrix.from_pure(initial).vector
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -737,7 +738,7 @@ def autocorrelation(initial: np.ndarray,
 
     # a sample that overflows is reported once, below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if fixed_s is not None:
+        if structured:
             plan = _chebyshev_plan(hamiltonian, fixed_s, times)
             if plan is None:
                 values = _dense_autocorrelation(hamiltonian.dense(fixed_s),
@@ -745,17 +746,6 @@ def autocorrelation(initial: np.ndarray,
             else:
                 values = _chebyshev_autocorrelation(hamiltonian, fixed_s,
                                                     psi0, times, plan)
-        elif isinstance(hamiltonian, (ScheduledHamiltonian,
-                                      StructuredHamiltonian)):
-            if not 0.0 < t_max <= hamiltonian.schedule.s1:
-                raise ScheduleOutOfRange(
-                    f"require 0 < t_max <= s1, got {t_max}")
-            dt = times[1] - times[0]
-            psi, values = psi0, [1.0]
-            for step in _step_maps(hamiltonian, times[:-1] + 0.5 * dt, dt):
-                psi = step(psi)
-                values.append(np.vdot(psi0, psi))
-            values = np.array(values, dtype=complex)
         else:
             h = hamiltonian.matrix if isinstance(hamiltonian, OperatorBlock) \
                 else np.asarray(hamiltonian)

@@ -87,7 +87,9 @@ class TestConfigSchema:
                      "evolve", id="fixed_s_past_schedule_end"),
         pytest.param("evolve_salt_1d.json",
                      (("evolve", "autocorrelation"),
-                      {"t_max": 50.0, "n_samples": 64, "fixed_s": None}),
+                      {"t_max": 50.0, "n_samples": 64, "fixed_s": None},
+                      "config.evolve.autocorrelation.fixed_s must be float, "
+                      "got None"),
                      "evolve", id="t_max_past_schedule_end"),
         pytest.param("evolve_salt_1d.json",
                      (("evolve", "autocorrelation", "n_samples"), 1),
@@ -148,7 +150,8 @@ class TestConfigSchema:
                      (("tree", "overrides"), {"node6": {"delta_ramp": -1.0}}),
                      "tree", id="negative_override_delta_ramp"),
         pytest.param("measure_bond.json",
-                     (("measure", "repeat"), {"delta_ramp": -1.0}),
+                     (("measure", "repeat"), {"delta_ramp": -1.0},
+                      "unknown keys in 'config.measure': ['repeat']"),
                      "measure", id="negative_measure_delta_ramp"),
         pytest.param("tree_synthetic.json",
                      (("tree", "nodes", "delta_ramp"), 0.0), "tree",
@@ -156,9 +159,6 @@ class TestConfigSchema:
         pytest.param("tree_synthetic.json",
                      (("tree", "overrides"), {"node6": {"delta_ramp": 0.0}}),
                      "tree", id="zero_override_delta_ramp"),
-        pytest.param("measure_bond.json",
-                     (("measure", "repeat"), {"delta_ramp": 0.0}),
-                     "measure", id="zero_measure_delta_ramp"),
         pytest.param("cost_table.json", (("cost", "box_volume"), math.inf),
                      "cost", id="infinite_box_volume"),
         pytest.param("evolve_flat.json",
@@ -219,7 +219,9 @@ class TestConfigSchema:
                      (("evolve",),
                       {"s_from": 1.0, "n_steps": 80,
                        "initial": {"kind": "eigenstate", "index": 0},
-                       "autocorrelation": {"t_max": 1.0, "n_samples": 64}}),
+                       "autocorrelation": {"t_max": 1.0, "n_samples": 64}},
+                      "missing required key "
+                      "config.evolve.autocorrelation.fixed_s"),
                      "evolve", id="scheduled_autocorrelation_after_s_from"),
         pytest.param("measure_bond.json",
                      (("measure", "initial"),
@@ -269,6 +271,41 @@ class TestConfigSchema:
                      (("lz", "v"), {"values": [1e-8] * 65_537},
                       "lz.v.values asks for 65537 rows, above 65536"),
                      "lz", id="velocity_values_over_the_bound"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "nodes", "renaturalize"), True,
+                      "unknown keys in 'config.tree.nodes': "
+                      "['renaturalize']"),
+                     "tree", id="tree_renaturalize_not_a_key"),
+        pytest.param("tree_synthetic.json",
+                     (("tree", "overrides"), {"node6": {"renaturalize": True}},
+                      "unknown keys in 'config.tree.overrides.node6': "
+                      "['renaturalize']"),
+                     "tree", id="override_renaturalize_not_a_key"),
+        pytest.param("evolve_salt_1d.json",
+                     (("grid", "box_length"), 1e300,
+                      "a config value leaves the float range: overflow "
+                      "encountered in multiply"),
+                     "evolve", id="trap_energy_overflows_with_the_box"),
+        pytest.param("measure_bond.json",
+                     (("grid", "box_length"), 1e300,
+                      "a config value leaves the float range: overflow "
+                      "encountered in matmul"),
+                     "measure", id="measured_distance_overflows"),
+        pytest.param("validate_h2o2.json",
+                     (("grid", "box_length"), 1e300,
+                      "a config value leaves the float range: overflow "
+                      "encountered in matmul"),
+                     "validate", id="validated_distance_overflows"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian", "trap", "omega"), 1e300,
+                      "a config value leaves the float range: overflow "
+                      "encountered in multiply"),
+                     "evolve", id="trap_energy_overflows_with_omega"),
+        pytest.param("evolve_salt_1d.json",
+                     (("hamiltonian", "softening"), 1e-300,
+                      "a config value leaves the float range: divide by "
+                      "zero encountered in divide"),
+                     "evolve", id="softening_squared_underflows"),
     ])
     def test_config_error(self, base, mutation, command, tmp_path, capsys):
         """``mutation`` is (key path, value), or (key path, value, the
@@ -680,40 +717,6 @@ class TestEvolveCommand:
 
 
 class TestMeasureCommand:
-    def test_repeat_until_success(self, tmp_path):
-        """A ``measure.repeat`` run ends on its first accepted draw in a
-        pure accepted state; its k-th measurement takes the ramped angle."""
-        from mergosim.weakmeas import ramped_delta
-
-        cfg = patched("measure_bond.json", "measure",
-                      repeat={"max_iters": 64, "delta_ramp": 1.5})
-        out = tmp_path / "out"
-        assert run_cli("measure", "--config", write_config(tmp_path, cfg),
-                       "--out", str(out)) == 0
-        report = json.loads((out / "measure_report.json").read_text())
-        assert report["iterations"] >= 1
-        assert report["post_purity"] == pytest.approx(1.0, abs=1e-12)
-        lines = [json.loads(line) for line in
-                 (out / "measure_trace.jsonl").read_text().splitlines()]
-        assert [r["iteration"] for r in lines] == \
-            list(range(1, report["iterations"] + 1))
-        assert [r["delta"] for r in lines] == \
-            [ramped_delta(0.6, 1.5, k) for k in range(1, len(lines) + 1)]
-        assert [r["flag"] for r in lines] == [0] * (len(lines) - 1) + [1]
-
-    def test_repeat_exhausted_writes_nothing(self, tmp_path, capsys):
-        """Seed 0's first draw fails, so one allowed measurement exits 3
-        before any artifact is written."""
-        cfg = patched("measure_bond.json", "measure",
-                      repeat={"max_iters": 1, "delta_ramp": 1.5})
-        out = tmp_path / "out"
-        assert run_cli("measure", "--config", write_config(tmp_path, cfg),
-                       "--seed", "0", "--out", str(out)) == 3
-        assert json.loads(capsys.readouterr().out) == {
-            "status": "runtime_error",
-            "error": "no success within 1 measurements at node 'measure'"}
-        assert list(out.iterdir()) == []
-
     def test_basis_state_start(self, tmp_path):
         """A basis state |i> has p_suc = mask[i]: 1 inside the accepted
         block, 0 outside."""

@@ -7,8 +7,9 @@ from mergosim.errors import (NonHermitianHamiltonian, NonuniformGrid,
                              ScheduleOutOfRange, UnnormalizedInput)
 from mergosim.evolution import (DensityMatrix, autocorrelation, propagate,
                                 spectrum)
+from mergosim.grid import GridSpec, ParticleSet, enumerate_basis
 from mergosim.hamiltonian import (OperatorBlock, Schedule, ScheduledHamiltonian,
-                                  hermiticity_deviation)
+                                  StructuredHamiltonian, hermiticity_deviation)
 
 
 NAN = float("nan")
@@ -243,34 +244,28 @@ class TestAutocorrelation:
         times, values = autocorrelation(np.array([1.0, 0.0]), h, 100.0, 8)
         assert np.max(np.abs(values - np.exp(-1j * times))) <= 1e-13
 
-    def test_scheduled_matches_fixed_for_flat_schedule(self):
-        h = np.diag([0.0, 1.0, 3.0])
-        block = OperatorBlock(h, "external")
-        zero = OperatorBlock(np.zeros((3, 3)), "external")
-        sh = ScheduledHamiltonian(block, zero, zero, zero,
-                                  Schedule(s0=0.5, s1=4.0))
-        psi = np.ones(3) / np.sqrt(3)
-        t1, v1 = autocorrelation(psi, sh, 4.0, 65)
-        t2, v2 = autocorrelation(psi, h, 4.0, 65)
-        assert np.allclose(v1, v2, atol=1e-10)
-
-    @pytest.mark.parametrize("t_max", [-2.0, 0.0, 4.5])
-    def test_scheduled_t_max_outside_the_schedule(self, t_max):
-        h = OperatorBlock(np.diag([0.0, 1.0]), "external")
-        zero = OperatorBlock(np.zeros((2, 2)), "external")
-        sh = ScheduledHamiltonian(h, zero, zero, zero,
-                                  Schedule(s0=0.5, s1=4.0))
-        with pytest.raises(ScheduleOutOfRange):
-            autocorrelation(np.array([1.0, 0.0]), sh, t_max, 5)
-
-    @pytest.mark.parametrize("form", ["block", "array", "scheduled"])
-    def test_fixed_s_needs_the_structured_form(self, form):
+    @pytest.mark.parametrize("form, fixed_s", [
+        pytest.param("block", 0.5, id="block"),
+        pytest.param("array", 0.5, id="array"),
+        pytest.param("scheduled", 0.5, id="scheduled"),
+        pytest.param("scheduled", None, id="scheduled_without_fixed_s"),
+        pytest.param("structured", None, id="structured_without_fixed_s")])
+    def test_fixed_s_needs_the_structured_form(self, form, fixed_s):
+        """C(t) is of a fixed H: fixed_s goes with a StructuredHamiltonian
+        and with nothing else, and a ScheduledHamiltonian has no fixed
+        form."""
         sh = constant_hamiltonian([0.0, 1.0])
+        basis = enumerate_basis(GridSpec(1, 1, 1.0),
+                                ParticleSet(n_el=0, nuclear_masses=(1.0,),
+                                            nuclear_charges=(0.0,)))
+        zeros = np.zeros(basis.size)
+        structured = StructuredHamiltonian(basis, (0,), zeros, zeros, zeros,
+                                           sh.schedule)
         hamiltonian = {"block": sh.h_a, "array": sh.h_a.matrix,
-                       "scheduled": sh}[form]
+                       "scheduled": sh, "structured": structured}[form]
         with pytest.raises(ValueError, match="StructuredHamiltonian"):
             autocorrelation(np.array([1.0, 0.0]), hamiltonian, 1.0, 8,
-                            fixed_s=0.5)
+                            fixed_s=fixed_s)
 
 
 class TestSpectrum:

@@ -22,7 +22,8 @@ def test_artifact_digests_runs_every_config_and_bench_merge():
     assert [label for label, code in statuses if code != "0"] == []
     expected = [p.stem for p in sorted((ROOT / "configs").glob("*.json"))]
     expected += ["tree_synthetic (--seed 99)", "validate_h2o2 (--seed 99)",
-                 "lz_rbcs (--format json)", "cost_table (--format json)"]
+                 "lz_rbcs (--format json)", "cost_table (--format json)",
+                 "measure_bond (--seed 3)"]
     expected += [f"bench evolve_merge m={m} seed={seed}"
                  for m in (9, 21) for seed in range(3)]
     assert [label for label, _ in statuses] == expected

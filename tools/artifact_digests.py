@@ -4,10 +4,12 @@
 
 Each file in ``configs/`` runs through ``mergosim.cli.main``
 under the command its name starts with (``evolve_flat.json`` runs
-``evolve``), and four more runs follow: ``tree_synthetic`` and
-``validate_h2o2`` with ``--seed 99``, and ``lz_rbcs`` and ``cost_table``
-with ``--format json``. ``validate`` checks every configuration and reads
-no seed, so its ``--seed 99`` rows equal its default-seed rows.
+``evolve``), and five more runs follow: ``tree_synthetic`` and
+``validate_h2o2`` with ``--seed 99``, ``lz_rbcs`` and ``cost_table``
+with ``--format json``, and ``measure_bond`` with ``--seed 3``, whose
+measurement heralds success where the config's seed 17 heralds failure.
+``validate`` checks every configuration and reads no seed, so its
+``--seed 99`` rows equal its default-seed rows.
 Both shipped evolve configs take the dense C(t) path, so the benchmark
 merge follows (``bench/workloads.evolve_config`` at seeds 0-2 on m = 9
 and m = 21 grids, read with ``bench/`` on ``sys.path`` and written as
@@ -37,7 +39,8 @@ COMMANDS = ("evolve", "measure", "tree", "lz", "cost", "validate")
 EXTRA_RUNS = (("tree_synthetic", ("--seed", "99")),
               ("validate_h2o2", ("--seed", "99")),
               ("lz_rbcs", ("--format", "json")),
-              ("cost_table", ("--format", "json")))
+              ("cost_table", ("--format", "json")),
+              ("measure_bond", ("--seed", "3")))
 BENCH_MERGES = tuple((seed, m) for m in (9, 21) for seed in range(3))
 
 
