@@ -159,6 +159,10 @@ class TestConfigSchema:
         pytest.param("tree_synthetic.json",
                      (("tree", "overrides"), {"node6": {"delta_ramp": 0.0}}),
                      "tree", id="zero_override_delta_ramp"),
+        pytest.param("measure_bond.json",
+                     (("measure", "repeat"), {"delta_ramp": 0.0},
+                      "unknown keys in 'config.measure': ['repeat']"),
+                     "measure", id="zero_measure_delta_ramp"),
         pytest.param("cost_table.json", (("cost", "box_volume"), math.inf),
                      "cost", id="infinite_box_volume"),
         pytest.param("evolve_flat.json",
